@@ -3,7 +3,7 @@ module Timestamp = Txq_temporal.Timestamp
 module Bptree = Txq_store.Bptree
 
 type entry = {
-  created : Timestamp.t;
+  mutable created : Timestamp.t;
   mutable deleted : Timestamp.t option;
 }
 
@@ -101,9 +101,11 @@ let is_alive t eid =
 
 (* Retention pruning.  [`Drop] removes every row of the document; [`Before
    cutoff] removes rows of elements already deleted at or before the
-   cutoff — exactly the rows a rebuild of the truncated delta chain would
-   no longer produce.  The paged backing tombstones (the B+-tree has no
-   delete); the memory backing removes. *)
+   cutoff and moves earlier creation times of the survivors up to the
+   cutoff — exactly the rows a rebuild of the truncated delta chain
+   produces, since it sees every survivor born in the base version.  The
+   paged backing tombstones (the B+-tree has no delete); the memory
+   backing removes. *)
 let prune t ~affected =
   let pruned = ref 0 in
   List.iter
@@ -120,7 +122,9 @@ let prune t ~affected =
                 | `Before cutoff -> (
                   match e.deleted with
                   | Some d when Timestamp.(d <= cutoff) -> eid :: acc
-                  | _ -> acc))
+                  | _ ->
+                    if Timestamp.(e.created < cutoff) then e.created <- cutoff;
+                    acc))
             table []
         in
         List.iter (Eid.Table.remove table) victims;
@@ -143,6 +147,11 @@ let prune t ~affected =
                 p.count <- p.count - 1;
                 incr pruned
               end
+              else
+                match action with
+                | `Before cutoff when Timestamp.(i64_to_ts created < cutoff) ->
+                  Bptree.insert p.tree ~key (ts_to_i64 cutoff, del)
+                | `Before _ | `Drop -> ()
             end)
           (Bptree.range p.tree ~lo ~hi))
     affected;

@@ -40,7 +40,10 @@ val prune :
   int
 (** Retention pruning: [`Drop] removes every row of the document;
     [`Before cutoff] removes rows of elements deleted at or before the
-    cutoff (elements still alive keep their exact creation time).  The
+    cutoff and raises earlier creation times of the survivors to the
+    cutoff — the rows a rebuild from the truncated chain produces, which
+    crash recovery must reproduce (queries already clamp vacuumed creation
+    to the first retained instant).  The
     paged backing tombstones rows in place — the B+-tree has no physical
     delete — and every lookup treats tombstones as absent.  Returns rows
     pruned. *)

@@ -104,23 +104,17 @@ let enable_tracing config =
   if config.Config.tracing && not (Txq_obs.Trace.enabled ()) then
     Txq_obs.Trace.set_sink (Some Txq_obs.Trace.null_sink)
 
-let create ?(config = Config.default) ?clock () =
-  enable_tracing config;
-  let clock = match clock with Some c -> c | None -> Clock.create () in
-  let disk = Txq_store.Disk.create () in
-  let pool =
-    Txq_store.Buffer_pool.create ~capacity:config.Config.buffer_pool_pages disk
-  in
-  let blobs = Txq_store.Blob_store.create ~policy:config.Config.placement pool in
+(* [journal] is dropped unless the configuration journals. *)
+let make config ~clock ~disk ~pool journal =
   {
     config;
     clock;
     disk;
     pool;
-    blobs;
+    blobs = Txq_store.Blob_store.create ~policy:config.Config.placement pool;
     journal =
       (match config.Config.durability with
-       | `Journal -> Some (Txq_store.Journal.create pool)
+       | `Journal -> Some journal
        | `None -> None);
     docs = Hashtbl.create 64;
     urls = Hashtbl.create 64;
@@ -161,6 +155,15 @@ let create ?(config = Config.default) ?clock () =
     ship_history = Txq_store.Vec.create ();
     ship_ring = Hashtbl.create 8;
   }
+
+let create ?(config = Config.default) ?clock () =
+  enable_tracing config;
+  let clock = match clock with Some c -> c | None -> Clock.create () in
+  let disk = Txq_store.Disk.create () in
+  let pool =
+    Txq_store.Buffer_pool.create ~capacity:config.Config.buffer_pool_pages disk
+  in
+  make config ~clock ~disk ~pool (Txq_store.Journal.create pool)
 
 let config t = t.config
 let clock t = t.clock
@@ -368,7 +371,7 @@ let set_dtime_count_for_tests t ~seconds count =
 (* --- derived-index maintenance ---------------------------------------- *)
 
 (* One committed version / one deletion, as seen by every replay path: the
-   live mutators, crash recovery's pass B, and shipped-record replay all
+   live mutators, crash recovery's final walk, and shipped-record replay all
    maintain the FTI, delta-FTI and CreTime index through these three
    functions, so the index state after replaying a record sequence is the
    index state the sequence built live.  [new_tree] is lazy: only the
@@ -780,15 +783,36 @@ let empty_vacuum_report =
   }
 
 (* One document's planned action.  [`Drop]: the whole lifetime ended before
-   the horizon.  [`Squash]: truncate the chain prefix below [rb_base]. *)
+   the horizon.  [`Squash]: truncate the chain prefix below [rb_base].
+   [_wm]: the XID high-water mark the vacuum record persists. *)
 type vacuum_plan =
   | Plan_drop of { pd_doc : Eid.doc_id; pd_freed : int list; pd_wm : int }
-  | Plan_squash of {
-      ps_doc : Eid.doc_id;
-      ps_rebase : Docstore.rebase;
-      ps_tree : Vnode.t;  (** the base version, for the delta-FTI *)
-      ps_wm : int;
-    }
+  | Plan_squash of { ps_doc : Eid.doc_id; ps_rebase : Docstore.rebase; ps_wm : int }
+
+let free_blob t ~cluster blob = Txq_store.Blob_store.free t.blobs ~cluster blob
+
+(* The vacuum's chain step, shared by the live vacuum and every journal
+   replay: truncate or drop each planned chain, handing each released blob
+   to [free], and unlink dropped documents from the URL directory. *)
+let vacuum_apply t ~free plans =
+  List.iter
+    (function
+      | Plan_drop { pd_doc; _ } ->
+        let d = doc t pd_doc in
+        Docstore.apply_drop d ~free:(free ~cluster:pd_doc);
+        Hashtbl.remove t.docs pd_doc;
+        (match Hashtbl.find_opt t.urls (Docstore.url d) with
+         | None -> ()
+         | Some bucket ->
+           bucket := List.filter (fun id -> id <> pd_doc) !bucket;
+           if !bucket = [] then Hashtbl.remove t.urls (Docstore.url d));
+        Vcache.evict_doc t.vcache pd_doc
+      | Plan_squash { ps_doc; ps_rebase; ps_wm } ->
+        let d = doc t ps_doc in
+        Docstore.mark_used d [ Txq_vxml.Xid.of_int ps_wm ];
+        Docstore.apply_rebase d ~free:(free ~cluster:ps_doc) ps_rebase;
+        Vcache.evict_before t.vcache ps_doc ps_rebase.Docstore.rb_base)
+    plans
 
 (* Resolve the per-document target base under the retention policy: the
    horizon drops versions whose validity ended at or before it, keep-last-N
@@ -815,162 +839,130 @@ let plan_base d (r : Config.retention) =
 (* Commit an already-planned vacuum: journal the record, apply the plans,
    prune the derived indexes, account.  The caller holds the write lock and
    has every new base snapshot durably written (inside the plans).  Shared
-   verbatim between [vacuum] (plans from the retention policy) and replayed
-   Vacuum records ([Replay], plans rebuilt from the shipped record), so a
-   replica's vacuum is the same code path as the primary's. *)
+   verbatim between [vacuum] (plans from the retention policy) and shipped
+   Vacuum records (plans rebuilt from the record), so a replica's vacuum is
+   the same code path as the primary's. *)
 let vacuum_commit t ~ts plans =
-  begin
-      (* Commit point: one record covering every document. *)
-      journal_append_now t
-        (Journal_record.Vacuum
-           {
-             r_ts = seconds ts;
-             r_docs =
-               List.map
-                 (function
-                   | Plan_drop { pd_doc; pd_freed; pd_wm } ->
-                     {
-                       Journal_record.vd_doc = pd_doc;
-                       vd_base = 0;
-                       vd_drop = true;
-                       vd_snapshot = None;
-                       vd_freed = pd_freed;
-                       vd_xid_watermark = pd_wm;
-                     }
-                   | Plan_squash { ps_doc; ps_rebase; ps_wm; _ } ->
-                     {
-                       Journal_record.vd_doc = ps_doc;
-                       vd_base = ps_rebase.Docstore.rb_base;
-                       vd_drop = false;
-                       vd_snapshot =
-                         Option.map blob_ref ps_rebase.Docstore.rb_snapshot;
-                       vd_freed = ps_rebase.Docstore.rb_freed;
-                       vd_xid_watermark = ps_wm;
-                     })
-                 plans;
-           });
-      (* Apply: free blobs, truncate chains, unlink dropped documents. *)
-      let versions_dropped = ref 0 in
-      let pages_freed = ref 0 in
-      let docs_squashed = ref 0 in
-      let docs_dropped = ref 0 in
-      Trace.with_span "db.vacuum.squash" (fun () ->
-          List.iter
-            (function
-              | Plan_drop { pd_doc; pd_freed; _ } ->
-                let d = doc t pd_doc in
-                versions_dropped :=
-                  !versions_dropped
-                  + (Docstore.version_count d - Docstore.first_version d);
-                pages_freed := !pages_freed + List.length pd_freed;
-                incr docs_dropped;
-                Docstore.apply_drop d;
-                Hashtbl.remove t.docs pd_doc;
-                (match Hashtbl.find_opt t.urls (Docstore.url d) with
-                 | None -> ()
-                 | Some bucket ->
-                   bucket := List.filter (fun id -> id <> pd_doc) !bucket;
-                   if !bucket = [] then Hashtbl.remove t.urls (Docstore.url d));
-                Vcache.evict_doc t.vcache pd_doc
-              | Plan_squash { ps_doc; ps_rebase; _ } ->
-                let d = doc t ps_doc in
-                versions_dropped :=
-                  !versions_dropped + ps_rebase.Docstore.rb_versions_dropped;
-                pages_freed :=
-                  !pages_freed + List.length ps_rebase.Docstore.rb_freed;
-                incr docs_squashed;
-                Docstore.apply_rebase d ps_rebase;
-                Vcache.evict_before t.vcache ps_doc ps_rebase.Docstore.rb_base)
-            plans);
-      (* Prune the derived indexes down to what a rebuild of the truncated
-         chains would produce. *)
-      let postings, dfti_removed, cretime_removed, dtime_removed =
-        Trace.with_span "db.vacuum.prune" @@ fun () ->
-        let fti_affected =
-          List.map
-            (function
-              | Plan_drop { pd_doc; _ } -> (pd_doc, `Drop)
-              | Plan_squash { ps_doc; ps_rebase; _ } ->
-                (ps_doc, `Squash ps_rebase.Docstore.rb_base))
-            plans
-        in
-        let postings =
-          match t.fti with
-          | None -> 0
-          | Some fti -> Fti.vacuum fti ~affected:fti_affected
-        in
-        let dfti_removed =
-          match t.dfti with
-          | None -> 0
-          | Some dfti ->
-            fst
-              (Delta_fti.vacuum dfti
-                 ~affected:
-                   (List.map
-                      (function
-                        | Plan_drop { pd_doc; _ } -> (pd_doc, `Drop)
-                        | Plan_squash { ps_doc; ps_rebase; ps_tree; _ } ->
-                          (ps_doc, `Squash (ps_rebase.Docstore.rb_base, ps_tree)))
-                      plans))
-        in
-        let cretime_removed =
-          match t.cretime with
-          | None -> 0
-          | Some idx ->
-            Cretime_index.prune idx
-              ~affected:
-                (List.map
-                   (function
-                     | Plan_drop { pd_doc; _ } -> (pd_doc, `Drop)
-                     | Plan_squash { ps_doc; ps_rebase; _ } ->
-                       let d = doc t ps_doc in
-                       ( ps_doc,
-                         `Before
-                           (Docstore.ts_of_version d ps_rebase.Docstore.rb_base)
-                       ))
-                   plans)
-        in
-        (* Document-time rows for vacuumed versions: the tree is keyed by
-           document time, so matching rows are found by a full sweep and
-           tombstoned in place (doc = -1) — the B+-tree is upsert-only. *)
-        let cutoff = Hashtbl.create 8 in
-        List.iter
-          (function
-            | Plan_drop { pd_doc; _ } -> Hashtbl.replace cutoff pd_doc max_int
-            | Plan_squash { ps_doc; ps_rebase; _ } ->
-              Hashtbl.replace cutoff ps_doc ps_rebase.Docstore.rb_base)
-          plans;
-        let victims = ref [] in
-        Txq_store.Bptree.iter t.dtime_index (fun key (doc, v) ->
-            if Int64.compare doc 0L >= 0 then
-              match Hashtbl.find_opt cutoff (Int64.to_int doc) with
-              | Some base when Int64.to_int v < base -> victims := key :: !victims
-              | _ -> ());
-        List.iter
-          (fun key -> Txq_store.Bptree.insert t.dtime_index ~key (-1L, 0L))
-          !victims;
-        (postings, dfti_removed, cretime_removed, List.length !victims)
-      in
-      Txq_obs.Metrics.incr ~by:!versions_dropped "db.vacuum.versions_dropped";
-      Txq_obs.Metrics.incr ~by:!pages_freed "db.vacuum.pages_freed";
-      Txq_obs.Metrics.incr ~by:postings "db.vacuum.postings_pruned";
-      Trace.add_count "versions_dropped" !versions_dropped;
-      Trace.add_count "pages_freed" !pages_freed;
-      Log.info (fun m ->
-          m "vacuum: %d squashed, %d dropped, %d versions, %d pages freed"
-            !docs_squashed !docs_dropped !versions_dropped !pages_freed);
-      {
-        vr_docs_squashed = !docs_squashed;
-        vr_docs_dropped = !docs_dropped;
-        vr_versions_dropped = !versions_dropped;
-        vr_pages_freed = !pages_freed;
-        vr_bytes_reclaimed = !pages_freed * Txq_store.Disk.page_size;
-        vr_postings_pruned = postings;
-        vr_dfti_pruned = dfti_removed;
-        vr_cretime_pruned = cretime_removed;
-        vr_dtime_pruned = dtime_removed;
-      }
-  end
+  (* Commit point: one record covering every document. *)
+  journal_append_now t
+    (Journal_record.Vacuum
+       {
+         r_ts = seconds ts;
+         r_docs =
+           List.map
+             (function
+               | Plan_drop { pd_doc; pd_freed; pd_wm } ->
+                 {
+                   Journal_record.vd_doc = pd_doc;
+                   vd_base = 0;
+                   vd_drop = true;
+                   vd_snapshot = None;
+                   vd_freed = pd_freed;
+                   vd_xid_watermark = pd_wm;
+                 }
+               | Plan_squash { ps_doc; ps_rebase; ps_wm } ->
+                 {
+                   Journal_record.vd_doc = ps_doc;
+                   vd_base = ps_rebase.Docstore.rb_base;
+                   vd_drop = false;
+                   vd_snapshot = Option.map blob_ref ps_rebase.Docstore.rb_snapshot;
+                   vd_freed = ps_rebase.Docstore.rb_freed;
+                   vd_xid_watermark = ps_wm;
+                 })
+             plans;
+       });
+  let versions_dropped, pages_freed, docs_dropped =
+    List.fold_left
+      (fun (versions, pages, dropped) -> function
+        | Plan_drop { pd_doc; pd_freed; _ } ->
+          let d = doc t pd_doc in
+          ( versions + Docstore.version_count d - Docstore.first_version d,
+            pages + List.length pd_freed,
+            dropped + 1 )
+        | Plan_squash { ps_rebase = rb; _ } ->
+          ( versions + rb.Docstore.rb_versions_dropped,
+            pages + List.length rb.Docstore.rb_freed,
+            dropped ))
+      (0, 0, 0) plans
+  in
+  let docs_squashed = List.length plans - docs_dropped in
+  Trace.with_span "db.vacuum.squash" (fun () ->
+      vacuum_apply t ~free:(free_blob t) plans);
+  (* Prune the derived indexes down to what a rebuild of the truncated
+     chains would produce. *)
+  let postings, dfti_removed, cretime_removed, dtime_removed =
+    Trace.with_span "db.vacuum.prune" @@ fun () ->
+    let affected squash =
+      List.map
+        (function
+          | Plan_drop { pd_doc; _ } -> (pd_doc, `Drop)
+          | Plan_squash { ps_doc; ps_rebase; _ } ->
+            (ps_doc, squash (doc t ps_doc) ps_rebase.Docstore.rb_base))
+        plans
+    in
+    let postings =
+      match t.fti with
+      | None -> 0
+      | Some fti -> Fti.vacuum fti ~affected:(affected (fun _ b -> `Squash b))
+    in
+    (* the base tree re-registers in the delta-FTI; the truncated chain
+       anchors it (base snapshot or current blob) *)
+    let dfti_removed =
+      match t.dfti with
+      | None -> 0
+      | Some dfti ->
+        fst
+          (Delta_fti.vacuum dfti
+             ~affected:
+               (affected (fun d b -> `Squash (b, fst (Docstore.reconstruct d b)))))
+    in
+    let cretime_removed =
+      match t.cretime with
+      | None -> 0
+      | Some idx ->
+        Cretime_index.prune idx
+          ~affected:(affected (fun d b -> `Before (Docstore.ts_of_version d b)))
+    in
+    (* Document-time rows for vacuumed versions: the tree is keyed by
+       document time, so matching rows are found by a full sweep and
+       tombstoned in place (doc = -1) — the B+-tree is upsert-only. *)
+    let cutoff = Hashtbl.create 8 in
+    List.iter
+      (function
+        | Plan_drop { pd_doc; _ } -> Hashtbl.replace cutoff pd_doc max_int
+        | Plan_squash { ps_doc; ps_rebase; _ } ->
+          Hashtbl.replace cutoff ps_doc ps_rebase.Docstore.rb_base)
+      plans;
+    let victims = ref [] in
+    Txq_store.Bptree.iter t.dtime_index (fun key (doc, v) ->
+        if Int64.compare doc 0L >= 0 then
+          match Hashtbl.find_opt cutoff (Int64.to_int doc) with
+          | Some base when Int64.to_int v < base -> victims := key :: !victims
+          | _ -> ());
+    List.iter
+      (fun key -> Txq_store.Bptree.insert t.dtime_index ~key (-1L, 0L))
+      !victims;
+    (postings, dfti_removed, cretime_removed, List.length !victims)
+  in
+  Txq_obs.Metrics.incr ~by:versions_dropped "db.vacuum.versions_dropped";
+  Txq_obs.Metrics.incr ~by:pages_freed "db.vacuum.pages_freed";
+  Txq_obs.Metrics.incr ~by:postings "db.vacuum.postings_pruned";
+  Trace.add_count "versions_dropped" versions_dropped;
+  Trace.add_count "pages_freed" pages_freed;
+  Log.info (fun m ->
+      m "vacuum: %d squashed, %d dropped, %d versions, %d pages freed"
+        docs_squashed docs_dropped versions_dropped pages_freed);
+  {
+    vr_docs_squashed = docs_squashed;
+    vr_docs_dropped = docs_dropped;
+    vr_versions_dropped = versions_dropped;
+    vr_pages_freed = pages_freed;
+    vr_bytes_reclaimed = pages_freed * Txq_store.Disk.page_size;
+    vr_postings_pruned = postings;
+    vr_dfti_pruned = dfti_removed;
+    vr_cretime_pruned = cretime_removed;
+    vr_dtime_pruned = dtime_removed;
+  }
 
 let vacuum ?retention t =
   read_only_guard t "vacuum";
@@ -1021,12 +1013,10 @@ let vacuum ?retention t =
             let base = plan_base d r in
             if base <= Docstore.first_version d then None
             else
-              let rb = Docstore.prepare_rebase d ~base in
-              (* the base tree re-registers in the delta-FTI; reconstructed
-                 while the full chain is still intact *)
-              let tree, _ = Docstore.reconstruct d base in
               Some
-                (Plan_squash { ps_doc = id; ps_rebase = rb; ps_tree = tree; ps_wm = wm }))
+                (Plan_squash
+                   { ps_doc = id; ps_rebase = Docstore.prepare_rebase d ~base;
+                     ps_wm = wm }))
         (doc_ids t)
     in
     if plans = [] then empty_vacuum_report
@@ -1064,21 +1054,253 @@ let verify t =
     t.docs;
   if !errors = [] then Ok !checked else Error (List.rev !errors)
 
-(* --- crash recovery ---------------------------------------------------- *)
+(* --- journal replay ---------------------------------------------------- *)
 
-(* Per-document accumulator while replaying journal records (pass A). *)
-type doc_build = {
-  b_url : string;
-  mutable b_entries : Docstore.restored_entry list; (* newest first *)
-  mutable b_base : int; (* first retained version (vacuum truncation) *)
-  mutable b_xid_watermark : int;
-  mutable b_current : Txq_store.Blob_store.blob;
-  mutable b_deleted : Timestamp.t option;
-}
+exception Replay_error of string
+
+(* Where a replayed record's blobs come from.  [Local]: crash recovery —
+   the record's refs already name pages of this store, so nothing is read,
+   written or journaled, and a released blob only has its pages attributed
+   to their cluster (the table maps page -> doc) for the allocator rebuild
+   after the last record.  [Shipped contents]: a replica or an as-of
+   restore — the record's logical blob contents are written as fresh local
+   blobs and the record is journaled again with the local refs. *)
+type source = Local of (int, int) Hashtbl.t | Shipped of string list
+
+let release_blob t src ~cluster blob =
+  match src with
+  | Local freed ->
+    List.iter
+      (fun p -> Hashtbl.replace freed p cluster)
+      (Txq_store.Blob_store.page_ids blob)
+  | Shipped _ -> free_blob t ~cluster blob
+
+let replay_fail src fmt =
+  Printf.ksprintf
+    (fun s ->
+      match src with
+      | Local _ -> failwith ("Db.recover: journal " ^ s)
+      | Shipped _ -> raise (Replay_error ("shipped " ^ s)))
+    fmt
+
+let record_seconds = function
+  | Journal_record.Insert { r_ts; _ }
+  | Journal_record.Commit { r_ts; _ }
+  | Journal_record.Delete { r_ts; _ }
+  | Journal_record.Vacuum { r_ts; _ } -> r_ts
 
 let restore_blob r =
   Txq_store.Blob_store.restore_blob ~pages:r.Journal_record.br_pages
     ~length:r.Journal_record.br_length
+
+(* The one journal-record interpreter.  A restart, a replica and an as-of
+   restore all rebuild the state after a prefix of commits, by applying
+   the prefix here record by record.  Each record is checked against the
+   chains before anything changes.  A [Shipped] record also maintains the
+   derived indexes and advances the XID generator as it goes; recovery
+   does both once, after the last record ([rebuild_doc]).  The clock
+   follows the newest timestamp, so a detached replica or a restored store
+   never stamps a new commit at or before replayed history.  Caller holds
+   the write lock (recovery holds the only reference). *)
+let apply_record t src record =
+  let fail fmt = replay_fail src fmt in
+  let decode what f c =
+    match f c with Ok v -> v | Error msg -> fail "%s does not decode: %s" what msg
+  in
+  let find what doc =
+    match Hashtbl.find_opt t.docs doc with
+    | Some d -> d
+    | None -> fail "%s names unknown document %d" what doc
+  in
+  let live what doc =
+    let d = find what doc in
+    if Docstore.deleted_at d <> None then
+      fail "%s targets deleted document %d" what doc;
+    d
+  in
+  let put doc c = Txq_store.Blob_store.put t.blobs ~cluster:doc c in
+  let rejournal contents r =
+    ignore (journal_append t ~contents:(fun () -> contents) r : int option)
+  in
+  let of_seconds = Timestamp.of_seconds in
+  (match record with
+   | Journal_record.Insert r ->
+     let doc = r.r_doc in
+     if doc < t.next_doc_id then fail "insert re-uses document id %d" doc;
+     let current, current_blob, snapshot_blob =
+       match src with
+       | Local _ ->
+         (None, restore_blob r.r_current, Option.map restore_blob r.r_snapshot)
+       | Shipped contents ->
+         let c0 = List.hd contents in
+         let tree = decode "version-0 tree" Txq_vxml.Codec.decode c0 in
+         let current_blob = put doc c0 in
+         let snapshot_blob = Option.map (fun _ -> put doc c0) r.r_snapshot in
+         rejournal contents
+           (Journal_record.Insert
+              { r with r_current = blob_ref current_blob;
+                       r_snapshot = Option.map blob_ref snapshot_blob });
+         (Some tree, current_blob, snapshot_blob)
+     in
+     let ts = of_seconds r.r_ts in
+     let doc_time = Option.map of_seconds r.r_doc_time in
+     let d =
+       Docstore.restore ~blobs:t.blobs ~doc_id:doc ~url:r.r_url ~ts ?doc_time
+         ?current ~current_blob ~snapshot_blob ()
+     in
+     Hashtbl.replace t.docs doc d;
+     let bucket = url_bucket t r.r_url in
+     bucket := doc :: !bucket;
+     t.next_doc_id <- doc + 1;
+     Option.iter
+       (fun tree ->
+         record_doc_time t ~doc ~version:0 doc_time;
+         index_insert t ~doc ~version:0 d ts tree)
+       current;
+     t.stats.commits <- t.stats.commits + 1
+   | Journal_record.Commit r ->
+     let doc = r.r_doc and version = r.r_version in
+     let d = live "commit" doc in
+     let n = Docstore.version_count d in
+     if version <> n then
+       fail "commit creates version %d of document %d but %d is next" version
+         doc n;
+     let ts = of_seconds r.r_ts in
+     if Timestamp.(ts <= Docstore.ts_of_version d (n - 1)) then
+       fail "commit timestamp does not advance (document %d)" doc;
+     let doc_time = Option.map of_seconds r.r_doc_time in
+     let shipped, delta_blob, current_blob, snapshot_blob =
+       match src with
+       | Local _ ->
+         ( None,
+           restore_blob r.r_delta,
+           restore_blob r.r_current,
+           Option.map restore_blob r.r_snapshot )
+       | Shipped contents ->
+         let c0 = List.hd contents in
+         let delta = decode "delta" Delta.decode c0 in
+         let map = Txq_vxml.Xidmap.of_vnode (Docstore.current d) in
+         Delta.apply_forward map delta;
+         let tree = Txq_vxml.Xidmap.to_vnode map in
+         let enc = Txq_vxml.Codec.encode tree in
+         (* Blobs in the order the primary wrote them (delta, current,
+            snapshot), so a replica built from scratch allocates the same
+            shapes. *)
+         let delta_blob = put doc c0 in
+         let current_blob = put doc enc in
+         let snapshot_blob = Option.map (fun _ -> put doc enc) r.r_snapshot in
+         rejournal contents
+           (Journal_record.Commit
+              { r with r_delta = blob_ref delta_blob;
+                       r_current = blob_ref current_blob;
+                       r_snapshot = Option.map blob_ref snapshot_blob;
+                       r_freed =
+                         Txq_store.Blob_store.page_ids (Docstore.current_blob d) });
+         (Some (tree, delta), delta_blob, current_blob, snapshot_blob)
+     in
+     Docstore.append d ~ts ?doc_time ~delta_blob ~snapshot_blob
+       ?current:(Option.map fst shipped) ~current_blob
+       ~free:(release_blob t src ~cluster:doc) ();
+     Option.iter
+       (fun (tree, delta) ->
+         Docstore.mark_used d (Delta.inserted_xids delta);
+         Docstore.mark_used d (Delta.deleted_xids delta);
+         record_doc_time t ~doc ~version doc_time;
+         index_commit t ~doc ~version ~ts delta (lazy tree))
+       shipped;
+     t.stats.commits <- t.stats.commits + 1
+   | Journal_record.Delete { r_doc = doc; r_ts } ->
+     let d = live "delete" doc in
+     let ts = of_seconds r_ts in
+     (match src with
+      | Local _ -> Docstore.mark_deleted d ~ts
+      | Shipped contents ->
+        rejournal contents record;
+        Docstore.mark_deleted d ~ts;
+        index_delete t ~doc ~version:(Docstore.version_count d) ~ts
+          (Docstore.current d);
+        Vcache.evict_doc t.vcache doc);
+     t.stats.commits <- t.stats.commits + 1
+   | Journal_record.Vacuum { r_ts; r_docs } ->
+     List.iter
+       (fun vd ->
+         let d = find "vacuum" vd.Journal_record.vd_doc in
+         let base = vd.Journal_record.vd_base in
+         if
+           (not vd.Journal_record.vd_drop)
+           && (base <= Docstore.first_version d || base >= Docstore.version_count d)
+         then
+           fail "vacuum base %d outside document %d's chain" base
+             vd.Journal_record.vd_doc)
+       r_docs;
+     (* A replica's chains mirror the primary's, so [prepare_rebase] makes
+        the same snapshot-writing decisions and frees the mirrored pages. *)
+     let plans =
+       List.map
+         (fun { Journal_record.vd_doc = doc; vd_base = base; vd_drop;
+                vd_snapshot; vd_freed; vd_xid_watermark } ->
+           let d = find "vacuum" doc in
+           let wm = Stdlib.max (Docstore.xid_watermark d) vd_xid_watermark in
+           if vd_drop then
+             Plan_drop { pd_doc = doc; pd_freed = Docstore.all_blob_pages d; pd_wm = wm }
+           else
+             let rebase =
+               match src with
+               | Local _ ->
+                 { Docstore.rb_base = base;
+                   rb_snapshot = Option.map restore_blob vd_snapshot;
+                   rb_freed = vd_freed;
+                   rb_versions_dropped = base - Docstore.first_version d }
+               | Shipped _ -> Docstore.prepare_rebase d ~base
+             in
+             Plan_squash { ps_doc = doc; ps_rebase = rebase; ps_wm = wm })
+         r_docs
+     in
+     (match src with
+      | Local _ -> vacuum_apply t ~free:(release_blob t src) plans
+      | Shipped _ ->
+        if plans <> [] then
+          ignore (vacuum_commit t ~ts:(of_seconds r_ts) plans : vacuum_report)));
+  let ts = of_seconds (record_seconds record) in
+  if Timestamp.(ts > Clock.now t.clock) then Clock.set t.clock ts
+
+(* --- crash recovery ---------------------------------------------------- *)
+
+(* Recovery's last step for one document, once every record is applied:
+   decode the current tree, read each retained delta once, and advance the
+   XID generator past every id that ever existed — XIDs are never reused
+   (Section 3.2).  Ids alive now are in the current tree, ids born after
+   the base version in some delta's insert trees, ids gone by now in some
+   delta's delete trees; ids confined to a vacuumed prefix were covered by
+   the vacuum record's watermark.  When a content index is kept, walk back
+   to the base version and replay the versions forward, indexing each as
+   the live writer did. *)
+let rebuild_doc t id d =
+  let b0 = Docstore.first_version d and n = Docstore.version_count d in
+  let current = Docstore.load_current d in
+  let deltas = List.init (n - 1 - b0) (fun i -> Docstore.read_delta d (b0 + 1 + i)) in
+  List.iter
+    (fun delta ->
+      Docstore.mark_used d (Delta.inserted_xids delta);
+      Docstore.mark_used d (Delta.deleted_xids delta))
+    deltas;
+  if t.fti <> None || t.dfti <> None || t.cretime <> None then begin
+    let map = Txq_vxml.Xidmap.of_vnode current in
+    List.iter (Delta.apply_backward map) (List.rev deltas);
+    let tree0 = Txq_vxml.Xidmap.to_vnode map in
+    index_insert t ~doc:id ~version:b0 d (Docstore.ts_of_version d b0) tree0;
+    let map = Txq_vxml.Xidmap.of_vnode tree0 in
+    List.iteri
+      (fun i delta ->
+        let v = b0 + 1 + i in
+        Delta.apply_forward map delta;
+        index_commit t ~doc:id ~version:v ~ts:(Docstore.ts_of_version d v) delta
+          (lazy (Txq_vxml.Xidmap.to_vnode map)))
+      deltas;
+    Option.iter
+      (fun dts -> index_delete t ~doc:id ~version:n ~ts:dts current)
+      (Docstore.deleted_at d)
+  end
 
 let recover disk config =
   enable_tracing config;
@@ -1106,7 +1328,7 @@ let recover disk config =
       | [] -> List.rev acc
       | raw :: rest -> (
         match Journal_record.decode raw with
-        | Ok r -> prefix (r :: acc) rest
+        | Ok r -> prefix ((raw, r) :: acc) rest
         | Error reason ->
           if
             List.exists
@@ -1135,145 +1357,25 @@ let recover disk config =
     in
     prefix [] raw_records
   in
-  let blobs = Txq_store.Blob_store.create ~policy:config.Config.placement pool in
-  (* Pass A: replay records into per-document chains.  Only blobs reachable
-     from the latest record mentioning them are live; everything a crash
-     left half-written is unreferenced and simply becomes free space. *)
-  let builders : (Eid.doc_id, doc_build) Hashtbl.t = Hashtbl.create 64 in
-  let insert_order = ref [] in
-  (* Highest document id ever inserted — tracked independently of the
-     surviving builders, because a vacuum may drop the newest document and
-     ids must never be reused. *)
-  let max_doc_id = ref (-1) in
-  (* page -> cluster (doc id) for pages released by a committed commit *)
-  let freed_cluster : (int, int) Hashtbl.t = Hashtbl.create 256 in
-  let commits = ref 0 in
-  let last_ts = ref None in
-  let note_ts s =
-    let ts = Timestamp.of_seconds s in
-    match !last_ts with
-    | Some prev when Timestamp.(prev >= ts) -> ()
-    | _ -> last_ts := Some ts
-  in
-  let builder doc what =
-    match Hashtbl.find_opt builders doc with
-    | Some b -> b
-    | None ->
-      failwith
-        (Printf.sprintf "Db.recover: journal %s for unknown document %d" what doc)
-  in
+  (* The allocator rebuild covers the pages on disk now — not the index
+     pages [make] allocates. *)
+  let page_total = Txq_store.Disk.page_count disk in
+  let t = make config ~clock:(Clock.create ()) ~disk ~pool journal in
+  let freed = Hashtbl.create 256 in
   List.iter
-    (fun r ->
-      match r with
-      | Journal_record.Insert
-          { r_doc; r_url; r_ts; r_doc_time; r_current; r_snapshot } ->
-        note_ts r_ts;
-        incr commits;
-        max_doc_id := Stdlib.max !max_doc_id r_doc;
-        Hashtbl.replace builders r_doc
-          {
-            b_url = r_url;
-            b_entries =
-              [
-                {
-                  Docstore.re_ts = Timestamp.of_seconds r_ts;
-                  re_delta = None;
-                  re_snapshot = Option.map restore_blob r_snapshot;
-                  re_doc_time = Option.map Timestamp.of_seconds r_doc_time;
-                };
-              ];
-            b_base = 0;
-            b_xid_watermark = 0;
-            b_current = restore_blob r_current;
-            b_deleted = None;
-          };
-        insert_order := r_doc :: !insert_order
-      | Journal_record.Commit
-          { r_doc; r_version = _; r_ts; r_doc_time; r_delta; r_current;
-            r_snapshot; r_freed } ->
-        note_ts r_ts;
-        incr commits;
-        let b = builder r_doc "commit" in
-        b.b_entries <-
-          {
-            Docstore.re_ts = Timestamp.of_seconds r_ts;
-            re_delta = Some (restore_blob r_delta);
-            re_snapshot = Option.map restore_blob r_snapshot;
-            re_doc_time = Option.map Timestamp.of_seconds r_doc_time;
-          }
-          :: b.b_entries;
-        List.iter (fun p -> Hashtbl.replace freed_cluster p r_doc) r_freed;
-        b.b_current <- restore_blob r_current
-      | Journal_record.Delete { r_doc; r_ts } ->
-        note_ts r_ts;
-        incr commits;
-        (builder r_doc "delete").b_deleted <- Some (Timestamp.of_seconds r_ts)
-      | Journal_record.Vacuum { r_ts; r_docs } ->
-        note_ts r_ts;
-        List.iter
-          (fun vd ->
-            let doc = vd.Journal_record.vd_doc in
-            if vd.Journal_record.vd_drop then begin
-              (* chain gone entirely: its blobs become dead pages below *)
-              ignore (builder doc "vacuum");
-              Hashtbl.remove builders doc
-            end
-            else begin
-              let b = builder doc "vacuum" in
-              let n = b.b_base + List.length b.b_entries in
-              let keep = n - vd.Journal_record.vd_base in
-              if keep < 1 || keep > List.length b.b_entries then
-                failwith
-                  (Printf.sprintf
-                     "Db.recover: vacuum base %d outside document %d's chain"
-                     vd.Journal_record.vd_base doc);
-              (* b_entries is newest first: truncating the chain prefix
-                 drops from the tail, then the now-oldest entry becomes the
-                 base — no delta in, base snapshot installed. *)
-              let retained = List.filteri (fun i _ -> i < keep) b.b_entries in
-              let retained =
-                List.mapi
-                  (fun i e ->
-                    if i < keep - 1 then e
-                    else
-                      {
-                        e with
-                        Docstore.re_delta = None;
-                        re_snapshot =
-                          (match vd.Journal_record.vd_snapshot with
-                          | Some r -> Some (restore_blob r)
-                          | None -> e.Docstore.re_snapshot);
-                      })
-                  retained
-              in
-              b.b_entries <- retained;
-              b.b_base <- vd.Journal_record.vd_base;
-              b.b_xid_watermark <-
-                Stdlib.max b.b_xid_watermark
-                  vd.Journal_record.vd_xid_watermark
-            end;
-            List.iter
-              (fun p -> Hashtbl.replace freed_cluster p doc)
-              vd.Journal_record.vd_freed)
-          r_docs)
+    (fun (raw, r) ->
+      (* every recovered record is durable: re-shippable as-is, ticket 0 *)
+      Txq_store.Vec.push t.ship_history (0, raw);
+      apply_record t (Local freed) r)
     records;
   (* Rebuild the blob allocator: a page is live iff a surviving chain
      references it; journal pages stay owned by the journal; the rest —
      crash debris, superseded versions, dead index pages — is free. *)
-  let page_total = Txq_store.Disk.page_count disk in
   let live = Array.make (Stdlib.max 1 page_total) false in
-  let claim b =
-    List.iter (fun p -> live.(p) <- true) (Txq_store.Blob_store.page_ids b)
-  in
   Hashtbl.iter
-    (fun _ b ->
-      claim b.b_current;
-      List.iter
-        (fun e ->
-          Option.iter claim e.Docstore.re_delta;
-          Option.iter claim e.Docstore.re_snapshot)
-        b.b_entries)
-    builders;
+    (fun _ d ->
+      List.iter (fun p -> live.(p) <- true) (Docstore.all_blob_pages d))
+    t.docs;
   let journal_owned = Array.make (Stdlib.max 1 page_total) false in
   List.iter (fun p -> journal_owned.(p) <- true) journal_pages;
   let live_count = ref 0 in
@@ -1282,7 +1384,7 @@ let recover disk config =
   for p = page_total - 1 downto 0 do
     if live.(p) then incr live_count
     else if not journal_owned.(p) then begin
-      match Hashtbl.find_opt freed_cluster p with
+      match Hashtbl.find_opt freed p with
       | Some doc when config.Config.placement <> `Unclustered ->
         let slot =
           match Hashtbl.find_opt free_clustered doc with
@@ -1296,143 +1398,29 @@ let recover disk config =
       | _ -> free_global := p :: !free_global
     end
   done;
-  Txq_store.Blob_store.restore_state blobs
+  Txq_store.Blob_store.restore_state t.blobs
     ~allocated:(page_total - List.length journal_pages)
     ~live:!live_count ~free_global:!free_global
     ~free_clustered:
       (Hashtbl.fold (fun doc l acc -> (doc, !l) :: acc) free_clustered []);
-  (* Rebuild document stores and the URL directory. *)
-  let docs = Hashtbl.create 64 in
-  Hashtbl.iter
-    (fun id b ->
-      Hashtbl.replace docs id
-        (Docstore.restore ~blobs ~doc_id:id ~url:b.b_url ~base:b.b_base
-           ~xid_watermark:b.b_xid_watermark ~entries:(List.rev b.b_entries)
-           ~current_blob:b.b_current ~deleted:b.b_deleted ()))
-    builders;
-  let urls = Hashtbl.create 64 in
-  List.iter
-    (fun id ->
-      (* ids dropped by a vacuum have no builder and no directory entry *)
-      match Hashtbl.find_opt builders id with
-      | None -> ()
-      | Some b -> (
-        match Hashtbl.find_opt urls b.b_url with
-        | Some bucket -> bucket := id :: !bucket
-        | None -> Hashtbl.replace urls b.b_url (ref [ id ])))
-    (List.rev !insert_order);
-  let clock = Clock.create () in
-  (match !last_ts with
-   | Some ts when Timestamp.(ts > Clock.now clock) -> Clock.set clock ts
-   | _ -> ());
-  let t =
-    {
-      config;
-      clock;
-      disk;
-      pool;
-      blobs;
-      journal =
-        (match config.Config.durability with
-         | `Journal -> Some journal
-         | `None -> None);
-      docs;
-      urls;
-      fti =
-        (if Config.maintains_version_index config then
-         Some
-           (Fti.create
-              ~segment_postings:config.Config.fti_segment_postings ())
-         else None);
-      dfti =
-        (if Config.maintains_delta_index config then Some (Delta_fti.create ())
-         else None);
-      cretime =
-        (if config.Config.cretime_index then
-           Some
-             (match config.Config.cretime_backing with
-              | `Paged -> Cretime_index.create_paged pool
-              | `Memory -> Cretime_index.create ())
-         else None);
-      next_doc_id = !max_doc_id + 1;
-      dtime_path =
-        Option.map Txq_xml.Path.parse_exn config.Config.document_time_path;
-      dtime_index = Txq_store.Bptree.create pool;
-      dtime_counts = Hashtbl.create 64;
-      stats =
-        { commits = !commits; deltas_read = 0; reconstructions = 0;
-          reconstruct_cache_hits = 0 };
-      (* A fresh, empty cache: recovery must never serve pre-crash trees. *)
-      vcache =
-        Vcache.create ~budget:config.Config.version_cache_bytes
-          ~io:(Txq_store.Buffer_pool.stats pool);
-      lock = Txq_store.Rwlock.create ();
-      pins =
-        { pins_m = Mutex.create (); pin_table = Hashtbl.create 8;
-          next_pin_id = 0 };
-      view = None;
-      deferred = [];
-      replica = false;
-      ship_history =
-        (* The applied prefix, re-shippable as-is: every recovered record is
-           durable, so each seeds the history with ticket 0. *)
-        (let history = Txq_store.Vec.create () in
-         let applied = List.length records in
-         List.iteri
-           (fun i raw ->
-             if i < applied then Txq_store.Vec.push history (0, raw))
-           raw_records;
-         history);
-      ship_ring = Hashtbl.create 8;
-    }
-  in
-  (* Pass B: rebuild the derived indexes.  The document-time index replays
-     in global record order (its tie-breaking sequence number follows
-     commit order); the content indexes replay each document's versions
-     forward — version trees are regenerated from the delta chain, since
-     intermediate current-version blobs were reclaimed long ago. *)
-  (* Vacuumed versions are filtered out against the builders' final state,
-     exactly what in-process pruning leaves behind. *)
-  let dtime_retained doc version =
-    match Hashtbl.find_opt builders doc with
-    | Some b -> version >= b.b_base
-    | None -> false
+  (* Document-time rows in global record order (the tie-breaking sequence
+     follows commit order), vacuumed versions left out — exactly what
+     in-process pruning leaves behind. *)
+  let dtime_row doc version doc_time =
+    match Hashtbl.find_opt t.docs doc with
+    | Some d when version >= Docstore.first_version d ->
+      record_doc_time t ~doc ~version (Option.map Timestamp.of_seconds doc_time)
+    | Some _ | None -> ()
   in
   List.iter
-    (fun r ->
-      match r with
-      | Journal_record.Insert { r_doc; r_doc_time; _ } ->
-        if dtime_retained r_doc 0 then
-          record_doc_time t ~doc:r_doc ~version:0
-            (Option.map Timestamp.of_seconds r_doc_time)
-      | Journal_record.Commit { r_doc; r_version; r_doc_time; _ } ->
-        if dtime_retained r_doc r_version then
-          record_doc_time t ~doc:r_doc ~version:r_version
-            (Option.map Timestamp.of_seconds r_doc_time)
-      | Journal_record.Delete _ | Journal_record.Vacuum _ -> ())
+    (function
+      | _, Journal_record.Insert { r_doc; r_doc_time; _ } ->
+        dtime_row r_doc 0 r_doc_time
+      | _, Journal_record.Commit { r_doc; r_version; r_doc_time; _ } ->
+        dtime_row r_doc r_version r_doc_time
+      | _, (Journal_record.Delete _ | Journal_record.Vacuum _) -> ())
     records;
-  if t.fti <> None || t.dfti <> None || t.cretime <> None then
-    List.iter
-      (fun id ->
-        let d = Hashtbl.find t.docs id in
-        let n = Docstore.version_count d in
-        (* a vacuumed chain starts at its base version, not 0 *)
-        let b0 = Docstore.first_version d in
-        let tree0, _ = Docstore.reconstruct d b0 in
-        index_insert t ~doc:id ~version:b0 d (Docstore.ts_of_version d b0) tree0;
-        let map = Txq_vxml.Xidmap.of_vnode tree0 in
-        for v = b0 + 1 to n - 1 do
-          let delta = Docstore.read_delta d v in
-          Delta.apply_forward map delta;
-          index_commit t ~doc:id ~version:v ~ts:(Docstore.ts_of_version d v)
-            delta
-            (lazy (Txq_vxml.Xidmap.to_vnode map))
-        done;
-        match Docstore.deleted_at d with
-        | None -> ()
-        | Some dts -> index_delete t ~doc:id ~version:n ~ts:dts (Docstore.current d))
-      (List.sort Int.compare
-         (Hashtbl.fold (fun id _ acc -> id :: acc) t.docs []));
+  List.iter (fun id -> rebuild_doc t id (doc t id)) (doc_ids t);
   Log.debug (fun m ->
       m "recovered %d documents from %d journal records" (Hashtbl.length t.docs)
         (List.length records));
@@ -1508,21 +1496,10 @@ let ship t ~from ?(limit = 256) () =
   done;
   !out
 
-(* --- replay: replicas and point-in-time restore ------------------------ *)
-
-exception Replay_error of string
-
-let replay_fail fmt = Printf.ksprintf (fun s -> raise (Replay_error s)) fmt
+(* --- replicas and point-in-time restore ---------------------------------- *)
 
 module Replay = struct
-  type r = {
-    rd : t;
-    (* Current-tree XID maps, built lazily per document on its first
-       replayed Commit and advanced delta-by-delta afterwards, so applying
-       a long update stream never re-parses the whole tree per record. *)
-    maps : (Eid.doc_id, Txq_vxml.Xidmap.t) Hashtbl.t;
-    mutable applied : int;
-  }
+  type r = { rd : t; mutable applied : int }
 
   let db r = r.rd
   let applied r = r.applied
@@ -1537,7 +1514,7 @@ module Replay = struct
   let create ?(config = Config.default) () =
     let rd = create ~config:(replica_config config) () in
     rd.replica <- true;
-    { rd; maps = Hashtbl.create 64; applied = 0 }
+    { rd; applied = 0 }
 
   (* Resume after a restart: wrap a [recover]ed replica store.  Its local
      journal holds exactly the shipments it applied, in order, so the
@@ -1548,194 +1525,11 @@ module Replay = struct
      | None -> invalid_arg "Db.Replay.of_db: replica stores must journal"
      | Some _ -> ());
     rd.replica <- true;
-    {
-      rd;
-      maps = Hashtbl.create 64;
-      applied = Txq_store.Vec.length rd.ship_history;
-    }
+    { rd; applied = Txq_store.Vec.length rd.ship_history }
 
   let detach r =
     r.rd.replica <- false;
     r.rd
-
-  let decode_content what decode c =
-    match decode c with
-    | Ok v -> v
-    | Error msg -> replay_fail "shipped %s does not decode: %s" what msg
-
-  let doc_of t doc what =
-    match Hashtbl.find_opt t.docs doc with
-    | Some d -> d
-    | None -> replay_fail "shipped %s names unknown document %d" what doc
-
-  (* Clock follow (and the restore monotonicity fix): the replica clock
-     tracks the newest applied timestamp, so a detached restore's next
-     commit — [commit_ts] ticks strictly past [now] — can never collide
-     with a historical dtime key or version range. *)
-  let follow_clock t s =
-    let ts = Timestamp.of_seconds s in
-    if Timestamp.(ts > Clock.now t.clock) then Clock.set t.clock ts
-
-  let apply_insert t ~doc ~url ~ts_s ~doc_time_s ~has_snapshot c0 =
-    if Hashtbl.mem t.docs doc then
-      replay_fail "shipped insert re-uses live document id %d" doc;
-    let current = decode_content "version-0 tree" Txq_vxml.Codec.decode c0 in
-    let ts = Timestamp.of_seconds ts_s in
-    let doc_time = Option.map Timestamp.of_seconds doc_time_s in
-    let current_blob = Txq_store.Blob_store.put t.blobs ~cluster:doc c0 in
-    let snapshot_blob =
-      if has_snapshot then
-        Some (Txq_store.Blob_store.put t.blobs ~cluster:doc c0)
-      else None
-    in
-    ignore
-      (journal_append t
-         ~contents:(fun () -> [ c0 ])
-         (Journal_record.Insert
-            {
-              r_doc = doc;
-              r_url = url;
-              r_ts = ts_s;
-              r_doc_time = doc_time_s;
-              r_current = blob_ref current_blob;
-              r_snapshot = Option.map blob_ref snapshot_blob;
-            })
-        : int option);
-    let d =
-      Docstore.restore ~blobs:t.blobs ~doc_id:doc ~url
-        ~entries:
-          [
-            {
-              Docstore.re_ts = ts;
-              re_delta = None;
-              re_snapshot = snapshot_blob;
-              re_doc_time = doc_time;
-            };
-          ]
-        ~current_blob ~deleted:None ()
-    in
-    Hashtbl.replace t.docs doc d;
-    let bucket = url_bucket t url in
-    bucket := doc :: !bucket;
-    t.next_doc_id <- Stdlib.max t.next_doc_id (doc + 1);
-    record_doc_time t ~doc ~version:0 doc_time;
-    index_insert t ~doc ~version:0 d ts current;
-    t.stats.commits <- t.stats.commits + 1
-
-  let apply_commit r t ~doc ~version ~ts_s ~doc_time_s ~has_snapshot c0 =
-    let d = doc_of t doc "commit" in
-    if Docstore.deleted_at d <> None then
-      replay_fail "shipped commit targets deleted document %d" doc;
-    let n = Docstore.version_count d in
-    if n <> version then
-      replay_fail "shipped commit creates version %d of document %d but %d is next"
-        version doc n;
-    let ts = Timestamp.of_seconds ts_s in
-    if Timestamp.(ts <= Docstore.ts_of_version d (n - 1)) then
-      replay_fail "shipped commit timestamp does not advance (document %d)" doc;
-    let delta = decode_content "delta" Delta.decode c0 in
-    let map =
-      match Hashtbl.find_opt r.maps doc with
-      | Some m -> m
-      | None ->
-        let m = Txq_vxml.Xidmap.of_vnode (Docstore.current d) in
-        Hashtbl.replace r.maps doc m;
-        m
-    in
-    Delta.apply_forward map delta;
-    let new_tree = Txq_vxml.Xidmap.to_vnode map in
-    let new_enc = Txq_vxml.Codec.encode new_tree in
-    (* Blobs in the order the primary wrote them (delta, current, snapshot),
-       so a replica built from scratch allocates the same shapes. *)
-    let delta_blob = Txq_store.Blob_store.put t.blobs ~cluster:doc c0 in
-    let current_blob = Txq_store.Blob_store.put t.blobs ~cluster:doc new_enc in
-    let snapshot_blob =
-      if has_snapshot then
-        Some (Txq_store.Blob_store.put t.blobs ~cluster:doc new_enc)
-      else None
-    in
-    let old_blob = Docstore.current_blob d in
-    ignore
-      (journal_append t
-         ~contents:(fun () -> [ c0 ])
-         (Journal_record.Commit
-            {
-              r_doc = doc;
-              r_version = version;
-              r_ts = ts_s;
-              r_doc_time = doc_time_s;
-              r_delta = blob_ref delta_blob;
-              r_current = blob_ref current_blob;
-              r_snapshot = Option.map blob_ref snapshot_blob;
-              r_freed = Txq_store.Blob_store.page_ids old_blob;
-            })
-        : int option);
-    Txq_store.Blob_store.free t.blobs ~cluster:doc old_blob;
-    let doc_time = Option.map Timestamp.of_seconds doc_time_s in
-    Docstore.append_restored d ~ts ?doc_time ~delta_blob ~snapshot_blob
-      ~current:new_tree ~current_blob ();
-    (* XIDs born or retired by this delta: never to be reused locally *)
-    let gen = Docstore.gen d in
-    List.iter (Txq_vxml.Xid.Gen.mark_used gen) (Delta.inserted_xids delta);
-    List.iter (Txq_vxml.Xid.Gen.mark_used gen) (Delta.deleted_xids delta);
-    record_doc_time t ~doc ~version doc_time;
-    index_commit t ~doc ~version ~ts delta (lazy new_tree);
-    t.stats.commits <- t.stats.commits + 1
-
-  let apply_delete r t ~doc ~ts_s =
-    let d = doc_of t doc "delete" in
-    if Docstore.deleted_at d <> None then
-      replay_fail "shipped delete targets already-deleted document %d" doc;
-    let ts = Timestamp.of_seconds ts_s in
-    ignore
-      (journal_append t (Journal_record.Delete { r_doc = doc; r_ts = ts_s })
-        : int option);
-    Docstore.mark_deleted d ~ts;
-    index_delete t ~doc ~version:(Docstore.version_count d) ~ts
-      (Docstore.current d);
-    Vcache.evict_doc t.vcache doc;
-    Hashtbl.remove r.maps doc;
-    t.stats.commits <- t.stats.commits + 1
-
-  (* Rebuild the vacuum plans from the shipped record against the local
-     chains, then run the exact same commit path as a primary-side vacuum.
-     The replica's chains mirror the primary's, so [prepare_rebase] makes
-     the same snapshot-writing decisions and frees the mirrored pages. *)
-  let apply_vacuum r t ~ts_s r_docs =
-    let plans =
-      List.map
-        (fun vd ->
-          let doc = vd.Journal_record.vd_doc in
-          let d = doc_of t doc "vacuum" in
-          let wm =
-            Stdlib.max (Docstore.xid_watermark d)
-              vd.Journal_record.vd_xid_watermark
-          in
-          if vd.Journal_record.vd_drop then
-            Plan_drop
-              { pd_doc = doc; pd_freed = Docstore.all_blob_pages d; pd_wm = wm }
-          else begin
-            let base = vd.Journal_record.vd_base in
-            if
-              base <= Docstore.first_version d
-              || base >= Docstore.version_count d
-            then
-              replay_fail "shipped vacuum base %d outside document %d's chain"
-                base doc;
-            let rb = Docstore.prepare_rebase d ~base in
-            let tree, _ = Docstore.reconstruct d base in
-            Plan_squash { ps_doc = doc; ps_rebase = rb; ps_tree = tree; ps_wm = wm }
-          end)
-        r_docs
-    in
-    if plans <> [] then
-      ignore (vacuum_commit t ~ts:(Timestamp.of_seconds ts_s) plans
-               : vacuum_report);
-    List.iter
-      (function
-        | Plan_drop { pd_doc; _ } -> Hashtbl.remove r.maps pd_doc
-        | Plan_squash _ -> ())
-      plans
 
   (* The primary's vacuum held back only for the primary's pins; pins on
      THIS replica are invisible to it.  Block until local readers drain
@@ -1751,8 +1545,10 @@ module Replay = struct
     let { Journal_record.sh_index; sh_payload; sh_contents } = sh in
     if sh_index < r.applied then () (* poll overlap: already applied *)
     else if sh_index > r.applied then
-      replay_fail "shipment %d arrived but %d is next: gap in the stream"
-        sh_index r.applied
+      raise
+        (Replay_error
+           (Printf.sprintf "shipment %d arrived but %d is next: gap in the stream"
+              sh_index r.applied))
     else begin
       let record =
         match Journal_record.decode sh_payload with
@@ -1761,32 +1557,16 @@ module Replay = struct
       in
       let slots = Journal_record.content_slots record in
       if List.length sh_contents <> slots then
-        replay_fail "shipment %d carries %d content blob(s); the record needs %d"
-          sh_index (List.length sh_contents) slots;
+        raise
+          (Replay_error
+             (Printf.sprintf
+                "shipment %d carries %d content blob(s); the record needs %d"
+                sh_index (List.length sh_contents) slots));
       (match record with
        | Journal_record.Vacuum _ -> wait_for_local_pins t
        | _ -> ());
       Txq_store.Rwlock.with_write t.lock (fun () ->
-          (match (record, sh_contents) with
-           | ( Journal_record.Insert
-                 { r_doc; r_url; r_ts; r_doc_time; r_current = _; r_snapshot },
-               [ c0 ] ) ->
-             follow_clock t r_ts;
-             apply_insert t ~doc:r_doc ~url:r_url ~ts_s:r_ts
-               ~doc_time_s:r_doc_time ~has_snapshot:(r_snapshot <> None) c0
-           | ( Journal_record.Commit
-                 { r_doc; r_version; r_ts; r_doc_time; r_snapshot; _ },
-               [ c0 ] ) ->
-             follow_clock t r_ts;
-             apply_commit r t ~doc:r_doc ~version:r_version ~ts_s:r_ts
-               ~doc_time_s:r_doc_time ~has_snapshot:(r_snapshot <> None) c0
-           | Journal_record.Delete { r_doc; r_ts }, [] ->
-             follow_clock t r_ts;
-             apply_delete r t ~doc:r_doc ~ts_s:r_ts
-           | Journal_record.Vacuum { r_ts; r_docs }, [] ->
-             follow_clock t r_ts;
-             apply_vacuum r t ~ts_s:r_ts r_docs
-           | _ -> assert false (* slot count checked above *));
+          apply_record t (Shipped sh_contents) record;
           r.applied <- r.applied + 1)
     end
 end
@@ -1811,12 +1591,6 @@ let apply_stream r pull =
    writable; its clock sits at the newest replayed timestamp, so the next
    commit ticks strictly past the restored watermark. *)
 let restore_as_of t ~as_of =
-  let record_seconds = function
-    | Journal_record.Insert { r_ts; _ }
-    | Journal_record.Commit { r_ts; _ }
-    | Journal_record.Delete { r_ts; _ }
-    | Journal_record.Vacuum { r_ts; _ } -> r_ts
-  in
   let horizon = Timestamp.to_seconds as_of in
   let rp = Replay.create ~config:t.config () in
   let stop = ref false in

@@ -53,7 +53,6 @@ type committed_blobs = {
 
 let doc_id t = t.doc_id
 let url t = t.url
-let gen t = t.gen
 
 let put_version_blob t vnode =
   Blob_store.put t.blobs ~cluster:t.doc_id (Codec.encode vnode)
@@ -63,28 +62,47 @@ let check_ingest xml =
   | Ok () -> ()
   | Error msg -> invalid_arg ("Docstore: cannot ingest document: " ^ msg)
 
-let create ~blobs ~doc_id ~url ~ts ~snapshot ?doc_time xml =
-  check_ingest xml;
-  let gen = Txq_vxml.Xid.Gen.create () in
-  let current = Vnode.of_xml gen (Xml.normalize xml) in
+let mark_used t xids = List.iter (Txq_vxml.Xid.Gen.mark_used t.gen) xids
+
+(* Stand-in current tree of a document crash recovery rebuilds: recovery
+   reads no blob until every journal record is applied, then installs the
+   real tree with [load_current]. *)
+let unloaded = Vnode.Text { xid = Txq_vxml.Xid.of_int 0; content = "" }
+
+let restore ~blobs ~doc_id ~url ~ts ?doc_time ?current ~current_blob
+    ~snapshot_blob () =
   let t =
     {
       blobs;
       doc_id;
       url;
-      gen;
+      gen = Txq_vxml.Xid.Gen.create ();
       entries = Vec.create ();
       base = 0;
-      current;
-      current_blob = Blob_store.put blobs ~cluster:doc_id (Codec.encode current);
+      current = Option.value current ~default:unloaded;
+      current_blob;
       deleted = None;
       bound = None;
     }
   in
-  let ve_snapshot = if snapshot then Some (put_version_blob t current) else None in
+  Option.iter (fun c -> mark_used t (Vnode.xids c)) current;
   Vec.push t.entries
-    { ve_ts = ts; ve_delta = None; ve_snapshot; ve_doc_time = doc_time };
+    { ve_ts = ts; ve_delta = None; ve_snapshot = snapshot_blob; ve_doc_time = doc_time };
   t
+
+let create ~blobs ~doc_id ~url ~ts ~snapshot ?doc_time xml =
+  check_ingest xml;
+  let current = Vnode.of_xml (Txq_vxml.Xid.Gen.create ()) (Xml.normalize xml) in
+  let put () = Blob_store.put blobs ~cluster:doc_id (Codec.encode current) in
+  let current_blob = put () in
+  let snapshot_blob = if snapshot then Some (put ()) else None in
+  restore ~blobs ~doc_id ~url ~ts ?doc_time ~current ~current_blob ~snapshot_blob ()
+
+let load_current t =
+  let current = Codec.decode_exn (Blob_store.get t.blobs t.current_blob) in
+  t.current <- current;
+  mark_used t (Vnode.xids current);
+  current
 
 let version_count t =
   match t.bound with
@@ -125,19 +143,32 @@ let ts_of_version t v = (entry t v).ve_ts
 let created_at t = (Vec.get t.entries 0).ve_ts
 let snapshot_blob t v = (entry t v).ve_snapshot
 
-let commit ?on_durable ?free t ~ts ~snapshot ?doc_time xml =
-  Trace.with_span "docstore.commit" @@ fun () ->
-  read_only_guard t "commit";
-  check_ingest xml;
+let check_append t what ts =
+  read_only_guard t what;
   (match t.deleted with
    | Some _ ->
      invalid_arg
-       (Printf.sprintf "Docstore.commit: document %s is deleted" t.url)
+       (Printf.sprintf "Docstore.%s: document %s is deleted" what t.url)
    | None -> ());
-  (match Vec.last t.entries with
-   | Some last when Timestamp.(ts <= last.ve_ts) ->
-     invalid_arg "Docstore.commit: timestamp does not advance"
-   | Some _ | None -> ());
+  match Vec.last t.entries with
+  | Some last when Timestamp.(ts <= last.ve_ts) ->
+    invalid_arg (Printf.sprintf "Docstore.%s: timestamp does not advance" what)
+  | Some _ | None -> ()
+
+let append t ~ts ?doc_time ~delta_blob ~snapshot_blob ?current ~current_blob
+    ~free () =
+  check_append t "append" ts;
+  free t.current_blob;
+  Option.iter (fun c -> t.current <- c) current;
+  t.current_blob <- current_blob;
+  Vec.push t.entries
+    { ve_ts = ts; ve_delta = Some delta_blob; ve_snapshot = snapshot_blob;
+      ve_doc_time = doc_time }
+
+let commit ?on_durable ?free t ~ts ~snapshot ?doc_time xml =
+  Trace.with_span "docstore.commit" @@ fun () ->
+  check_append t "commit" ts;
+  check_ingest xml;
   let v = version_count t in
   let delta, new_current =
     Diff.diff ~gen:t.gen ~old_tree:t.current ~new_tree:(Xml.normalize xml)
@@ -167,13 +198,13 @@ let commit ?on_durable ?free t ~ts ~snapshot ?doc_time xml =
   (* Group commit defers this free until the journal record is durable:
      recovery to a prefix without this commit still needs the superseded
      current blob's pages intact. *)
-  (match free with
-   | Some f -> f t.current_blob
-   | None -> Blob_store.free t.blobs ~cluster:t.doc_id t.current_blob);
-  t.current <- new_current;
-  t.current_blob <- new_current_blob;
-  Vec.push t.entries
-    { ve_ts = ts; ve_delta = Some delta_blob; ve_snapshot; ve_doc_time = doc_time };
+  let free =
+    match free with
+    | Some f -> f
+    | None -> Blob_store.free t.blobs ~cluster:t.doc_id
+  in
+  append t ~ts ?doc_time ~delta_blob ~snapshot_blob:ve_snapshot
+    ~current:new_current ~current_blob:new_current_blob ~free ();
   (delta, new_current)
 
 let mark_deleted t ~ts =
@@ -442,13 +473,10 @@ let prepare_rebase t ~base =
     rb_versions_dropped = base - t.base;
   }
 
-let apply_rebase t rb =
+let apply_rebase t ~free rb =
   read_only_guard t "apply_rebase";
   let n = version_count t in
-  let free_of = function
-    | Some blob -> Blob_store.free t.blobs ~cluster:t.doc_id blob
-    | None -> ()
-  in
+  let free_of = Option.iter free in
   for v = t.base to rb.rb_base - 1 do
     let ve = entry t v in
     free_of ve.ve_delta;
@@ -485,83 +513,15 @@ let all_blob_pages t =
     t.entries;
   !pages
 
-let apply_drop t =
+let apply_drop t ~free =
   read_only_guard t "apply_drop";
-  let free_of = function
-    | Some blob -> Blob_store.free t.blobs ~cluster:t.doc_id blob
-    | None -> ()
-  in
   Vec.iter
     (fun ve ->
-      free_of ve.ve_delta;
-      free_of ve.ve_snapshot)
+      Option.iter free ve.ve_delta;
+      Option.iter free ve.ve_snapshot)
     t.entries;
-  Blob_store.free t.blobs ~cluster:t.doc_id t.current_blob;
+  free t.current_blob;
   t.entries <- Vec.create ()
-
-(* --- recovery ---------------------------------------------------------- *)
-
-type restored_entry = {
-  re_ts : Timestamp.t;
-  re_delta : Blob_store.blob option;
-  re_snapshot : Blob_store.blob option;
-  re_doc_time : Timestamp.t option;
-}
-
-let restore ~blobs ~doc_id ~url ?(base = 0) ?(xid_watermark = 0) ~entries
-    ~current_blob ~deleted () =
-  if entries = [] then invalid_arg "Docstore.restore: no versions";
-  let current = Codec.decode_exn (Blob_store.get blobs current_blob) in
-  let gen = Txq_vxml.Xid.Gen.create () in
-  let t =
-    { blobs; doc_id; url; gen; entries = Vec.create (); base; current;
-      current_blob; deleted; bound = None }
-  in
-  List.iter
-    (fun re ->
-      Vec.push t.entries
-        { ve_ts = re.re_ts; ve_delta = re.re_delta; ve_snapshot = re.re_snapshot;
-          ve_doc_time = re.re_doc_time })
-    entries;
-  (* XIDs are never reused (Section 3.2): advance the generator past every
-     id that ever existed.  Ids alive now are in the current tree; every id
-     born after the base version appears in some delta's insert trees; ids
-     gone by now appear in some delta's delete trees; base-version ids are
-     covered by the union of the current tree and the delete trees.  Ids
-     confined to a vacuumed prefix are covered by [xid_watermark], the
-     generator high-water mark persisted in the vacuum journal record. *)
-  List.iter (Txq_vxml.Xid.Gen.mark_used gen) (Vnode.xids current);
-  for v = base + 1 to version_count t - 1 do
-    let delta = read_delta t v in
-    List.iter (Txq_vxml.Xid.Gen.mark_used gen) (Delta.inserted_xids delta);
-    List.iter (Txq_vxml.Xid.Gen.mark_used gen) (Delta.deleted_xids delta)
-  done;
-  if xid_watermark > 0 then
-    Txq_vxml.Xid.Gen.mark_used gen (Txq_vxml.Xid.of_int xid_watermark);
-  t
-
-(* Incremental replay (journal shipping): push one already-persisted version
-   onto a restored store.  The caller has written the delta/current/snapshot
-   blobs and decoded the new current tree; freeing the superseded current
-   blob and advancing the XID generator stay on the caller's side, mirroring
-   the split [restore] relies on. *)
-let append_restored t ~ts ?doc_time ~delta_blob ~snapshot_blob ~current
-    ~current_blob () =
-  read_only_guard t "append_restored";
-  (match t.deleted with
-   | Some _ ->
-     invalid_arg
-       (Printf.sprintf "Docstore.append_restored: document %s is deleted" t.url)
-   | None -> ());
-  (match Vec.last t.entries with
-   | Some last when Timestamp.(ts <= last.ve_ts) ->
-     invalid_arg "Docstore.append_restored: timestamp does not advance"
-   | Some _ | None -> ());
-  t.current <- current;
-  t.current_blob <- current_blob;
-  Vec.push t.entries
-    { ve_ts = ts; ve_delta = Some delta_blob; ve_snapshot = snapshot_blob;
-      ve_doc_time = doc_time }
 
 let total_pages t =
   let snap_pages =

@@ -43,7 +43,9 @@ val create :
 
 val doc_id : t -> Txq_vxml.Eid.doc_id
 val url : t -> string
-val gen : t -> Txq_vxml.Xid.Gen.t
+val mark_used : t -> Txq_vxml.Xid.t list -> unit
+(** Advances the document's XID generator past the given ids, so later
+    commits never reuse one (Section 3.2). *)
 
 val commit :
   ?on_durable:(committed_blobs -> unit) ->
@@ -175,10 +177,11 @@ val prepare_rebase : t -> base:int -> rebase
     unreachable blob that recovery's liveness scan frees.  Raises
     [Invalid_argument] unless [first_version t < base < version_count t]. *)
 
-val apply_rebase : t -> rebase -> unit
-(** Commits a prepared rebase in memory: frees the dropped blobs through
-    the blob store, installs the base snapshot, truncates the delta index
-    and advances [first_version]. *)
+val apply_rebase :
+  t -> free:(Txq_store.Blob_store.blob -> unit) -> rebase -> unit
+(** Commits a rebase in memory: hands each dropped blob to [free],
+    installs the base snapshot, truncates the delta index and advances
+    [first_version]. *)
 
 val xid_watermark : t -> int
 (** Highest XID the document's generator has handed out — persisted in the
@@ -189,55 +192,53 @@ val all_blob_pages : t -> int list
 (** Pages of every blob of the document (current, deltas, snapshots) — what
     dropping the whole document frees. *)
 
-val apply_drop : t -> unit
-(** Frees every blob of the document.  The docstore is defunct afterwards
-    and must be unlinked from the database's tables. *)
+val apply_drop : t -> free:(Txq_store.Blob_store.blob -> unit) -> unit
+(** Hands every blob of the document to [free].  The docstore is defunct
+    afterwards and must be unlinked from the database's tables. *)
 
-(** {1 Recovery} *)
+(** {1 Journal replay}
 
-type restored_entry = {
-  re_ts : Txq_temporal.Timestamp.t;
-  re_delta : Txq_store.Blob_store.blob option;  (** [None] for version 0 *)
-  re_snapshot : Txq_store.Blob_store.blob option;
-  re_doc_time : Txq_temporal.Timestamp.t option;
-}
+    Rebuilding a document record by record from the commit journal, over
+    blobs the caller has already written (a replica) or found on disk
+    (crash recovery). *)
 
 val restore :
   blobs:Txq_store.Blob_store.t ->
   doc_id:Txq_vxml.Eid.doc_id ->
   url:string ->
-  ?base:int ->
-  ?xid_watermark:int ->
-  entries:restored_entry list ->
+  ts:Txq_temporal.Timestamp.t ->
+  ?doc_time:Txq_temporal.Timestamp.t ->
+  ?current:Txq_vxml.Vnode.t ->
   current_blob:Txq_store.Blob_store.blob ->
-  deleted:Txq_temporal.Timestamp.t option ->
+  snapshot_blob:Txq_store.Blob_store.blob option ->
   unit ->
   t
-(** Rebuilds a document from journal-recovered parts: decodes the current
-    version from [current_blob], re-creates the delta index from [entries]
-    (version order; the first entry is version [base], default 0), and
-    advances the XID generator past every id that ever existed in the
-    document, so post-recovery commits never reuse one.  [xid_watermark]
-    (from the vacuum journal record) covers ids confined to a vacuumed
-    prefix.  Raises [Invalid_argument] on an empty [entries] and [Failure]
-    if a blob fails to decode. *)
+(** Version 0 of a document, over its written blobs.  [current] is the
+    decoded version-0 tree; the generator advances past its XIDs.  Without
+    it the document has no current tree until {!load_current} — crash
+    recovery reads no blob before the last journal record is applied. *)
 
-val append_restored :
+val append :
   t ->
   ts:Txq_temporal.Timestamp.t ->
   ?doc_time:Txq_temporal.Timestamp.t ->
   delta_blob:Txq_store.Blob_store.blob ->
   snapshot_blob:Txq_store.Blob_store.blob option ->
-  current:Txq_vxml.Vnode.t ->
+  ?current:Txq_vxml.Vnode.t ->
   current_blob:Txq_store.Blob_store.blob ->
+  free:(Txq_store.Blob_store.blob -> unit) ->
   unit ->
   unit
-(** Incremental counterpart of {!restore} for journal shipping: appends one
-    version whose blobs the caller already wrote, replacing the current
-    tree/blob.  The caller frees the superseded current blob and advances
-    the XID generator (via {!gen}), exactly as around {!restore}.  Raises
-    [Invalid_argument] on a deleted document, a non-advancing timestamp, or
-    a read-only view. *)
+(** Appends one version whose blobs are written, hands the superseded
+    current blob to [free] and installs the new one ([current] as in
+    {!restore}).  The caller advances the XID generator past the delta's
+    ids ({!mark_used}).  Raises [Invalid_argument] on a deleted document,
+    a non-advancing timestamp, or a read-only view. *)
+
+val load_current : t -> Txq_vxml.Vnode.t
+(** Decodes the current version from its blob, installs it as the current
+    tree and advances the generator past its XIDs.  Raises [Failure] if the
+    blob does not decode. *)
 
 val delta_pages : t -> int
 (** Pages holding delta blobs (storage accounting). *)

@@ -252,8 +252,8 @@ let tailer_scan tl =
    record is non-empty) *)
 let tailer_complete (c, slots) = c > 0 && Array.for_all (fun s -> s <> "") slots
 
-let tail_next tl =
-  tailer_scan tl;
+(* The next record among the pages scanned so far; no disk reads. *)
+let tail_take tl =
   let seq = tl.tl_next_seq in
   match Hashtbl.find_opt tl.tl_by_seq seq with
   | Some ((_, slots) as entry) when tailer_complete entry ->
@@ -273,6 +273,10 @@ let tail_next tl =
     end
     else Tail_wait
 
+let tail_next tl =
+  tailer_scan tl;
+  tail_take tl
+
 let tailer_position tl = tl.tl_next_seq
 
 type recovery = {
@@ -283,10 +287,12 @@ type recovery = {
 
 let recover pool =
   let tl = tailer pool in
+  (* Nothing appends while recovery runs: one scan sees every page. *)
+  tailer_scan tl;
   let records = ref [] in
   let committed = ref 0 in
   let rec drain () =
-    match tail_next tl with
+    match tail_take tl with
     | Tail_record r ->
       records := r :: !records;
       incr committed;

@@ -117,4 +117,5 @@ type recovery = {
 val recover : Buffer_pool.t -> recovery
 (** Scans every page of the underlying disk.  Also the read path for a
     clean (uncrashed) restart: on a disk without journal pages it returns
-    an empty journal. *)
+    an empty journal.  The disk is scanned once, however many records it
+    holds. *)

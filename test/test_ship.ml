@@ -371,6 +371,142 @@ let test_vacuum_gap_without_buffer () =
   | exception Db.Ship_gap i ->
     Alcotest.(check bool) "gap names a truncated record" true (i >= 0)
 
+(* Pages the allocator counts live must be exactly the pages the surviving
+   chains reach: no leak, no double free. *)
+let check_no_leaks what db =
+  Alcotest.(check int)
+    (what ^ ": allocator live pages = reachable pages")
+    (List.fold_left
+       (fun acc id -> acc + Docstore.total_pages (Db.doc db id))
+       0 (Db.doc_ids db))
+    (Db.live_pages db)
+
+(* The kill sweep again, across a shipped vacuum: the replica journals the
+   Vacuum record it applied, and recovery must replay that record from the
+   replica's own disk.  Two updates follow the vacuum, so a kill lands on
+   each side of it.  The ship buffer lets the reference replica start from
+   index 0. *)
+let test_kill_across_vacuum () =
+  let config = Config.with_ship_buffer 4_096 durable in
+  let primary = loaded_primary ~config () in
+  ignore (Db.vacuum ~retention:(Lazy.force retention) primary : Db.vacuum_report);
+  let vacuum_at = Db.durable_records primary - 1 in
+  ignore (Db.update_document primary ~url:"c" ~ts:(op_ts 20) (parse "<c>after</c>"));
+  ignore (Db.update_document primary ~url:"b" ~ts:(op_ts 21) (parse "<b>after</b>"));
+  let all = Db.ship primary ~from:0 ~limit:1_000 () in
+  let n = List.length all in
+  (match Journal_record.decode_exn (List.nth all vacuum_at).Journal_record.sh_payload with
+   | Journal_record.Vacuum _ -> ()
+   | _ -> Alcotest.fail "the workload ships a Vacuum record");
+  let rfps = Array.make (n + 1) "" in
+  let ref_r = Db.Replay.create ~config () in
+  rfps.(0) <- fingerprint (Db.Replay.db ref_r);
+  List.iteri
+    (fun i sh ->
+      Db.Replay.apply ref_r sh;
+      rfps.(i + 1) <- fingerprint (Db.Replay.db ref_r))
+    all;
+  Alcotest.(check string) "reference replica converges"
+    (fingerprint primary) rfps.(n);
+  for k = 0 to n do
+    let r = Db.Replay.create ~config () in
+    ignore (Db.apply_stream r (stream_of_list (take_n k all)) : int);
+    let rdb = Db.recover (Db.disk (Db.Replay.db r)) config in
+    let what = Printf.sprintf "killed at %d (vacuum is record %d)" k vacuum_at in
+    Alcotest.(check string) (what ^ ": recovered = prefix") rfps.(k)
+      (fingerprint rdb);
+    (match Db.verify rdb with
+     | Ok _ -> ()
+     | Error errs -> Alcotest.failf "%s: verify: %s" what (String.concat "; " errs));
+    check_no_leaks what rdb;
+    let r2 = Db.Replay.of_db rdb in
+    ignore (Db.apply_stream r2 (stream_of_list (drop_n k all)) : int);
+    Alcotest.(check string) (what ^ ": resumed replica converges") rfps.(n)
+      (fingerprint (Db.Replay.db r2))
+  done
+
+(* Recovery and replay build the derived indexes by different routes:
+   replay maintains them record by record, recovery rebuilds them from the
+   finished chains.  Four stores must agree on the document-time index and
+   on the raw CreTime rows of every element of every retained version: the
+   primary, its recovery, a caught-up replica, and the replica's recovery.
+   The workload vacuums half-way. *)
+let test_recover_equals_replay_indexes cretime_backing () =
+  let config =
+    Config.durable
+      { Config.default with
+        document_time_path = Some "//meta/published"; cretime_backing }
+  in
+  let article published items =
+    parse
+      (Printf.sprintf
+         "<article><meta><published>%s</published></meta><body>%s</body></article>"
+         published
+         (String.concat "" (List.map (Printf.sprintf "<item>%s</item>") items)))
+  in
+  let primary = Db.create ~config () in
+  let i = ref 0 in
+  let at () = incr i; op_ts !i in
+  let ins u p items = ignore (Db.insert_document primary ~url:u ~ts:(at ()) (article p items)) in
+  let upd u p items = ignore (Db.update_document primary ~url:u ~ts:(at ()) (article p items)) in
+  ins "n1" "01/05/2001" [ "a"; "b" ];
+  ins "n2" "01/05/2001" [ "x" ];
+  upd "n1" "03/05/2001" [ "a"; "c" ];
+  upd "n2" "02/05/2001" [ "x"; "y" ];
+  upd "n1" "03/05/2001" [ "c"; "d"; "e" ];
+  Db.delete_document primary ~url:"n2" ~ts:(at ()) ();
+  ins "n3" "04/05/2001" [ "p" ];
+  upd "n1" "05/05/2001" [ "d"; "f" ];
+  let r = Db.Replay.create ~config () in
+  catch_up primary r;
+  ignore
+    (Db.vacuum
+       ~retention:{ Config.no_retention with Config.keep_newer_than = Some (op_ts 6) }
+       primary
+      : Db.vacuum_report);
+  upd "n3" "06/05/2001" [ "p"; "q" ];
+  ins "n2" "07/05/2001" [ "z" ];
+  upd "n1" "07/05/2001" [ "f" ];
+  catch_up primary r;
+  let replica = Db.Replay.db r in
+  let render db =
+    let buf = Buffer.create 1024 in
+    let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
+    let ts_opt = function None -> "-" | Some t -> Timestamp.to_string t in
+    List.iter
+      (fun (dt, doc, v) -> add "dtime %s doc%d v%d\n" (Timestamp.to_string dt) doc v)
+      (Db.find_by_document_time db ~t1:Timestamp.minus_infinity
+         ~t2:Timestamp.plus_infinity);
+    let idx = Option.get (Db.cretime db) in
+    List.iter
+      (fun id ->
+        let d = Db.doc db id in
+        for v = Docstore.first_version d to Docstore.version_count d - 1 do
+          List.iter
+            (fun xid ->
+              let eid = Eid.make ~doc:id ~xid in
+              add "cretime doc%d v%d %s created=%s deleted=%s\n" id v
+                (Eid.to_string eid)
+                (ts_opt (Txq_db.Cretime_index.create_time idx eid))
+                (ts_opt (Txq_db.Cretime_index.delete_time idx eid)))
+            (Vnode.xids (Db.reconstruct db id v))
+        done)
+      (Db.doc_ids db);
+    Buffer.contents buf
+  in
+  let expected = render primary in
+  Alcotest.(check bool) "the vacuum truncated a chain" true
+    (List.exists
+       (fun id -> Docstore.first_version (Db.doc primary id) > 0)
+       (Db.doc_ids primary));
+  List.iter
+    (fun (what, db) -> Alcotest.(check string) what expected (render db))
+    [
+      ("recovered primary", Db.recover (Db.disk primary) config);
+      ("caught-up replica", replica);
+      ("recovered replica", Db.recover (Db.disk replica) config);
+    ]
+
 (* --- point-in-time restore ----------------------------------------------- *)
 
 (* Restore at every commit instant of the workload and compare against an
@@ -471,6 +607,12 @@ let () =
             test_vacuum_ships;
           Alcotest.test_case "unbuffered vacuum gaps a fresh clone" `Quick
             test_vacuum_gap_without_buffer;
+          Alcotest.test_case "killed at every boundary across a vacuum" `Slow
+            test_kill_across_vacuum;
+          Alcotest.test_case "recover = replay on the derived indexes" `Quick
+            (test_recover_equals_replay_indexes `Paged);
+          Alcotest.test_case "recover = replay, in-memory CreTime" `Quick
+            (test_recover_equals_replay_indexes `Memory);
         ] );
       ( "restore",
         [
