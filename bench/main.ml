@@ -12,6 +12,8 @@
      dune exec bench/main.exe -- e13 --smoke  # tiny workloads (CI)
      dune exec bench/main.exe -- e14 --smoke --check-overhead
                                               # fail if tracing overhead regresses
+     dune exec bench/main.exe -- e22 --smoke --check-codec
+                                              # fail if the XML codec allocates more per byte
      dune exec bench/main.exe -- e1 --trace out.jsonl   # span stream
 
    Each executed experiment also writes BENCH_<name>.json: every printed
@@ -2278,12 +2280,16 @@ let e21 () =
 
 (* ------------------------------------------------------------------ main *)
 
+(* --check-codec turns E22 into a pass/fail gate (CI), see bench/e22.ml. *)
+let check_codec = ref false
+
 let experiments =
   [
     ("e1", e1); ("e2", e2); ("e3", e3); ("e4", e4); ("e5", e5); ("e6", e6);
     ("e7", e7); ("e8", e8); ("e9", e9); ("e10", e10); ("e11", e11);
     ("e12", e12); ("e13", e13); ("e14", e14); ("e15", e15); ("e16", e16);
     ("e17", e17); ("e18", e18); ("e19", e19); ("e20", e20); ("e21", e21);
+    ("e22", fun () -> E22.run ~smoke:!smoke ~check:!check_codec);
   ]
 
 let () =
@@ -2298,6 +2304,7 @@ let () =
   check_serve := List.mem "--check-serve" args;
   check_plan := List.mem "--check-plan" args;
   check_ship := List.mem "--check-ship" args;
+  check_codec := List.mem "--check-codec" args;
   (* --trace FILE: stream every root span of the whole run as JSON lines.
      E14 manages its own sinks and ends with tracing off, so combining it
      with --trace in one invocation truncates the stream there. *)

@@ -1451,12 +1451,13 @@ let durable_upto t =
 
 let durable_records t = with_read t @@ fun () -> durable_upto t
 
-(* Contents for a record whose ring entry (if any) is gone: regenerate them
-   from the retained chains.  [Codec]/[Delta] encoding is deterministic and
-   XID-preserving, so the regenerated bytes equal what the primary
-   originally wrote.  A record whose history a vacuum truncated cannot be
-   regenerated: the shipper gets [Ship_gap] and must re-clone — the same
-   contract as a base backup that predates the retained WAL. *)
+(* Contents for a record whose ring entry (if any) is gone: a commit ships
+   its stored delta blob as it is; an insert's version-0 tree is
+   reconstructed and re-encoded, and [Codec] encoding is deterministic and
+   XID-preserving, so those bytes equal what the primary originally wrote.
+   A record whose history a vacuum truncated cannot be regenerated: the
+   shipper gets [Ship_gap] and must re-clone — the same contract as a base
+   backup that predates the retained WAL. *)
 let fabricate_contents t index record =
   match record with
   | Journal_record.Delete _ | Journal_record.Vacuum _ -> []
@@ -1470,7 +1471,7 @@ let fabricate_contents t index record =
     | Some d
       when r_version > Docstore.first_version d
            && r_version < Docstore.version_count d ->
-      [ Delta.encode (Docstore.read_delta d r_version) ]
+      [ Docstore.read_delta_bytes d r_version ]
     | Some _ | None -> raise (Ship_gap index))
 
 let ship t ~from ?(limit = 256) () =

@@ -280,12 +280,14 @@ let snapshot_versions t =
   done;
   List.rev !out
 
-let read_delta t v =
+let read_delta_bytes t v =
   if v <= t.base || v >= version_count t then
     invalid_arg (Printf.sprintf "Docstore.read_delta: no delta for version %d" v);
   match (entry t v).ve_delta with
-  | Some blob -> Delta.decode_exn (Blob_store.get t.blobs blob)
+  | Some blob -> Blob_store.get t.blobs blob
   | None -> assert false
+
+let read_delta t v = Delta.decode_exn (read_delta_bytes t v)
 
 (* Stored anchors: the current version's blob and every snapshot blob.
    Reconstruction starts from whichever anchor (stored or caller-cached)

@@ -137,6 +137,10 @@ val read_delta : t -> int -> Txq_vxml.Delta.t
 (** Reads and decodes the delta leading to the given version (>= 1) from the
     blob store (IO accounted).  Raises [Invalid_argument] for version 0. *)
 
+val read_delta_bytes : t -> int -> string
+(** The stored form of that delta, undecoded: the XML document
+    {!Txq_vxml.Delta.encode} wrote (IO accounted). *)
+
 val reconstruct :
   ?cached:int * Txq_vxml.Vnode.t -> t -> int ->
   Txq_vxml.Vnode.t * reconstruct_cost

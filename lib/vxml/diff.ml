@@ -28,24 +28,15 @@ let index_new_tree xml =
         nsize = 1 }
     | Txq_xml.Xml.Element e ->
       let attrs =
-        List.map
-          (fun { Txq_xml.Xml.attr_name; attr_value } -> (attr_name, attr_value))
-          e.attrs
+        Vnode.sort_attrs
+          (List.map
+             (fun { Txq_xml.Xml.attr_name; attr_value } -> (attr_name, attr_value))
+             e.attrs)
       in
       let kids = List.map build e.children in
-      let sorted_attrs =
-        List.sort
-          (fun (n1, v1) (n2, v2) ->
-            match String.compare n1 n2 with
-            | 0 -> String.compare v1 v2
-            | c -> c)
-          attrs
-      in
       let h = hash_string 11 e.tag in
       let h =
-        List.fold_left
-          (fun h (n, v) -> hash_string (hash_string h n) v)
-          h sorted_attrs
+        List.fold_left (fun h (n, v) -> hash_string (hash_string h n) v) h attrs
       in
       let nhash = List.fold_left (fun h k -> combine h k.nhash) h kids in
       let nsize = List.fold_left (fun acc k -> acc + k.nsize) 1 kids in

@@ -13,24 +13,9 @@ let xid = function
   | Elem e -> e.xid
   | Text t -> t.xid
 
-let rec of_xml gen node =
-  let xid = Xid.Gen.next gen in
-  match node with
-  | Txq_xml.Xml.Text content -> Text { xid; content }
-  | Txq_xml.Xml.Element e ->
-    let attrs =
-      List.map
-        (fun { Txq_xml.Xml.attr_name; attr_value } -> (attr_name, attr_value))
-        e.attrs
-    in
-    Elem { xid; tag = e.tag; attrs; children = List.map (of_xml gen) e.children }
-
-let rec to_xml = function
-  | Text { content; _ } -> Txq_xml.Xml.text content
-  | Elem e -> Txq_xml.Xml.element ~attrs:e.attrs e.tag (List.map to_xml e.children)
-
-(* Attribute order is insignificant in XML; equality and hashing compare
-   attribute lists as sets so that the diff need not express reorders. *)
+(* Attribute order is insignificant in XML, so the diff expresses no
+   reorders and equality and hashing compare attribute lists as sets; the
+   canonical order makes every way of building a version render alike. *)
 let sort_attrs attrs =
   List.sort
     (fun (n1, v1) (n2, v2) ->
@@ -38,6 +23,23 @@ let sort_attrs attrs =
       | 0 -> String.compare v1 v2
       | c -> c)
     attrs
+
+let rec of_xml gen node =
+  let xid = Xid.Gen.next gen in
+  match node with
+  | Txq_xml.Xml.Text content -> Text { xid; content }
+  | Txq_xml.Xml.Element e ->
+    let attrs =
+      sort_attrs
+        (List.map
+           (fun { Txq_xml.Xml.attr_name; attr_value } -> (attr_name, attr_value))
+           e.attrs)
+    in
+    Elem { xid; tag = e.tag; attrs; children = List.map (of_xml gen) e.children }
+
+let rec to_xml = function
+  | Text { content; _ } -> Txq_xml.Xml.text content
+  | Elem e -> Txq_xml.Xml.element ~attrs:e.attrs e.tag (List.map to_xml e.children)
 
 let attrs_equal a b =
   List.compare_lengths a b = 0

@@ -12,13 +12,22 @@ and elem = {
   xid : Xid.t;
   tag : string;
   attrs : (string * string) list;
+      (** In canonical order, see {!sort_attrs}. *)
   children : t list;
 }
 
 val xid : t -> Xid.t
 
+val sort_attrs : (string * string) list -> (string * string) list
+(** The canonical attribute order: by name, then value.  Deltas carry no
+    attribute positions, so every tree the store builds (from a document,
+    by the diff, by applying a delta either way) holds its attributes in
+    this order; a version then renders identically however it was
+    reached. *)
+
 val of_xml : Xid.Gen.t -> Txq_xml.Xml.t -> t
-(** Assigns fresh XIDs to every node, document order. *)
+(** Assigns fresh XIDs to every node, document order; attributes are put
+    in canonical order. *)
 
 val to_xml : t -> Txq_xml.Xml.t
 (** Strips the XIDs. *)

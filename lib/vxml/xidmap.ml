@@ -186,6 +186,6 @@ let set_attr t xid ~name ~value =
         if List.exists (fun (k, _) -> String.equal k name) attrs then
           List.map (fun (k, old) -> if String.equal k name then (k, v) else (k, old))
             attrs
-        else attrs @ [(name, v)]
+        else Vnode.sort_attrs ((name, v) :: attrs)
     in
     n.node_content <- Element { tag; attrs }

@@ -42,5 +42,6 @@ val update_text : t -> Xid.t -> string -> unit
 val rename : t -> Xid.t -> string -> unit
 
 val set_attr : t -> Xid.t -> name:string -> value:string option -> unit
-(** [Some v] adds or replaces; [None] removes.  Attribute order: a replaced
-    attribute keeps its position, a new one is appended. *)
+(** [Some v] adds or replaces; [None] removes.  A new attribute takes its
+    place in the canonical order ({!Vnode.sort_attrs}), so forward and
+    backward application agree on attribute order. *)

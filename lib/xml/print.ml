@@ -1,13 +1,21 @@
-let escape buf ~quot s =
-  String.iter
-    (fun c ->
-      match c with
-      | '<' -> Buffer.add_string buf "&lt;"
-      | '>' -> Buffer.add_string buf "&gt;"
-      | '&' -> Buffer.add_string buf "&amp;"
-      | '"' when quot -> Buffer.add_string buf "&quot;"
-      | c -> Buffer.add_char buf c)
-    s
+(* Copies runs of bytes that need no escaping with one [add_substring];
+   [start] is the first byte not yet copied. *)
+let rec escape_from buf ~quot s start i =
+  if i >= String.length s then Buffer.add_substring buf s start (i - start)
+  else
+    match String.unsafe_get s i with
+    | '<' -> add_entity buf ~quot s start i "&lt;"
+    | '>' -> add_entity buf ~quot s start i "&gt;"
+    | '&' -> add_entity buf ~quot s start i "&amp;"
+    | '"' when quot -> add_entity buf ~quot s start i "&quot;"
+    | _ -> escape_from buf ~quot s start (i + 1)
+
+and add_entity buf ~quot s start i entity =
+  Buffer.add_substring buf s start (i - start);
+  Buffer.add_string buf entity;
+  escape_from buf ~quot s (i + 1) (i + 1)
+
+let escape buf ~quot s = escape_from buf ~quot s 0 0
 
 let escape_text s =
   let buf = Buffer.create (String.length s + 8) in

@@ -167,3 +167,89 @@ let arb_history ~max_versions =
     ~print:(fun (d, vs) ->
       String.concat "\n---\n" (List.map Txq_xml.Print.to_string (d :: vs)))
     (gen_history ~max_versions)
+
+(* --- markup-significant content ---------------------------------------- *)
+
+(* Texts and attribute values built from the bytes the printer escapes and
+   the scanner splits runs on, plus whitespace and UTF-8 bytes.  Empty
+   strings and adjacent text children are generated on purpose: the
+   codec's <_text> wrapper exists for them. *)
+let gen_raw_string =
+  QCheck.Gen.(
+    string_size
+      ~gen:
+        (oneofl
+           [ '<'; '>'; '&'; '"'; '\''; ';'; '#'; ']'; '-'; '!'; '?'; '='; '/';
+             ' '; '\n'; '\t'; '\r'; 'a'; 'x'; '1'; '\xc3'; '\xa9' ])
+      (int_range 0 10))
+
+let gen_raw_attrs =
+  QCheck.Gen.(
+    map
+      (List.sort_uniq (fun (a, _) (b, _) -> String.compare a b))
+      (list_size (int_range 0 3) (pair (oneofa attr_names) gen_raw_string)))
+
+let rec gen_raw_tree depth st =
+  let open QCheck.Gen in
+  let text = map Xml.text gen_raw_string in
+  if depth <= 0 then text st
+  else
+    frequency
+      [
+        (1, text);
+        ( 2,
+          map3
+            (fun tag attrs children -> Xml.element ~attrs tag children)
+            gen_tag gen_raw_attrs
+            (list_size (int_range 0 4) (gen_raw_tree (depth - 1))) );
+      ]
+      st
+
+(* A root element with raw content; not normalized. *)
+let gen_raw_doc =
+  QCheck.Gen.(
+    map3
+      (fun tag attrs children -> Xml.element ~attrs tag children)
+      gen_tag gen_raw_attrs
+      (list_size (int_range 0 5) (gen_raw_tree 3)))
+
+(* Random delta operations with raw texts, values and embedded trees.  The
+   ops need not apply to any document: they exercise the delta codec. *)
+let gen_delta =
+  let module Delta = Txq_vxml.Delta in
+  let module Xid = Txq_vxml.Xid in
+  QCheck.Gen.(
+    let xid = map Xid.of_int (int_range 0 60) in
+    let tree =
+      map
+        (fun x -> Txq_vxml.Vnode.of_xml (Xid.Gen.create ()) x)
+        (gen_raw_tree 2)
+    in
+    let op =
+      oneof
+        [
+          map3 (fun parent after tree -> Delta.Insert { parent; after; tree })
+            xid (opt xid) tree;
+          map3 (fun parent after tree -> Delta.Delete { parent; after; tree })
+            xid (opt xid) tree;
+          map3
+            (fun xid old_text new_text -> Delta.Update { xid; old_text; new_text })
+            xid gen_raw_string gen_raw_string;
+          map3 (fun xid old_tag new_tag -> Delta.Rename { xid; old_tag; new_tag })
+            xid gen_tag gen_tag;
+          map3
+            (fun (xid, name) old_value new_value ->
+              Delta.Set_attr { xid; name; old_value; new_value })
+            (pair xid (oneofa attr_names))
+            (opt gen_raw_string) (opt gen_raw_string);
+          map3
+            (fun (xid, old_parent) (old_after, new_parent) new_after ->
+              Delta.Move { xid; old_parent; old_after; new_parent; new_after })
+            (pair xid xid) (pair (opt xid) xid) (opt xid);
+        ]
+    in
+    map3
+      (fun from_version to_version ops ->
+        Delta.make ~from_version ~to_version ops)
+      nat nat
+      (list_size (int_range 0 6) op))

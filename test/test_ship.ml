@@ -328,6 +328,27 @@ let prop_replica_equals_snapshot =
       ok
       && Db.snapshot_watermark snap = Some (Db.stats (Db.Replay.db r)).Db.commits)
 
+(* A delta that adds an attribute in front of an existing one: the replica
+   builds the new version forward, the primary reconstructs the old one
+   backward, and both must render every version byte for byte alike. *)
+let test_replica_attribute_order () =
+  let primary = Db.create ~config:durable () in
+  ignore
+    (Db.insert_document primary ~url:"h" ~ts:(op_ts 0)
+       (parse {|<doc><review lang="pizza"/></doc>|}));
+  let r = Db.Replay.create ~config:durable () in
+  catch_up primary r;
+  ignore
+    (Db.update_document primary ~url:"h" ~ts:(op_ts 1)
+       (parse {|<doc><review id="rome" lang="pizza"/></doc>|}));
+  ignore
+    (Db.update_document primary ~url:"h" ~ts:(op_ts 2)
+       (parse {|<doc><review kind="fine" lang="pizza"/></doc>|}));
+  catch_up primary r;
+  Alcotest.(check string) "replica renders like the primary"
+    (fingerprint primary)
+    (fingerprint (Db.Replay.db r))
+
 (* --- vacuum through the stream ------------------------------------------- *)
 
 let retention = lazy { Config.no_retention with Config.keep_newer_than = Some (op_ts 12) }
@@ -600,7 +621,11 @@ let () =
             test_kill_at_every_boundary;
         ] );
       ( "differential",
-        [ QCheck_alcotest.to_alcotest prop_replica_equals_snapshot ] );
+        [
+          QCheck_alcotest.to_alcotest prop_replica_equals_snapshot;
+          Alcotest.test_case "attribute order survives replay" `Quick
+            test_replica_attribute_order;
+        ] );
       ( "vacuum",
         [
           Alcotest.test_case "vacuum flows through a buffered stream" `Quick

@@ -256,13 +256,19 @@ let test_codec_corrupt () =
       "not xml at all";
     ]
 
+(* Half the documents carry markup characters, whitespace, empty and
+   adjacent texts; decode must return the identical tree, attribute order
+   included. *)
 let prop_codec_roundtrip =
+  let module Gen_xml = Txq_test_support.Gen_xml in
   QCheck.Test.make ~count:300 ~name:"codec roundtrip (random docs)"
-    Txq_test_support.Gen_xml.arb_doc (fun doc ->
+    (QCheck.make ~print:Print.to_string
+       (QCheck.Gen.oneof [Gen_xml.gen_doc; Gen_xml.gen_raw_doc]))
+    (fun doc ->
       let gen = Xid.Gen.create () in
       let v = Vnode.of_xml gen doc in
       match Codec.decode (Codec.encode v) with
-      | Ok v' -> Vnode.equal_with_xids v v'
+      | Ok v' -> v = v'
       | Error _ -> false)
 
 (* --- Delta ------------------------------------------------------------ *)
@@ -316,6 +322,11 @@ let test_delta_xml_roundtrip () =
   | Error e -> Alcotest.fail e
   | Ok d' -> Alcotest.(check string) "stable encoding" (Delta.encode d) (Delta.encode d')
 
+let prop_delta_codec_identity =
+  QCheck.Test.make ~count:300 ~name:"delta decode (encode d) = d (generated ops)"
+    (QCheck.make ~print:Delta.encode Txq_test_support.Gen_xml.gen_delta)
+    (fun d -> Delta.decode (Delta.encode d) = Ok d)
+
 let test_delta_tracked_xids () =
   let tree = vnode_of_string "<r><s/></r>" in
   let d =
@@ -343,15 +354,19 @@ let diff_pair old_s new_s =
   let delta, new_v = Diff.diff ~gen ~old_tree:old_v ~new_tree:(parse new_s) in
   (old_v, delta, new_v)
 
+let render v = Print.to_string (Vnode.to_xml v)
+
 let check_diff ?max_ops old_s new_s =
   let old_v, delta, new_v = diff_pair old_s new_s in
-  (* forward: old + delta = new *)
+  (* forward: old + delta = new, rendered byte for byte (attribute order) *)
   let work = Xidmap.of_vnode old_v in
   Delta.apply_forward work delta;
   Alcotest.(check bool)
     (Printf.sprintf "forward apply reaches new (%s -> %s)" old_s new_s)
     true
     (Vnode.equal_with_xids (Xidmap.to_vnode work) new_v);
+  Alcotest.(check string) "forward apply renders as new" (render new_v)
+    (render (Xidmap.to_vnode work));
   Alcotest.check xml_testable "new version content" (Xml.normalize (parse new_s))
     (Vnode.to_xml new_v);
   (* backward: new - delta = old, exactly, including xids *)
@@ -359,6 +374,8 @@ let check_diff ?max_ops old_s new_s =
   Delta.apply_backward work delta;
   Alcotest.(check bool) "backward apply restores old" true
     (Vnode.equal_with_xids (Xidmap.to_vnode work) old_v);
+  Alcotest.(check string) "backward apply renders as old" (render old_v)
+    (render (Xidmap.to_vnode work));
   match max_ops with
   | Some n ->
     Alcotest.(check bool)
@@ -392,7 +409,12 @@ let test_diff_rename () =
 
 let test_diff_attr_change () =
   check_diff ~max_ops:3 "<guide><r id=\"1\" a=\"x\"/></guide>"
-    "<guide><r id=\"2\" b=\"y\"/></guide>"
+    "<guide><r id=\"2\" b=\"y\"/></guide>";
+  (* an attribute added in front of an existing one, and removed again *)
+  check_diff ~max_ops:1 "<guide><r lang=\"pizza\"/></guide>"
+    "<guide><r id=\"rome\" lang=\"pizza\"/></guide>";
+  check_diff ~max_ops:1 "<guide><r id=\"rome\" lang=\"pizza\"/></guide>"
+    "<guide><r lang=\"pizza\"/></guide>"
 
 let test_diff_move_detected () =
   (* a large unchanged subtree relocated: must be a move, not delete+insert *)
@@ -532,6 +554,7 @@ let () =
           Alcotest.test_case "invert involution" `Quick test_delta_invert_involution;
           Alcotest.test_case "xml roundtrip" `Quick test_delta_xml_roundtrip;
           Alcotest.test_case "tracked xids" `Quick test_delta_tracked_xids;
+          QCheck_alcotest.to_alcotest prop_delta_codec_identity;
         ] );
       ( "diff",
         [

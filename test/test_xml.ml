@@ -136,6 +136,79 @@ let prop_roundtrip =
     Txq_test_support.Gen_xml.arb_doc (fun doc ->
       Xml.equal doc (Parse.parse_exn (Print.to_string doc)))
 
+(* --- differential against the previous scanner ------------------------- *)
+
+module Gen_xml = Txq_test_support.Gen_xml
+module Oracle = Txq_test_support.Parse_oracle
+
+(* Fragments that start, end or break every construct the scanner knows. *)
+let fragments =
+  [| "<a>"; "</a>"; "<b x='1'>"; "</b>"; "<c/>"; "<d y=\"&amp;\" z='2'/>";
+     "text"; " "; "\n"; "\t"; "&lt;"; "&#65;"; "&#x42;"; "&#x1F600;";
+     "&bogus;"; "&"; ";"; "<"; ">"; "/"; "\""; "'"; "="; "<![CDATA[x<y]]>";
+     "<![CDATA["; "]]>"; "<!-- c -->"; "<!--"; "-->"; "<?pi x?>"; "<?"; "?>";
+     "<!DOCTYPE d>"; "<?xml version=\"1.0\"?>"; "<!x>"; "</"; "<1>"; "<?>";
+     "<!-->"; "]]"; "--" |]
+
+let printed =
+  QCheck.Gen.(
+    map2
+      (fun doc how ->
+        match how with
+        | 0 -> Print.to_string doc
+        | 1 -> Print.to_pretty doc
+        | _ -> Print.document doc)
+      (oneof [Gen_xml.gen_doc; Gen_xml.gen_raw_doc])
+      (int_range 0 2))
+
+let mutate s st =
+  let open QCheck.Gen in
+  let n = String.length s in
+  let i = int_range 0 n st in
+  let j = min n (i + int_range 0 4 st) in
+  let before = String.sub s 0 i and after = String.sub s j (n - j) in
+  match int_range 0 2 st with
+  | 0 -> before ^ after
+  | 1 -> before ^ oneofa fragments st ^ String.sub s i (n - i)
+  | _ -> before ^ oneofa fragments st ^ after
+
+let gen_input =
+  QCheck.Gen.(
+    frequency
+      [
+        (2, printed);
+        ( 3,
+          printed >>= fun s ->
+          int_range 1 4 >>= fun k st ->
+          let rec go s k = if k = 0 then s else go (mutate s st) (k - 1) in
+          go s k );
+        ( 2,
+          printed >>= fun s ->
+          map (fun n -> String.sub s 0 n) (int_range 0 (String.length s)) );
+        ( 2,
+          map (String.concat "") (list_size (int_range 0 12) (oneofa fragments))
+        );
+      ])
+
+let same_result ~keep_whitespace s =
+  let ours =
+    Result.map_error
+      (fun e -> (e.Parse.line, e.Parse.column, e.Parse.message))
+      (Parse.parse ~keep_whitespace s)
+  and oracle =
+    Result.map_error
+      (fun e -> (e.Oracle.line, e.Oracle.column, e.Oracle.message))
+      (Oracle.parse ~keep_whitespace s)
+  in
+  ours = oracle
+
+let prop_parse_matches_oracle =
+  QCheck.Test.make ~count:2000
+    ~name:"parse = previous scanner (trees and error positions)"
+    (QCheck.make ~print:(Printf.sprintf "%S") gen_input)
+    (fun s ->
+      same_result ~keep_whitespace:false s && same_result ~keep_whitespace:true s)
+
 (* --- paths ------------------------------------------------------------ *)
 
 let guide =
@@ -200,6 +273,7 @@ let () =
           Alcotest.test_case "whitespace" `Quick test_parse_whitespace;
           Alcotest.test_case "errors" `Quick test_parse_errors;
           Alcotest.test_case "error position" `Quick test_error_position;
+          QCheck_alcotest.to_alcotest prop_parse_matches_oracle;
         ] );
       ( "print",
         [
