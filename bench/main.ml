@@ -14,6 +14,8 @@
                                               # fail if tracing overhead regresses
      dune exec bench/main.exe -- e22 --smoke --check-codec
                                               # fail if the XML codec allocates more per byte
+     dune exec bench/main.exe -- e23 --smoke --check-fti
+                                              # fail if FTI maintenance allocates more per occurrence
      dune exec bench/main.exe -- e1 --trace out.jsonl   # span stream
 
    Each executed experiment also writes BENCH_<name>.json: every printed
@@ -2283,6 +2285,9 @@ let e21 () =
 (* --check-codec turns E22 into a pass/fail gate (CI), see bench/e22.ml. *)
 let check_codec = ref false
 
+(* --check-fti turns E23 into a pass/fail gate (CI), see bench/e23.ml. *)
+let check_fti = ref false
+
 let experiments =
   [
     ("e1", e1); ("e2", e2); ("e3", e3); ("e4", e4); ("e5", e5); ("e6", e6);
@@ -2290,6 +2295,7 @@ let experiments =
     ("e12", e12); ("e13", e13); ("e14", e14); ("e15", e15); ("e16", e16);
     ("e17", e17); ("e18", e18); ("e19", e19); ("e20", e20); ("e21", e21);
     ("e22", fun () -> E22.run ~smoke:!smoke ~check:!check_codec);
+    ("e23", fun () -> E23.run ~smoke:!smoke ~check:!check_fti);
   ]
 
 let () =
@@ -2305,6 +2311,7 @@ let () =
   check_plan := List.mem "--check-plan" args;
   check_ship := List.mem "--check-ship" args;
   check_codec := List.mem "--check-codec" args;
+  check_fti := List.mem "--check-fti" args;
   (* --trace FILE: stream every root span of the whole run as JSON lines.
      E14 manages its own sinks and ends with tracing off, so combining it
      with --trace in one invocation truncates the stream there. *)

@@ -16,7 +16,10 @@ let identical = Eid.equal
 
 module Words = Set.Make (String)
 
-let token_set tree = Words.of_list (Txq_xml.Xml.words (Vnode.to_xml tree))
+let token_set tree =
+  let set = ref Words.empty in
+  Vnode.iter_occurrences (fun w _ _ -> set := Words.add w !set) tree;
+  !set
 
 let similarity a b =
   let wa = token_set a and wb = token_set b in

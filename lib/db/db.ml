@@ -1287,9 +1287,8 @@ let rebuild_doc t id d =
   if t.fti <> None || t.dfti <> None || t.cretime <> None then begin
     let map = Txq_vxml.Xidmap.of_vnode current in
     List.iter (Delta.apply_backward map) (List.rev deltas);
-    let tree0 = Txq_vxml.Xidmap.to_vnode map in
-    index_insert t ~doc:id ~version:b0 d (Docstore.ts_of_version d b0) tree0;
-    let map = Txq_vxml.Xidmap.of_vnode tree0 in
+    index_insert t ~doc:id ~version:b0 d (Docstore.ts_of_version d b0)
+      (Txq_vxml.Xidmap.to_vnode map);
     List.iteri
       (fun i delta ->
         let v = b0 + 1 + i in

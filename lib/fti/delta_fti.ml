@@ -43,21 +43,14 @@ let add t entry =
   t.entries <- t.entries + 1
 
 let add_tree_words t ~doc ~version ~kind tree =
-  List.iter
-    (fun { Vnode.occ_word; occ_path; _ } ->
+  let root = Vnode.xid tree in
+  Vnode.iter_occurrences
+    (fun ch_word _ path ->
       let ch_xid =
-        match Txq_vxml.Xidpath.leaf occ_path with
-        | Some xid -> xid
-        | None -> Vnode.xid tree
+        match Txq_vxml.Xidpath.leaf path with Some xid -> xid | None -> root
       in
-      add t { ch_doc = doc; ch_version = version; ch_kind = kind;
-              ch_word = occ_word; ch_xid })
-    (Vnode.occurrences tree)
-
-(* The snapshot FTI tokenizes through [Vnode.occurrences]; using the same
-   tokenizer here keeps the two indexes word-for-word consistent on text
-   containing tabs, newlines or punctuation. *)
-let split_words = Vnode.split_words
+      add t { ch_doc = doc; ch_version = version; ch_kind = kind; ch_word; ch_xid })
+    tree
 
 let index_op t ~doc ~version = function
   | Delta.Insert { tree; _ } -> add_tree_words t ~doc ~version ~kind:Inserted tree
@@ -67,12 +60,12 @@ let index_op t ~doc ~version = function
       (fun w ->
         add t { ch_doc = doc; ch_version = version; ch_kind = Deleted;
                 ch_word = w; ch_xid = xid })
-      (split_words old_text);
+      (Txq_xml.Xml.split_words old_text);
     List.iter
       (fun w ->
         add t { ch_doc = doc; ch_version = version; ch_kind = Updated;
                 ch_word = w; ch_xid = xid })
-      (split_words new_text)
+      (Txq_xml.Xml.split_words new_text)
   | Delta.Rename { xid; old_tag; new_tag } ->
     add t { ch_doc = doc; ch_version = version; ch_kind = Deleted;
             ch_word = old_tag; ch_xid = xid };
@@ -86,7 +79,7 @@ let index_op t ~doc ~version = function
           (fun w ->
             add t { ch_doc = doc; ch_version = version; ch_kind = kind;
                     ch_word = w; ch_xid = xid })
-          (name :: split_words v)
+          (name :: Txq_xml.Xml.split_words v)
     in
     record Deleted old_value;
     record Updated new_value

@@ -7,7 +7,11 @@
     change-oriented queries ("when was [Napoli] deleted?") with a single
     lookup, where the version-content index must scan postings; conversely it
     cannot serve snapshot queries at all — precisely the trade-off the paper
-    describes and leaves unmeasured.  Experiment E5 measures it. *)
+    describes and leaves unmeasured.  Experiment E5 measures it.
+
+    Text is tokenized with {!Txq_xml.Xml.split_words}, the tokenizer of the
+    version-content index, so a word findable in one index is findable in
+    the other. *)
 
 type change_kind =
   | Inserted
@@ -25,13 +29,6 @@ type entry = {
 }
 
 val change_kind_to_string : change_kind -> string
-
-val split_words : string -> string list
-(** The tokenizer — {e the} same one ({!Txq_vxml.Vnode.split_words}) the
-    version-content index sees through [Vnode.occurrences], so a word
-    findable in one index is findable in the other.  (A former private
-    copy split on spaces only and silently missed words separated by
-    tabs, newlines or punctuation.) *)
 
 type t
 

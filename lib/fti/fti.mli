@@ -143,8 +143,8 @@ val stats : t -> stats
 (**/**)
 
 val occ_key_hash :
-  string * Txq_vxml.Vnode.occurrence_kind * int array -> int
-(** Hash of an open-occurrence key (word, kind, XID path as ints).  Folds
+  string * Txq_vxml.Vnode.occurrence_kind * Txq_vxml.Xid.t array -> int
+(** Hash of an open-occurrence key (word, kind, XID path).  Folds
     the whole path — unlike [Hashtbl.hash], which samples a prefix and
     collides systematically on deep paths.  Exposed for the collision
     regression test only. *)

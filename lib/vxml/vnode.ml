@@ -155,67 +155,46 @@ type occurrence = {
   occ_path : Xid.t array;
 }
 
-let split_words s =
-  let is_sep c =
-    match c with
-    | ' ' | '\t' | '\n' | '\r' | ',' | ';' | '.' | '!' | '?' | '(' | ')' | '"'
-      -> true
-    | _ -> false
-  in
-  let out = ref [] in
-  let buf = Buffer.create 16 in
-  let flush () =
-    if Buffer.length buf > 0 then begin
-      out := Buffer.contents buf :: !out;
-      Buffer.clear buf
-    end
-  in
-  String.iter (fun c -> if is_sep c then flush () else Buffer.add_char buf c) s;
-  flush ();
-  List.rev !out
+(* One path array per element, shared by its Tag occurrence and the Word
+   occurrences of its attributes and text children. *)
+let rec iter_words f path = function
+  | [] -> ()
+  | w :: rest ->
+    f w Word path;
+    iter_words f path rest
+
+let rec iter_occ f path = function
+  | Text { content; _ } -> iter_words f path (Txq_xml.Xml.split_words content)
+  | Elem e ->
+    let depth = Array.length path in
+    let here = Array.make (depth + 1) e.xid in
+    Array.blit path 0 here 0 depth;
+    f e.tag Tag here;
+    iter_attrs f here e.attrs;
+    iter_children f here e.children
+
+and iter_attrs f here = function
+  | [] -> ()
+  | (n, v) :: rest ->
+    f n Word here;
+    iter_words f here (Txq_xml.Xml.split_words v);
+    iter_attrs f here rest
+
+and iter_children f here = function
+  | [] -> ()
+  | c :: rest ->
+    iter_occ f here c;
+    iter_children f here rest
+
+let iter_occurrences f root = iter_occ f [||] root
 
 let occurrences root =
   let acc = ref [] in
-  let emit occ_word occ_kind rev_path =
-    acc :=
-      { occ_word; occ_kind; occ_path = Array.of_list (List.rev rev_path) }
-      :: !acc
-  in
-  (* [rev_path] is the reversed XID path of the current enclosing element. *)
-  let rec go rev_path node =
-    match node with
-    | Text { content; _ } ->
-      List.iter (fun w -> emit w Word rev_path) (split_words content)
-    | Elem e ->
-      let here = e.xid :: rev_path in
-      emit e.tag Tag here;
-      List.iter
-        (fun (n, v) ->
-          emit n Word here;
-          List.iter (fun w -> emit w Word here) (split_words v))
-        e.attrs;
-      List.iter (go here) e.children
-  in
-  go [] root;
+  iter_occurrences
+    (fun occ_word occ_kind occ_path ->
+      acc := { occ_word; occ_kind; occ_path } :: !acc)
+    root;
   List.rev !acc
-
-module Occ_set = Set.Make (struct
-  type t = string * occurrence_kind * Xid.t array
-
-  let compare (w1, k1, p1) (w2, k2, p2) =
-    match String.compare w1 w2 with
-    | 0 -> (
-      match Stdlib.compare k1 k2 with
-      | 0 -> Xidpath.compare p1 p2
-      | c -> c)
-    | c -> c
-end)
-
-let occurrence_set root =
-  List.fold_left
-    (fun set { occ_word; occ_kind; occ_path } ->
-      Occ_set.add (occ_word, occ_kind, occ_path) set)
-    Occ_set.empty (occurrences root)
 
 let rec pp ppf = function
   | Text { xid; content } -> Format.fprintf ppf "%a%S" Xid.pp xid content

@@ -79,18 +79,18 @@ type occurrence = {
           hierarchical relationships"). *)
 }
 
-val split_words : string -> string list
-(** The tokenizer behind {!occurrences}: splits on whitespace and the
-    common punctuation separators, dropping empty tokens.  Exposed so every
-    index (snapshot FTI, delta FTI) tokenizes text identically. *)
+val iter_occurrences :
+  (string -> occurrence_kind -> Xid.t array -> unit) -> t -> unit
+(** [iter_occurrences f tree] calls [f word kind path] for every occurrence
+    in the tree, in document order, duplicates included: each element's
+    name as a [Tag], then its attribute names and the
+    {!Txq_xml.Xml.split_words} tokens of their values, then the tokens of
+    its text children, as [Word]s.  One path array is allocated per
+    element and shared by all of that element's occurrences; [f] must not
+    mutate it. *)
 
 val occurrences : t -> occurrence list
-(** All occurrences in the tree, document order, duplicates included. *)
-
-module Occ_set : Set.S with type elt = string * occurrence_kind * Xid.t array
-
-val occurrence_set : t -> Occ_set.t
-(** Deduplicated occurrences; the unit of temporal FTI maintenance. *)
+(** All occurrences in the tree, as {!iter_occurrences} visits them. *)
 
 val pp : Format.formatter -> t -> unit
 (** Debug form showing XIDs. *)

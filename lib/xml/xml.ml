@@ -125,24 +125,26 @@ let rec fold f acc node =
 
 let iter f node = fold (fun () n -> f n) () node
 
-let split_words s =
-  let is_sep c =
-    match c with
-    | ' ' | '\t' | '\n' | '\r' | ',' | ';' | '.' | '!' | '?' | '(' | ')' | '"'
-      -> true
-    | _ -> false
-  in
-  let out = ref [] in
-  let buf = Buffer.create 16 in
-  let flush () =
-    if Buffer.length buf > 0 then begin
-      out := Buffer.contents buf :: !out;
-      Buffer.clear buf
-    end
-  in
-  String.iter (fun c -> if is_sep c then flush () else Buffer.add_char buf c) s;
-  flush ();
-  List.rev !out
+let is_word_separator = function
+  | ' ' | '\t' | '\n' | '\r' | ',' | ';' | '.' | '!' | '?' | '(' | ')' | '"' ->
+    true
+  | _ -> false
+
+(* Scans right to left, so the list comes out in order with no reversal;
+   each separator-free run is one [String.sub].  [stop] is the index of a
+   word's last byte. *)
+let rec skip_separators s i acc =
+  if i < 0 then acc
+  else if is_word_separator (String.unsafe_get s i) then
+    skip_separators s (i - 1) acc
+  else scan_word s i (i - 1) acc
+
+and scan_word s stop i acc =
+  if i >= 0 && not (is_word_separator (String.unsafe_get s i)) then
+    scan_word s stop (i - 1) acc
+  else skip_separators s i (String.sub s (i + 1) (stop - i) :: acc)
+
+let split_words s = skip_separators s (String.length s - 1) []
 
 let words node =
   let acc = ref [] in

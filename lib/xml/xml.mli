@@ -60,9 +60,18 @@ val fold : ('a -> t -> 'a) -> 'a -> t -> 'a
 
 val iter : (t -> unit) -> t -> unit
 
+val split_words : string -> string list
+(** The one tokenizer of the system: splits on whitespace and the common
+    punctuation separators (comma, semicolon, full stop, [!], [?],
+    parentheses and the double quote), dropping empty tokens.
+    {!words}, the version-content and delta full-text indexes and the
+    similarity test all tokenize through it, so a word findable in one is
+    findable in the others. *)
+
 val words : t -> string list
 (** All words occurring in the tree, in document order: element names,
-    attribute names and values, and whitespace-split text tokens — "all
+    attribute names, and the {!split_words} tokens of attribute values
+    and text — "all
     words in the documents, including element names" (Section 7.2). *)
 
 val map_text : (string -> string) -> t -> t

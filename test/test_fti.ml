@@ -223,8 +223,7 @@ let prop_tokenizers_agree =
     (QCheck.make ~print:(Printf.sprintf "%S") gen_messy_text)
     (fun text ->
       let words = spec_split text in
-      Delta_fti.split_words text = words
-      && Vnode.split_words text = words
+      Txq_xml.Xml.split_words text = words
       &&
       let tree =
         Vnode.of_xml (Xid.Gen.create ())
@@ -233,7 +232,23 @@ let prop_tokenizers_agree =
       in
       let dfti = Delta_fti.create () in
       Delta_fti.index_initial dfti ~doc:0 tree;
-      List.for_all (fun w -> Delta_fti.changes dfti w <> []) words)
+      let fti = Fti.create () in
+      Fti.index_version fti ~doc:0 ~version:0 tree;
+      List.for_all
+        (fun w -> Delta_fti.changes dfti w <> [] && Fti.lookup fti w <> [])
+        words)
+
+let test_tokenizer_separator_runs () =
+  List.iter
+    (fun text ->
+      Alcotest.(check (list string))
+        (Printf.sprintf "%S" text) (spec_split text)
+        (Txq_xml.Xml.split_words text))
+    [ ""; " "; ",;.!?()\""; "a"; " a"; "a "; "  a"; "a  "; "a  b";
+      "..a..b.."; "\t\na\r\n\tb\n"; "(x)(y)"; "\"q\""; "x,y;z"; "a b a" ];
+  Alcotest.(check (list string)) "words keep order and repeats"
+    [ "pizza"; "fine"; "pizza" ]
+    (Txq_xml.Xml.split_words "  pizza, fine;; pizza!")
 
 (* property: FTI incremental maintenance ≡ indexing each version from
    scratch *)
@@ -270,10 +285,8 @@ let prop_incremental_equals_scratch =
                   (Fti.lookup_t incremental word ~version_at:(fun _ -> Some v))
               in
               let brute =
-                Vnode.Occ_set.cardinal
-                  (Vnode.Occ_set.filter
-                     (fun (w, _, _) -> String.equal w word)
-                     (Vnode.occurrence_set (List.nth identified v)))
+                Txq_test_support.Fti_oracle.occurrence_count
+                  (List.nth identified v) ~word
               in
               via_index = brute)
             (List.init (List.length identified) Fun.id))
@@ -359,7 +372,8 @@ let test_segment_merge_deterministic () =
 let test_occ_hash_deep_paths () =
   let deep_path i = Array.append (Array.init 30 (fun j -> j + 1)) [| i |] in
   let hashes =
-    List.init 100 (fun i -> Fti.occ_key_hash ("w", Vnode.Word, deep_path i))
+    List.init 100 (fun i ->
+        Fti.occ_key_hash ("w", Vnode.Word, Array.map Xid.of_int (deep_path i)))
   in
   let distinct = List.sort_uniq compare hashes in
   Alcotest.(check int) "all distinct" 100 (List.length distinct)
@@ -395,6 +409,17 @@ let identified_versions (doc0, versions) =
             (next, next :: acc))
           (v0, [ v0 ]) versions))
 
+(* The commits of documents 0 and 1 as (doc, version, tree), alternating
+   while both have versions left. *)
+let interleave_commits vs0 vs1 =
+  let index d = List.mapi (fun v tree -> (d, v, tree)) in
+  let rec weave a b =
+    match (a, b) with
+    | [], rest | rest, [] -> rest
+    | x :: a, y :: b -> x :: y :: weave a b
+  in
+  weave (index 0 vs0) (index 1 vs1)
+
 let prop_frozen_equals_naive =
   QCheck.Test.make ~count:30 ~name:"fti frozen segments ≡ naive index"
     QCheck.(
@@ -410,15 +435,7 @@ let prop_frozen_equals_naive =
       (* interleave the two documents' commits; after step i, freeze the
          subject iff bit i of [mask] is set (on top of the automatic
          watermark freezes the tiny segment_postings=3 forces) *)
-      let ops =
-        let tag d = List.mapi (fun v tree -> (d, v, tree)) in
-        let rec weave a b =
-          match (a, b) with
-          | [], rest | rest, [] -> rest
-          | x :: a, y :: b -> x :: y :: weave a b
-        in
-        weave (tag 0 vs0) (tag 1 vs1)
-      in
+      let ops = interleave_commits vs0 vs1 in
       List.iteri
         (fun i (doc, version, tree) ->
           Fti.index_version subject ~doc ~version tree;
@@ -454,6 +471,208 @@ let prop_frozen_equals_naive =
                  canon (at subject) = canon (at oracle))
                [ 0; 1; 2; 3; 4 ])
         words)
+
+(* --- maintenance ≡ the occurrence-set oracle -------------------------- *)
+
+module Oracle = Txq_test_support.Fti_oracle
+
+(* A posting as the lookups hand it out; lists of these are compared in
+   order, so the tail order the maintenance produces is checked too. *)
+let shape p =
+  Format.asprintf "%s%a"
+    (match p.Posting.kind with Vnode.Tag -> "T" | Vnode.Word -> "W")
+    Posting.pp p
+
+let shapes ps = List.map shape ps
+
+(* Every read the index offers, on [subject] and on [oracle]: lookups in
+   the order returned, the sorted fetch, counters and stats. *)
+let check_same ~ctx subject oracle =
+  let check_list what a b =
+    Alcotest.(check (list string)) (ctx ^ ": " ^ what) (shapes b) (shapes a)
+  in
+  let check_int what a b = Alcotest.(check int) (ctx ^ ": " ^ what) b a in
+  let vocabulary = List.sort String.compare (Oracle.vocabulary oracle) in
+  Alcotest.(check (list string)) (ctx ^ ": vocabulary") vocabulary
+    (List.sort String.compare (Fti.vocabulary subject));
+  check_int "posting_count" (Fti.posting_count subject)
+    (Oracle.posting_count oracle);
+  Alcotest.(check bool) (ctx ^ ": stats") true
+    (Fti.stats subject = Oracle.stats oracle);
+  List.iter
+    (fun w ->
+      check_list ("lookup " ^ w) (Fti.lookup subject w) (Oracle.lookup oracle w);
+      check_list ("lookup_h " ^ w) (Fti.lookup_h subject w)
+        (Oracle.lookup_h oracle w);
+      List.iter
+        (fun doc ->
+          check_list
+            (Printf.sprintf "lookup_h_doc %s %d" w doc)
+            (Fti.lookup_h_doc subject w ~doc)
+            (Oracle.lookup_h_doc oracle w ~doc))
+        [ 0; 1; 2 ];
+      List.iter
+        (fun v ->
+          (* doc 1 lags doc 0 and is absent at the earliest instants *)
+          let version_at doc =
+            if doc <> 1 then Some v else if v < 2 then None else Some (v - 2)
+          in
+          check_list
+            (Printf.sprintf "lookup_t %s %d" w v)
+            (Fti.lookup_t subject w ~version_at)
+            (Oracle.lookup_t oracle w ~version_at))
+        [ 0; 1; 2; 3; 4; 5; 6 ];
+      List.iter
+        (fun kind ->
+          let k = match kind with Vnode.Tag -> "tag" | Vnode.Word -> "word" in
+          check_list
+            (Printf.sprintf "sorted_postings %s %s" w k)
+            (Array.to_list (Fti.sorted_postings subject w ~kind))
+            (Array.to_list (Oracle.sorted_postings oracle w ~kind));
+          check_int
+            (Printf.sprintf "word_postings %s %s" w k)
+            (Fti.word_postings subject w ~kind)
+            (Oracle.word_postings oracle w ~kind);
+          check_int
+            (Printf.sprintf "word_open_postings %s %s" w k)
+            (Fti.word_open_postings subject w ~kind)
+            (Oracle.word_open_postings oracle w ~kind);
+          List.iter
+            (fun doc ->
+              check_int
+                (Printf.sprintf "doc_word_postings %s %s %d" w k doc)
+                (Fti.doc_word_postings subject w ~kind ~doc)
+                (Oracle.doc_word_postings oracle w ~kind ~doc))
+            [ 0; 1 ])
+        [ Vnode.Tag; Vnode.Word ])
+    vocabulary
+
+(* One maintenance step, applied to both indexes. *)
+type step =
+  | Index of int * int * Vnode.t  (** doc, version, tree *)
+  | Freeze
+  | Delete of int * int  (** doc, next version *)
+  | Vacuum of (int * [ `Drop | `Squash of int ]) list
+
+let run_steps ~segment_postings steps =
+  let subject = Fti.create ~segment_postings () in
+  let oracle = Oracle.create ~segment_postings () in
+  List.iteri
+    (fun i step ->
+      (match step with
+       | Index (doc, version, tree) ->
+         Fti.index_version subject ~doc ~version tree;
+         Oracle.index_version oracle ~doc ~version tree
+       | Freeze ->
+         Fti.freeze subject;
+         Oracle.freeze oracle
+       | Delete (doc, version) ->
+         Fti.delete_document subject ~doc ~version;
+         Oracle.delete_document oracle ~doc ~version
+       | Vacuum affected ->
+         Alcotest.(check int)
+           (Printf.sprintf "step %d: postings vacuumed" i)
+           (Oracle.vacuum oracle ~affected)
+           (Fti.vacuum subject ~affected));
+      check_same ~ctx:(Printf.sprintf "step %d" i) subject oracle)
+    steps
+
+(* Two documents' histories interleaved, with freezes after the steps
+   [freezes] selects; [plan] picks a squash point and base, and whether
+   document 0 ends deleted and then dropped. *)
+let interleaved_steps (vs0, vs1) ~freezes ~plan =
+  let commits = interleave_commits vs0 vs1 in
+  let squash_at = plan mod (List.length commits + 1) in
+  let last = Array.make 2 (-1) in
+  let steps =
+    List.concat
+      (List.mapi
+         (fun i (doc, v, tree) ->
+           last.(doc) <- v;
+           let squash =
+             if i + 1 <> squash_at then []
+             else
+               let d = (plan / 7) land 1 in
+               if last.(d) < 0 then []
+               else [ Vacuum [ (d, `Squash ((plan / 3) mod (last.(d) + 1))) ] ]
+           in
+           let freeze = if (freezes lsr i) land 1 = 1 then [ Freeze ] else [] in
+           (Index (doc, v, tree) :: squash) @ freeze)
+         commits)
+  in
+  let n0 = List.length vs0 in
+  steps
+  @ (if (plan / 11) land 1 = 1 then
+       Delete (0, n0)
+       :: (if (plan / 13) land 1 = 1 then [ Vacuum [ (0, `Drop) ] ] else [])
+     else [])
+
+let prop_maintenance_matches_oracle =
+  QCheck.Test.make ~count:40 ~name:"fti maintenance ≡ occurrence-set oracle"
+    QCheck.(
+      quad
+        (Txq_test_support.Gen_xml.arb_history ~max_versions:5)
+        (Txq_test_support.Gen_xml.arb_history ~max_versions:5)
+        (pair int (int_bound 100_000))
+        (oneofl [ 3; 16; max_int ]))
+    (fun (hist0, hist1, (freezes, plan), segment_postings) ->
+      let vs = (identified_versions hist0, identified_versions hist1) in
+      run_steps ~segment_postings (interleaved_steps vs ~freezes ~plan);
+      true)
+
+(* Versions of one document from XML texts, XIDs carried by the diff. *)
+let versions_of texts =
+  identified_versions
+    (match List.map Txq_xml.Parse.parse_exn texts with
+     | first :: rest -> (first, rest)
+     | [] -> invalid_arg "versions_of")
+
+let check_shape_against_oracle texts () =
+  let vs = versions_of texts in
+  let steps = List.mapi (fun v tree -> Index (0, v, tree)) vs in
+  List.iter
+    (fun segment_postings ->
+      run_steps ~segment_postings steps;
+      run_steps ~segment_postings
+        (steps @ [ Freeze; Delete (0, List.length vs); Vacuum [ (0, `Drop) ] ]))
+    [ 1; max_int ]
+
+let test_oracle_repeated_word () =
+  check_shape_against_oracle
+    [ "<a>x y x</a>"; "<a>x x</a>"; "<a>y x y</a>"; "<a>y</a>" ] ();
+  (* one posting per position, however often the word repeats there *)
+  let fti = Fti.create () in
+  Fti.index_version fti ~doc:0 ~version:0 (vnode "<a>x y x x</a>");
+  Alcotest.(check int) "x once" 1 (List.length (Fti.lookup fti "x"))
+
+let test_oracle_attr_name_is_text_word () =
+  check_shape_against_oracle
+    [ "<a k=\"v\">k</a>"; "<a k=\"w\">v</a>"; "<a>k</a>"; "<a k=\"k\">k k</a>";
+      "<k k=\"k\">k</k>"; "<k>k</k>" ] ();
+  (* attribute name and text word share one Word position; the element
+     name is a Tag at the same path, a position of its own *)
+  let fti = Fti.create () in
+  Fti.index_version fti ~doc:0 ~version:0 (vnode "<a k=\"v\">k</a>");
+  Alcotest.(check int) "k once" 1 (List.length (Fti.lookup fti "k"));
+  Fti.index_version fti ~doc:0 ~version:1 (vnode "<k k=\"v\">k</k>");
+  Alcotest.(check (list string)) "k as Word and as Tag"
+    [ "Wd0/1[0,∞)"; "Td0/1[1,∞)" ]
+    (shapes (Fti.lookup_h fti "k"))
+
+let test_oracle_moved_subtree () =
+  check_shape_against_oracle
+    [
+      "<r><a><x>deep <y>er</y></x></a><b/></r>";
+      "<r><a/><b><x>deep <y>er</y></x></b></r>";
+      "<r><x>deep <y>er</y></x><a/><b/></r>";
+    ]
+    ()
+
+let test_oracle_renamed_element () =
+  check_shape_against_oracle
+    [ "<r><a n=\"1\">t</a></r>"; "<r><b n=\"1\">t</b></r>";
+      "<r><a n=\"1\">t</a></r>" ]
+    ()
 
 let test_freeze_stats () =
   let fti = Fti.create ~segment_postings:2 () in
@@ -503,11 +722,23 @@ let () =
           Alcotest.test_case "freeze stats" `Quick test_freeze_stats;
           QCheck_alcotest.to_alcotest prop_frozen_equals_naive;
         ] );
+      ( "oracle",
+        [
+          Alcotest.test_case "repeated word" `Quick test_oracle_repeated_word;
+          Alcotest.test_case "attribute name = text word" `Quick
+            test_oracle_attr_name_is_text_word;
+          Alcotest.test_case "moved subtree" `Quick test_oracle_moved_subtree;
+          Alcotest.test_case "renamed element" `Quick
+            test_oracle_renamed_element;
+          QCheck_alcotest.to_alcotest prop_maintenance_matches_oracle;
+        ] );
       ( "delta_fti",
         [
           Alcotest.test_case "operation kinds" `Quick test_delta_fti_ops;
           Alcotest.test_case "deletions in doc" `Quick
             test_delta_fti_deletions_in_doc;
           QCheck_alcotest.to_alcotest prop_tokenizers_agree;
+          Alcotest.test_case "tokenizer separator runs" `Quick
+            test_tokenizer_separator_runs;
         ] );
     ]
