@@ -16,6 +16,8 @@
                                               # fail if the XML codec allocates more per byte
      dune exec bench/main.exe -- e23 --smoke --check-fti
                                               # fail if FTI maintenance allocates more per occurrence
+     dune exec bench/main.exe -- e24 --smoke --check-diff
+                                              # fail if the tree diff allocates more per node
      dune exec bench/main.exe -- e1 --trace out.jsonl   # span stream
 
    Each executed experiment also writes BENCH_<name>.json: every printed
@@ -2288,6 +2290,9 @@ let check_codec = ref false
 (* --check-fti turns E23 into a pass/fail gate (CI), see bench/e23.ml. *)
 let check_fti = ref false
 
+(* --check-diff turns E24 into a pass/fail gate (CI), see bench/e24.ml. *)
+let check_diff = ref false
+
 let experiments =
   [
     ("e1", e1); ("e2", e2); ("e3", e3); ("e4", e4); ("e5", e5); ("e6", e6);
@@ -2296,6 +2301,7 @@ let experiments =
     ("e17", e17); ("e18", e18); ("e19", e19); ("e20", e20); ("e21", e21);
     ("e22", fun () -> E22.run ~smoke:!smoke ~check:!check_codec);
     ("e23", fun () -> E23.run ~smoke:!smoke ~check:!check_fti);
+    ("e24", fun () -> E24.run ~smoke:!smoke ~check:!check_diff);
   ]
 
 let () =
@@ -2312,6 +2318,7 @@ let () =
   check_ship := List.mem "--check-ship" args;
   check_codec := List.mem "--check-codec" args;
   check_fti := List.mem "--check-fti" args;
+  check_diff := List.mem "--check-diff" args;
   (* --trace FILE: stream every root span of the whole run as JSON lines.
      E14 manages its own sinks and ends with tracing off, so combining it
      with --trace in one invocation truncates the stream there. *)

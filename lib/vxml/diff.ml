@@ -1,434 +1,432 @@
 let min_hash_match_size = 3
 
-(* Indexed copy of the new (plain XML) tree: every node gets an integer
-   index, a shallow shape, a structural hash and a size, so matching state
-   can live in arrays keyed by index. *)
-type shape =
-  | Selem of string * (string * string) list
-  | Stext of string
+(* Both trees are indexed once, hashes and sizes bottom-up.  All matching
+   and script state lives in mutable fields of these records, so a diff
+   allocates no table keyed by node or XID (DESIGN §20). *)
+type onode = {
+  v : Vnode.t;
+  okids : onode array;
+  mutable oparent : onode;
+  pos : int;  (* index among the old parent's children *)
+  mutable ohash : int;
+  mutable osize : int;
+  mutable partner : nnode;
+  mutable busy : bool;  (* a strict descendant was matched in phase A *)
+  mutable chain : onode;  (* next old node of the same hash bucket *)
+  (* Script state: [prev]/[next] link the children still standing in their
+     old parent's list; [trail] is the last node placed right after this
+     (kept) child, [front] the last node placed before this node's first
+     standing child. *)
+  mutable prev : onode;
+  mutable next : onode;
+  mutable kept : bool;
+  mutable trail : Xid.t option;
+  mutable front : Xid.t option;
+}
 
-type nnode = {
-  idx : int;
-  shape : shape;
-  kids : nnode list;
+and nnode = {
+  label : string;  (* tag, or text content *)
+  attrs : (string * string) list;  (* canonical order *)
+  is_text : bool;
+  nkids : nnode array;
   nhash : int;
   nsize : int;
+  mutable match_ : onode;
+  mutable exact : bool;  (* matched with its whole subtree in phase A *)
+  mutable has_match : bool;  (* unmatched, with a match below it *)
 }
 
-let index_new_tree xml =
-  let counter = ref 0 in
-  let combine h x = (h * 1_000_003) lxor x in
-  let hash_string h s = combine h (Hashtbl.hash s) in
-  let rec build node =
-    let idx = !counter in
-    incr counter;
-    match node with
-    | Txq_xml.Xml.Text content ->
-      { idx; shape = Stext content; kids = []; nhash = hash_string 7 content;
-        nsize = 1 }
-    | Txq_xml.Xml.Element e ->
-      let attrs =
-        Vnode.sort_attrs
-          (List.map
-             (fun { Txq_xml.Xml.attr_name; attr_value } -> (attr_name, attr_value))
-             e.attrs)
-      in
-      let kids = List.map build e.children in
-      let h = hash_string 11 e.tag in
-      let h =
-        List.fold_left (fun h (n, v) -> hash_string (hash_string h n) v) h attrs
-      in
-      let nhash = List.fold_left (fun h k -> combine h k.nhash) h kids in
-      let nsize = List.fold_left (fun acc k -> acc + k.nsize) 1 kids in
-      { idx; shape = Selem (e.tag, attrs); kids; nhash; nsize }
-  in
-  let root = build xml in
-  (root, !counter)
+let rec no_o =
+  { v = Vnode.Text { xid = Xid.of_int 0; content = "" }; okids = [||];
+    oparent = no_o; pos = 0; ohash = 0; osize = 0; partner = no_n;
+    busy = false; chain = no_o; prev = no_o; next = no_o; kept = false;
+    trail = None; front = None }
 
-(* Structural equality between an old subtree and a new subtree, guarding
-   hash-based matches against collisions. *)
-let rec equal_shape (v : Vnode.t) (n : nnode) =
-  match (v, n.shape) with
-  | Vnode.Text { content; _ }, Stext s -> String.equal content s
-  | Vnode.Elem e, Selem (tag, attrs) ->
-    String.equal e.tag tag
-    && Vnode.deep_equal
-         (Vnode.Elem { e with children = [] })
-         (Vnode.Elem { xid = e.xid; tag; attrs; children = [] })
-    && List.compare_lengths e.children n.kids = 0
-    && List.for_all2 equal_shape e.children n.kids
-  | Vnode.Text _, Selem _ | Vnode.Elem _, Stext _ -> false
+and no_n =
+  { label = ""; attrs = []; is_text = true; nkids = [||]; nhash = 0;
+    nsize = 0; match_ = no_o; exact = false; has_match = false }
 
-let shallow_key = function
-  | Stext _ -> "#text"
-  | Selem (tag, _) -> tag
+(* Same combiner as [Vnode.structural_hash]. *)
+let combine h x = (h * 1_000_003) lxor x
+let hash_string h s = combine h (Hashtbl.hash s)
+let hash_attrs h attrs =
+  List.fold_left (fun h (n, v) -> hash_string (hash_string h n) v) h attrs
 
-let vnode_key = function
-  | Vnode.Text _ -> "#text"
-  | Vnode.Elem e -> e.tag
+(* Phase A buckets: a fixed number of slots, each chaining its old nodes
+   in preorder through [chain]. *)
+let bucket_mask = 255
 
-(* Longest common subsequence over two arrays under a caller-supplied
-   equality; returns the matched index pairs, leftmost-first. *)
-let lcs ~equal a b =
-  let la = Array.length a and lb = Array.length b in
-  let table = Array.make_matrix (la + 1) (lb + 1) 0 in
-  for i = la - 1 downto 0 do
-    for j = lb - 1 downto 0 do
-      table.(i).(j) <-
-        (if equal a.(i) b.(j) then 1 + table.(i + 1).(j + 1)
-         else Stdlib.max table.(i + 1).(j) table.(i).(j + 1))
-    done
-  done;
-  let rec walk i j acc =
-    if i >= la || j >= lb then List.rev acc
-    else if equal a.(i) b.(j) && table.(i).(j) = 1 + table.(i + 1).(j + 1) then
-      walk (i + 1) (j + 1) ((i, j) :: acc)
-    else if table.(i + 1).(j) >= table.(i).(j + 1) then walk (i + 1) j acc
-    else walk i (j + 1) acc
-  in
-  walk 0 0 []
+let xid_of o = Vnode.xid o.v
 
-type matching = {
-  old_of_new : (int, Xid.t) Hashtbl.t;
-  new_of_old : int Xid.Table.t;
-  (* New indices whose whole subtree was matched exactly in phase A; their
-     descendants need no alignment. *)
-  exact : (int, unit) Hashtbl.t;
-}
+(* The kids are indexed right to left and each enters its bucket after its
+   descendants, so every chain lists its nodes in preorder.  The root
+   enters no bucket.  Old attributes are hashed and compared as stored:
+   the trees the store builds hold them in canonical order
+   ({!Vnode.sort_attrs}), and a subtree that does not takes no exact
+   match. *)
+let rec index_old buckets v ~pos =
+  match v with
+  | Vnode.Text { content; _ } ->
+    { no_o with v; pos; ohash = hash_string 7 content; osize = 1 }
+  | Vnode.Elem e ->
+    let okids = Array.make (List.length e.children) no_o in
+    let o = { no_o with v; pos; okids } in
+    index_old_kids buckets o 0 e.children;
+    o.ohash <-
+      Array.fold_left (fun h k -> combine h k.ohash)
+        (hash_attrs (hash_string 11 e.tag) e.attrs) o.okids;
+    o.osize <- Array.fold_left (fun s k -> s + k.osize) 1 o.okids;
+    o
 
-let match_subtrees m (v : Vnode.t) (n : nnode) =
-  let rec go v n =
-    Hashtbl.replace m.old_of_new n.idx (Vnode.xid v);
-    Xid.Table.replace m.new_of_old (Vnode.xid v) n.idx;
-    List.iter2 go (Vnode.children v) n.kids
-  in
-  go v n
-
-(* Phase A: exact-subtree matching by structural hash, new-tree pre-order,
-   largest-first by construction (a parent is visited before its children
-   and a match skips the whole subtree). *)
-let phase_exact m ~old_root ~new_root =
-  let by_hash = Hashtbl.create 256 in
-  let rec index_old v =
-    if (not (Xid.equal (Vnode.xid v) (Vnode.xid old_root)))
-       && Vnode.size v >= min_hash_match_size
-    then begin
-      let h = Vnode.structural_hash v in
-      let bucket = try Hashtbl.find by_hash h with Not_found -> [] in
-      Hashtbl.replace by_hash h (bucket @ [v])
+and index_old_kids buckets o i = function
+  | [] -> ()
+  | c :: rest ->
+    index_old_kids buckets o (i + 1) rest;
+    let k = index_old buckets c ~pos:i in
+    o.okids.(i) <- k;
+    k.oparent <- o;
+    if i + 1 < Array.length o.okids then begin
+      k.next <- o.okids.(i + 1);
+      o.okids.(i + 1).prev <- k
     end;
-    List.iter index_old (Vnode.children v)
-  in
-  index_old old_root;
-  let old_free v =
-    List.for_all
-      (fun x -> not (Xid.Table.mem m.new_of_old x))
-      (Vnode.xids v)
-  in
-  let rec visit n =
-    if n.idx <> new_root.idx && n.nsize >= min_hash_match_size
-       && not (Hashtbl.mem m.old_of_new n.idx)
-    then begin
-      let candidates = try Hashtbl.find by_hash n.nhash with Not_found -> [] in
-      match
-        List.find_opt (fun v -> old_free v && equal_shape v n) candidates
-      with
-      | Some v ->
-        match_subtrees m v n;
-        Hashtbl.replace m.exact n.idx ()
-      | None -> List.iter visit n.kids
+    if k.osize >= min_hash_match_size then begin
+      let b = k.ohash land bucket_mask in
+      k.chain <- buckets.(b);
+      buckets.(b) <- k
     end
-    else if not (Hashtbl.mem m.old_of_new n.idx) then List.iter visit n.kids
-  in
-  List.iter visit new_root.kids
+
+let rec index_new = function
+  | Txq_xml.Xml.Text content ->
+    { no_n with label = content; nhash = hash_string 7 content; nsize = 1 }
+  | Txq_xml.Xml.Element e ->
+    let attrs =
+      if e.attrs = [] then []
+      else
+        Vnode.sort_attrs
+          (List.map (fun a -> Txq_xml.Xml.(a.attr_name, a.attr_value)) e.attrs)
+    in
+    let nkids = Array.make (List.length e.children) no_n in
+    List.iteri (fun i c -> nkids.(i) <- index_new c) e.children;
+    { label = e.tag; attrs; is_text = false; nkids;
+      nhash =
+        Array.fold_left (fun h k -> combine h k.nhash)
+          (hash_attrs (hash_string 11 e.tag) attrs) nkids;
+      nsize = Array.fold_left (fun s k -> s + k.nsize) 1 nkids;
+      match_ = no_o; exact = false; has_match = false }
+
+let bind o n = o.partner <- n; n.match_ <- o
+
+let is_text o = match o.v with Vnode.Text _ -> true | Vnode.Elem _ -> false
+
+(* The shallow key the alignment compares: tag, or text-ness. *)
+let same_key o n =
+  match o.v with
+  | Vnode.Text _ -> n.is_text
+  | Vnode.Elem e -> (not n.is_text) && String.equal e.tag n.label
+
+let rec equal_shape o n =
+  match o.v with
+  | Vnode.Text { content; _ } -> n.is_text && String.equal content n.label
+  | Vnode.Elem e ->
+    (not n.is_text) && String.equal e.tag n.label
+    && List.equal
+         (fun (n1, v1) (n2, v2) -> String.equal n1 n2 && String.equal v1 v2)
+         e.attrs n.attrs
+    && Array.length o.okids = Array.length n.nkids
+    && equal_kids o.okids n.nkids 0
+
+and equal_kids a b i =
+  i = Array.length a || (equal_shape a.(i) b.(i) && equal_kids a b (i + 1))
+
+(* Phase A: exact-subtree matching by structural hash, new-tree preorder,
+   largest-first (a match skips the whole subtree).  A candidate must be
+   free: neither it nor a descendant matched yet.  Returns whether the
+   subtree holds a match, which is [has_match] for unmatched nodes. *)
+let rec candidate o n =
+  if o == no_o || n.nsize < min_hash_match_size then no_o
+  else if o.ohash = n.nhash && o.partner == no_n && (not o.busy)
+          && equal_shape o n
+  then o
+  else candidate o.chain n
+
+let rec match_subtrees o n =
+  bind o n;
+  Array.iter2 match_subtrees o.okids n.nkids
+
+let rec mark_busy p =
+  if p != no_o && not p.busy then begin
+    p.busy <- true;
+    mark_busy p.oparent
+  end
+
+let rec phase_exact buckets n =
+  let o = candidate buckets.(n.nhash land bucket_mask) n in
+  if o != no_o then begin
+    match_subtrees o n;
+    n.exact <- true;
+    mark_busy o.oparent;
+    true
+  end
+  else
+    let any = ref false in
+    for i = 0 to Array.length n.nkids - 1 do
+      if phase_exact buckets n.nkids.(i) then any := true
+    done;
+    n.has_match <- !any;
+    !any
+
+(* Alignment equality: two already-matched nodes are equal iff matched to
+   each other; two unmatched nodes iff their shallow keys agree. *)
+let aligned o n =
+  if o.partner != no_n then o.partner == n
+  else n.match_ == no_o && same_key o n
+
+(* Longest common subsequence of [a] and [b] under [aligned], binding its
+   pairs leftmost-first.  The walk pairs a common prefix without consulting
+   the table, so the table covers only what follows it. *)
+let rec bind_prefix a b i =
+  if i < Array.length a && i < Array.length b && aligned a.(i) b.(i) then begin
+    if a.(i).partner == no_n then bind a.(i) b.(i);
+    bind_prefix a b (i + 1)
+  end
+  else i
+
+let lcs_bind a b =
+  let from = bind_prefix a b 0 in
+  let la = Array.length a - from and lb = Array.length b - from in
+  if la > 0 && lb > 0 then begin
+    let table = Array.make_matrix (la + 1) (lb + 1) 0 in
+    for i = la - 1 downto 0 do
+      for j = lb - 1 downto 0 do
+        table.(i).(j) <-
+          (if aligned a.(from + i) b.(from + j) then 1 + table.(i + 1).(j + 1)
+           else Stdlib.max table.(i + 1).(j) table.(i).(j + 1))
+      done
+    done;
+    let rec walk i j =
+      if i < la && j < lb then
+        let o = a.(from + i) and n = b.(from + j) in
+        if aligned o n then begin
+          if o.partner == no_n then bind o n;
+          walk (i + 1) (j + 1)
+        end
+        else if table.(i + 1).(j) >= table.(i).(j + 1) then walk (i + 1) j
+        else walk i (j + 1)
+    in
+    walk 0 0
+  end
+
+let rec bind_in_order a b i j =
+  if i < Array.length a && j < Array.length b then
+    if a.(i).partner != no_n || is_text a.(i) then bind_in_order a b (i + 1) j
+    else if b.(j).match_ != no_o || b.(j).is_text then
+      bind_in_order a b i (j + 1)
+    else begin
+      bind a.(i) b.(j);
+      bind_in_order a b (i + 1) (j + 1)
+    end
 
 (* Phase B: top-down child alignment of matched pairs.  LCS pins the common
    order; a greedy same-key pass afterwards turns reorders into moves rather
-   than delete+insert pairs. *)
-let phase_align m ~old_root ~new_root =
-  (* old nodes by xid, for children lookup *)
-  let old_by_xid = Xid.Table.create 64 in
-  let rec index v =
-    Xid.Table.replace old_by_xid (Vnode.xid v) v;
-    List.iter index (Vnode.children v)
-  in
-  index old_root;
-  let queue = Queue.create () in
-  let enqueue oxid nidx = Queue.add (oxid, nidx) queue in
-  (* roots are force-matched *)
-  Hashtbl.replace m.old_of_new new_root.idx (Vnode.xid old_root);
-  Xid.Table.replace m.new_of_old (Vnode.xid old_root) new_root.idx;
-  enqueue (Vnode.xid old_root) new_root.idx;
-  let new_by_idx = Hashtbl.create 64 in
-  let rec index_new n =
-    Hashtbl.replace new_by_idx n.idx n;
-    List.iter index_new n.kids
-  in
-  index_new new_root;
-  while not (Queue.is_empty queue) do
-    let oxid, nidx = Queue.pop queue in
-    let n = Hashtbl.find new_by_idx nidx in
-    if not (Hashtbl.mem m.exact nidx) then begin
-      let o = Xid.Table.find old_by_xid oxid in
-      let old_kids = Array.of_list (Vnode.children o) in
-      let new_kids = Array.of_list n.kids in
-      (* Pair equality for the LCS: two already-matched nodes are equal iff
-         matched to each other; two unmatched nodes are equal iff their
-         shallow keys agree. *)
-      let equal ov nk =
-        let oid = Vnode.xid ov in
-        match (Xid.Table.find_opt m.new_of_old oid,
-               Hashtbl.find_opt m.old_of_new nk.idx) with
-        | Some i, _ -> i = nk.idx
-        | None, Some _ -> false
-        | None, None -> String.equal (vnode_key ov) (shallow_key nk.shape)
-      in
-      let pairs = lcs ~equal old_kids new_kids in
-      List.iter
-        (fun (i, j) ->
-          let ov = old_kids.(i) and nk = new_kids.(j) in
-          let oid = Vnode.xid ov in
-          if not (Xid.Table.mem m.new_of_old oid) then begin
-            Hashtbl.replace m.old_of_new nk.idx oid;
-            Xid.Table.replace m.new_of_old oid nk.idx;
-            enqueue oid nk.idx
-          end
-          else if Hashtbl.mem m.exact nk.idx then ()
-          else enqueue oid nk.idx)
-        pairs;
-      (* Greedy same-key matching of the leftovers (reorders). *)
-      let bind ov nk =
-        let oid = Vnode.xid ov in
-        Hashtbl.replace m.old_of_new nk.idx oid;
-        Xid.Table.replace m.new_of_old oid nk.idx;
-        enqueue oid nk.idx
-      in
-      Array.iter
-        (fun ov ->
-          let oid = Vnode.xid ov in
-          if not (Xid.Table.mem m.new_of_old oid) then
-            let key = vnode_key ov in
-            let candidate =
-              Array.to_list new_kids
-              |> List.find_opt (fun nk ->
-                     (not (Hashtbl.mem m.old_of_new nk.idx))
-                     && String.equal key (shallow_key nk.shape))
-            in
-            match candidate with
-            | Some nk -> bind ov nk
-            | None -> ())
-        old_kids;
-      (* Positional fallback: pair leftover old elements with leftover new
-         elements in order, so a renamed element keeps its identity (one
-         Rename op) instead of becoming a delete+insert pair. *)
-      let leftover_old =
-        Array.to_list old_kids
-        |> List.filter (fun ov ->
-               (match ov with Vnode.Elem _ -> true | Vnode.Text _ -> false)
-               && not (Xid.Table.mem m.new_of_old (Vnode.xid ov)))
-      in
-      let leftover_new =
-        Array.to_list new_kids
-        |> List.filter (fun nk ->
-               (match nk.shape with Selem _ -> true | Stext _ -> false)
-               && not (Hashtbl.mem m.old_of_new nk.idx))
-      in
-      let rec pair_up olds news =
-        match (olds, news) with
-        | ov :: olds', nk :: news' ->
-          bind ov nk;
-          pair_up olds' news'
-        | _, [] | [], _ -> ()
-      in
-      pair_up leftover_old leftover_new
-    end
+   than delete+insert pairs; a positional pass pairs leftover elements so a
+   renamed one keeps its identity (one Rename, not a delete+insert pair).
+   Only the pair's own children change state, so the descent order is
+   free. *)
+let rec phase_align o n =
+  let a = o.okids and b = n.nkids in
+  lcs_bind a b;
+  for i = 0 to Array.length a - 1 do
+    let o = a.(i) in
+    if o.partner == no_n then
+      Option.iter (bind o)
+        (Array.find_opt (fun n -> n.match_ == no_o && same_key o n) b)
+  done;
+  bind_in_order a b 0 0;
+  for j = 0 to Array.length b - 1 do
+    let n = b.(j) in
+    if n.match_ != no_o && not n.exact then phase_align n.match_ n
   done
 
-(* Phase C: script generation against a working copy of the old version. *)
-let phase_script m ~gen ~old_tree ~new_root =
-  let work = Xidmap.of_vnode old_tree in
+(* Phase C: the script, generated in one new-tree preorder walk.  Among the
+   children a matched parent keeps from its old version, the longest run
+   in old order (an LIS of old positions) stays in place; every other
+   matched child is moved, every unmatched one inserted, each right after
+   its new left sibling.  Old child lists are tracked only through the
+   [prev]/[next]/[trail]/[front] fields, which is all a Move or Delete
+   needs to name its current left sibling. *)
+
+(* Current left sibling of a node still standing in its old parent. *)
+let left o =
+  if o.prev == no_o then o.oparent.front
+  else match o.prev.trail with None -> Some (xid_of o.prev) | t -> t
+
+let unlink o =
+  if o.prev != no_o then o.prev.next <- o.next;
+  if o.next != no_o then o.next.prev <- o.prev
+
+(* Records a node placed into [owner]'s list right after [anchor] (the
+   last kept child so far, [no_o] before the first) or after the nodes
+   placed there already; [no_o] owners are inserted nodes. *)
+let landed ~owner ~anchor xid =
+  if owner != no_o then
+    if anchor == no_o then owner.front <- Some xid else anchor.trail <- Some xid
+
+let stays owner k = k.match_ != no_o && k.match_.oparent == owner
+
+(* Marks [kept] the children of [owner]'s new partner that stay in place:
+   a longest run of them in old order, by patience sorting their old
+   positions ([tails.(l)] ends the best run of length [l + 1] so far,
+   [pred] links each child to the one before it in its run). *)
+let mark_kept owner kids =
+  let c = Array.length kids in
+  let tails = Array.make c 0 and pred = Array.make c (-1) and len = ref 0 in
+  for i = 0 to c - 1 do
+    if stays owner kids.(i) then begin
+      let lo = ref 0 and hi = ref !len in
+      while !lo < !hi do
+        let mid = (!lo + !hi) / 2 in
+        if kids.(tails.(mid)).match_.pos < kids.(i).match_.pos then
+          lo := mid + 1
+        else hi := mid
+      done;
+      if !lo > 0 then pred.(i) <- tails.(!lo - 1);
+      tails.(!lo) <- i;
+      if !lo = !len then incr len
+    end
+  done;
+  let i = ref (if !len > 0 then tails.(!len - 1) else -1) in
+  while !i >= 0 do
+    kids.(!i).match_.kept <- true;
+    i := pred.(!i)
+  done
+
+let phase_script ~gen ~old_root ~new_root =
   let ops = ref [] in
-  let emit op =
-    Delta.apply_op work op;
-    ops := op :: !ops
+  let emit op = ops := op :: !ops in
+  let reconcile o n =
+    let xid = xid_of o in
+    match o.v with
+    | Vnode.Text { content = old_text; _ } ->
+      if not (String.equal old_text n.label) then
+        emit (Delta.Update { xid; old_text; new_text = n.label })
+    | Vnode.Elem { tag = old_tag; attrs = old_attrs; _ } ->
+      if not (String.equal old_tag n.label) then
+        emit (Delta.Rename { xid; old_tag; new_tag = n.label });
+      if old_attrs != [] || n.attrs != [] then begin
+        let set name old_value new_value =
+          emit (Delta.Set_attr { xid; name; old_value; new_value })
+        in
+        List.iter
+          (fun (name, v) ->
+            match List.assoc_opt name n.attrs with
+            | Some v' when String.equal v v' -> ()
+            | new_value -> set name (Some v) new_value)
+          old_attrs;
+        List.iter
+          (fun (name, v) ->
+            if not (List.mem_assoc name old_attrs) then set name None (Some v))
+          n.attrs
+      end
   in
-  (* has_match.(idx): the new subtree contains at least one matched node. *)
-  let has_match = Hashtbl.create 64 in
-  let rec compute n =
-    let own = Hashtbl.mem m.old_of_new n.idx in
-    let any = List.fold_left (fun acc k -> compute k || acc) own n.kids in
-    Hashtbl.replace has_match n.idx any;
-    any
+  let node n xid children =
+    if n.is_text then Vnode.Text { xid; content = n.label }
+    else Vnode.Elem { xid; tag = n.label; attrs = n.attrs; children }
   in
-  ignore (compute new_root);
   let rec fresh_tree n =
     let xid = Xid.Gen.next gen in
-    match n.shape with
-    | Stext content -> Vnode.Text { xid; content }
-    | Selem (tag, attrs) ->
-      Vnode.Elem { xid; tag; attrs; children = List.map fresh_tree n.kids }
+    node n xid (List.map fresh_tree (Array.to_list n.nkids))
   in
-  let reconcile_shape oxid (n : nnode) =
-    match (n.shape, Xidmap.content work oxid) with
-    | Stext new_text, Xidmap.Text old_text ->
-      if not (String.equal old_text new_text) then
-        emit (Delta.Update { xid = oxid; old_text; new_text })
-    | Selem (new_tag, new_attrs), Xidmap.Element { tag = old_tag; attrs = old_attrs }
-      ->
-      if not (String.equal old_tag new_tag) then
-        emit (Delta.Rename { xid = oxid; old_tag; new_tag });
-      List.iter
-        (fun (name, old_value) ->
-          match List.assoc_opt name new_attrs with
-          | None ->
-            emit
-              (Delta.Set_attr
-                 { xid = oxid; name; old_value = Some old_value; new_value = None })
-          | Some v when not (String.equal v old_value) ->
-            emit
-              (Delta.Set_attr
-                 {
-                   xid = oxid;
-                   name;
-                   old_value = Some old_value;
-                   new_value = Some v;
-                 })
-          | Some _ -> ())
-        old_attrs;
-      List.iter
-        (fun (name, new_value) ->
-          if not (List.mem_assoc name old_attrs) then
-            emit
-              (Delta.Set_attr
-                 { xid = oxid; name; old_value = None; new_value = Some new_value }))
-        new_attrs
-    | Stext _, Xidmap.Element _ | Selem _, Xidmap.Text _ ->
-      (* Shallow keys agree for every matched pair, so kinds agree. *)
-      assert false
-  in
-  let opt_xid_equal a b =
-    match (a, b) with
-    | None, None -> true
-    | Some x, Some y -> Xid.equal x y
-    | None, Some _ | Some _, None -> false
-  in
-  let rec realize (n : nnode) ~parent ~after : Xid.t * Vnode.t =
-    match Hashtbl.find_opt m.old_of_new n.idx with
-    | Some oxid ->
-      reconcile_shape oxid n;
-      let cur_parent = Xidmap.parent work oxid in
-      let cur_left = Xidmap.left_sibling work oxid in
-      (if (not (opt_xid_equal cur_parent (Some parent)))
-          || not (opt_xid_equal cur_left after)
-       then
-         match cur_parent with
-         | Some old_parent ->
-           emit
-             (Delta.Move
-                {
-                  xid = oxid;
-                  old_parent;
-                  old_after = cur_left;
-                  new_parent = parent;
-                  new_after = after;
-                })
-         | None -> assert false (* only the root has no parent; never moved *));
-      let kids = realize_children n oxid in
-      let v =
-        match n.shape with
-        | Stext content -> Vnode.Text { xid = oxid; content }
-        | Selem (tag, attrs) -> Vnode.Elem { xid = oxid; tag; attrs; children = kids }
-      in
-      (oxid, v)
-    | None ->
-      if not (Hashtbl.find has_match n.idx) then begin
-        (* Clean insert: the whole new subtree is fresh. *)
-        let tree = fresh_tree n in
-        emit (Delta.Insert { parent; after; tree });
-        (Vnode.xid tree, tree)
-      end
-      else begin
-        (* The subtree contains matched nodes that must be moved in; insert
-           this node alone, then realize children under it. *)
-        let xid = Xid.Gen.next gen in
-        let single =
-          match n.shape with
-          | Stext content -> Vnode.Text { xid; content }
-          | Selem (tag, attrs) -> Vnode.Elem { xid; tag; attrs; children = [] }
-        in
-        emit (Delta.Insert { parent; after; tree = single });
-        let kids = realize_children n xid in
-        let v =
-          match n.shape with
-          | Stext content -> Vnode.Text { xid; content }
-          | Selem (tag, attrs) -> Vnode.Elem { xid; tag; attrs; children = kids }
-        in
-        (xid, v)
-      end
-  and realize_children (n : nnode) parent =
-    let _, rev_kids =
-      List.fold_left
-        (fun (after, acc) kid ->
-          let kid_xid, v = realize kid ~parent ~after in
-          (Some kid_xid, v :: acc))
-        (None, []) n.kids
-    in
-    List.rev rev_kids
-  in
-  (* Root: fix shape in place, realize children. *)
-  let root_xid = Vnode.xid old_tree in
-  reconcile_shape root_xid new_root;
-  let root_kids = realize_children new_root root_xid in
-  let new_version =
-    match new_root.shape with
-    | Stext content -> Vnode.Text { xid = root_xid; content }
-    | Selem (tag, attrs) ->
-      Vnode.Elem { xid = root_xid; tag; attrs; children = root_kids }
-  in
-  (* Deletes: every old node with no match, removed as maximal subtrees.
-     After the walk, matched nodes sit under realized parents, so unmatched
-     subtrees contain only unmatched nodes. *)
-  let unmatched =
-    List.filter
-      (fun x -> not (Xid.Table.mem m.new_of_old x))
-      (Vnode.xids old_tree)
-  in
-  let rec delete_maximal x =
-    if Xidmap.mem work x then begin
-      match Xidmap.parent work x with
-      | None -> assert false (* root is always matched *)
-      | Some parent ->
-        if Xid.Table.mem m.new_of_old parent then begin
-          let after = Xidmap.left_sibling work x in
-          let tree = Xidmap.subtree work x in
-          emit (Delta.Delete { parent; after; tree })
-        end
-        else
-          (* Parent is itself unmatched; delete it first. *)
-          delete_maximal parent
+  (* [realize n ~parent ~after ~owner ~anchor] is the new version of
+     [n]'s subtree; unless kept, [n] lands under [parent] after [after],
+     recorded before its children are realized. *)
+  let rec realize n ~parent ~after ~owner ~anchor =
+    let o = n.match_ in
+    if o != no_o then begin
+      if not n.exact then reconcile o n;
+      let xid = xid_of o in
+      if not o.kept then begin
+        emit
+          (Delta.Move
+             { xid; old_parent = xid_of o.oparent; old_after = left o;
+               new_parent = parent; new_after = after });
+        unlink o;
+        landed ~owner ~anchor xid
+      end;
+      if n.exact then o.v else node n xid (realize_kids n xid o)
     end
+    else if not n.has_match then begin
+      let tree = fresh_tree n in
+      emit (Delta.Insert { parent; after; tree });
+      landed ~owner ~anchor (Vnode.xid tree);
+      tree
+    end
+    else begin
+      (* The subtree holds matched nodes that must be moved in: insert
+         this node alone, then realize its children under it. *)
+      let xid = Xid.Gen.next gen in
+      emit (Delta.Insert { parent; after; tree = node n xid [] });
+      landed ~owner ~anchor xid;
+      node n xid (realize_kids n xid no_o)
+    end
+  (* [owner] is the old node whose list the children land in. *)
+  and realize_kids n parent owner =
+    if owner != no_o then mark_kept owner n.nkids;
+    realize_from n parent owner 0 ~after:None ~anchor:no_o
+  and realize_from n parent owner i ~after ~anchor =
+    if i = Array.length n.nkids then []
+    else
+      let k = n.nkids.(i) in
+      let v = realize k ~parent ~after ~owner ~anchor in
+      let after = Some (Vnode.xid v) in
+      let anchor = if k.match_ != no_o && k.match_.kept then k.match_ else anchor in
+      v :: realize_from n parent owner (i + 1) ~after ~anchor
   in
-  List.iter delete_maximal unmatched;
-  (List.rev !ops, new_version, work)
+  reconcile old_root new_root;
+  let root_xid = xid_of old_root in
+  let new_version =
+    node new_root root_xid (realize_kids new_root root_xid old_root)
+  in
+  (* Deletes: every unmatched old node whose parent is matched, with what is
+     left of its subtree (its matched descendants have moved out), in one
+     preorder walk. *)
+  let rec remains o =
+    match o.v with
+    | Vnode.Text _ -> o.v
+    | Vnode.Elem e ->
+      let kids = List.filter (fun k -> k.partner == no_n) (Array.to_list o.okids) in
+      Vnode.Elem { e with children = List.map remains kids }
+  in
+  (* [gone]: [o] itself was deleted.  Exact matches hold no unmatched node. *)
+  let rec sweep ~gone o =
+    for i = 0 to Array.length o.okids - 1 do
+      let k = o.okids.(i) in
+      if k.partner != no_n then (if not k.partner.exact then sweep ~gone:false k)
+      else begin
+        if not gone then begin
+          let tree = remains k in
+          emit (Delta.Delete { parent = xid_of o; after = left k; tree });
+          unlink k
+        end;
+        sweep ~gone:true k
+      end
+    done
+  in
+  sweep ~gone:false old_root;
+  (List.rev !ops, new_version)
 
 let diff ~gen ~old_tree ~new_tree =
-  (match new_tree with
-   | Txq_xml.Xml.Text _ -> invalid_arg "Diff.diff: new document root is a text node"
-   | Txq_xml.Xml.Element _ -> ());
-  let new_root, _count = index_new_tree new_tree in
-  let m =
-    {
-      old_of_new = Hashtbl.create 256;
-      new_of_old = Xid.Table.create 256;
-      exact = Hashtbl.create 64;
-    }
-  in
-  (* Roots are matched up front so phase A cannot capture either root. *)
-  Hashtbl.replace m.old_of_new new_root.idx (Vnode.xid old_tree);
-  Xid.Table.replace m.new_of_old (Vnode.xid old_tree) new_root.idx;
-  phase_exact m ~old_root:old_tree ~new_root;
-  phase_align m ~old_root:old_tree ~new_root;
-  let ops, new_version, _work = phase_script m ~gen ~old_tree ~new_root in
+  (match (old_tree, new_tree) with
+   | Vnode.Text _, _ | _, Txq_xml.Xml.Text _ ->
+     invalid_arg "Diff.diff: a document root is a text node"
+   | Vnode.Elem _, Txq_xml.Xml.Element _ -> ());
+  let buckets = Array.make (bucket_mask + 1) no_o in
+  let old_root = index_old buckets old_tree ~pos:0 in
+  let new_root = index_new new_tree in
+  (* Roots are matched up front, so phase A cannot capture either root. *)
+  bind old_root new_root;
+  Array.iter (fun n -> ignore (phase_exact buckets n)) new_root.nkids;
+  phase_align old_root new_root;
+  let ops, new_version = phase_script ~gen ~old_root ~new_root in
   (Delta.make ~from_version:0 ~to_version:1 ops, new_version)
 
 let diff_vnodes ~gen old_tree new_vnode =

@@ -168,6 +168,82 @@ let arb_history ~max_versions =
       String.concat "\n---\n" (List.map Txq_xml.Print.to_string (d :: vs)))
     (gen_history ~max_versions)
 
+(* --- moved and copied subtrees ------------------------------------------ *)
+
+(* Moves a random subtree under a random element, or copies it there: the
+   edits [mutate_once] never makes, which give the diff's hash matching
+   subtrees that left their parent and twins of subtrees it already
+   matched. *)
+let transplant doc st =
+  let open QCheck.Gen in
+  let n = count_nodes doc in
+  if n < 2 then doc
+  else
+    let src = int_range 1 (n - 1) st and copy = bool st in
+    let counter = ref (-1) in
+    let picked = ref None in
+    (* [doc] without node [src] (kept when copying); [picked] gets it *)
+    let rec cut node =
+      incr counter;
+      if !counter = src then begin
+        picked := Some node;
+        if copy then Some node else None
+      end
+      else
+        match node with
+        | Xml.Text _ -> Some node
+        | Xml.Element e ->
+          Some (Xml.Element { e with children = List.filter_map cut e.children })
+    in
+    match (cut doc, !picked) with
+    | Some rest, Some sub ->
+      let elements =
+        let k = ref 0 in
+        let rec count = function
+          | Xml.Text _ -> ()
+          | Xml.Element e -> incr k; List.iter count e.children
+        in
+        count rest;
+        !k
+      in
+      let target = int_range 0 (elements - 1) st in
+      let k = ref (-1) in
+      let rec paste = function
+        | Xml.Text _ as t -> t
+        | Xml.Element e ->
+          incr k;
+          let here = !k = target in
+          let children = List.map paste e.children in
+          if here then begin
+            let pos = int_range 0 (List.length children) st in
+            Xml.Element
+              { e with
+                children =
+                  List.filteri (fun i _ -> i < pos) children
+                  @ [ sub ]
+                  @ List.filteri (fun i _ -> i >= pos) children }
+          end
+          else Xml.Element { e with children }
+      in
+      Xml.normalize (paste rest)
+    | _ -> doc
+
+(* A history whose steps mix local edits with moved and copied subtrees. *)
+let arb_transplant_history ~max_versions =
+  QCheck.make
+    ~print:(fun (d, vs) ->
+      String.concat "\n---\n" (List.map Txq_xml.Print.to_string (d :: vs)))
+    QCheck.Gen.(
+      gen_doc >>= fun doc ->
+      int_range 1 max_versions >>= fun n st ->
+      let rec build acc prev k =
+        if k = 0 then List.rev acc
+        else
+          let next = transplant (mutate ~rounds:(int_range 0 2 st) prev st) st in
+          build (next :: acc) next (k - 1)
+      in
+      (doc, build [] doc n))
+
 (* --- markup-significant content ---------------------------------------- *)
 
 (* Texts and attribute values built from the bytes the printer escapes and
