@@ -18,6 +18,8 @@
                                               # fail if FTI maintenance allocates more per occurrence
      dune exec bench/main.exe -- e24 --smoke --check-diff
                                               # fail if the tree diff allocates more per node
+     dune exec bench/main.exe -- e25 --smoke --check-delta-cache
+                                              # fail unless a warm history read decodes no delta
      dune exec bench/main.exe -- e1 --trace out.jsonl   # span stream
 
    Each executed experiment also writes BENCH_<name>.json: every printed
@@ -2293,6 +2295,10 @@ let check_fti = ref false
 (* --check-diff turns E24 into a pass/fail gate (CI), see bench/e24.ml. *)
 let check_diff = ref false
 
+(* --check-delta-cache turns E25 into a pass/fail gate (CI), see
+   bench/e25.ml. *)
+let check_delta_cache = ref false
+
 let experiments =
   [
     ("e1", e1); ("e2", e2); ("e3", e3); ("e4", e4); ("e5", e5); ("e6", e6);
@@ -2302,6 +2308,7 @@ let experiments =
     ("e22", fun () -> E22.run ~smoke:!smoke ~check:!check_codec);
     ("e23", fun () -> E23.run ~smoke:!smoke ~check:!check_fti);
     ("e24", fun () -> E24.run ~smoke:!smoke ~check:!check_diff);
+    ("e25", fun () -> E25.run ~smoke:!smoke ~check:!check_delta_cache);
   ]
 
 let () =
@@ -2319,6 +2326,7 @@ let () =
   check_codec := List.mem "--check-codec" args;
   check_fti := List.mem "--check-fti" args;
   check_diff := List.mem "--check-diff" args;
+  check_delta_cache := List.mem "--check-delta-cache" args;
   (* --trace FILE: stream every root span of the whole run as JSON lines.
      E14 manages its own sinks and ends with tracing off, so combining it
      with --trace in one invocation truncates the stream there. *)

@@ -39,9 +39,11 @@ type t = {
       (** Delta/version blob placement (Section 7.2's clustering remark). *)
   buffer_pool_pages : int;
   version_cache_bytes : int;
-      (** Byte budget of the LRU version cache holding materialized
-          [(doc, version)] trees; residents also serve as anchors for
-          incremental reconstruction.  0 disables the cache entirely,
+      (** Byte budget of the LRU version cache, shared by materialized
+          [(doc, version)] trees and decoded completed deltas under one
+          recency order; tree residents also serve as anchors for
+          incremental reconstruction, delta residents spare history reads
+          the blob fetch and decode.  0 disables the cache entirely,
           reproducing uncached IO behavior exactly. *)
   document_time_path : string option;
       (** Location path of the {e document time} embedded in content —

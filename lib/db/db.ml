@@ -651,6 +651,21 @@ let count_reconstruction t ~versions ~deltas =
   io.Txq_store.Io_stats.deltas_applied <-
     io.Txq_store.Io_stats.deltas_applied + deltas
 
+(* The delta leading to version [v] of [d], through the version cache: a
+   miss reads and decodes the stored blob and makes the delta resident.
+   Callers bounds-check [v] first — the cache cannot tell a vacuumed or
+   not-yet-visible version from a retained one. *)
+let cached_delta t doc_id d v =
+  match Vcache.find_delta t.vcache doc_id v with
+  | Some delta ->
+    Trace.add_count "delta_cache_hits" 1;
+    delta
+  | None ->
+    Trace.add_count "delta_cache_misses" 1;
+    let delta = Docstore.read_delta d v in
+    Vcache.put_delta t.vcache doc_id v delta;
+    delta
+
 let reconstruct t doc_id version =
   Trace.with_span "db.reconstruct" (fun () ->
       match cache_find t doc_id version with
@@ -658,7 +673,10 @@ let reconstruct t doc_id version =
       | None ->
         let d = doc t doc_id in
         let cached = Vcache.nearest t.vcache doc_id version in
-        let tree, cost = Docstore.reconstruct ?cached d version in
+        let tree, cost =
+          Docstore.reconstruct ?cached ~read_delta:(cached_delta t doc_id d) d
+            version
+        in
         count_reconstruction t ~versions:1 ~deltas:cost.Docstore.deltas_applied;
         Vcache.put t.vcache doc_id version tree;
         tree)
@@ -693,12 +711,17 @@ let reconstruct_range t doc_id ~lo ~hi =
         Vcache.put t.vcache doc_id v tree;
         out := (v, tree) :: !out
       in
-      let deltas = Docstore.reconstruct_range ?cached d ~lo ~hi ~f:emit in
+      let deltas =
+        Docstore.reconstruct_range ?cached ~read_delta:(cached_delta t doc_id d)
+          d ~lo ~hi ~f:emit
+      in
       count_reconstruction t ~versions:(hi - lo + 1) ~deltas;
       List.sort (fun (a, _) (b, _) -> Int.compare b a) !out
 
 let read_delta t doc_id v =
-  let delta = Docstore.read_delta (doc t doc_id) v in
+  let d = doc t doc_id in
+  Docstore.check_delta d v;
+  let delta = cached_delta t doc_id d v in
   t.stats.deltas_read <- t.stats.deltas_read + 1;
   delta
 
@@ -1633,6 +1656,8 @@ let reset_io t =
 let flush_cache t =
   Txq_store.Buffer_pool.flush t.pool;
   Vcache.clear t.vcache
+
+let version_cache_for_tests t = t.vcache
 
 let live_pages t = Txq_store.Blob_store.live_pages t.blobs
 let blobs t = t.blobs

@@ -127,7 +127,8 @@ val reconstruct : t -> Txq_vxml.Eid.doc_id -> int -> Txq_vxml.Vnode.t
 (** Materializes one version.  Served from the version cache on a hit;
     on a miss the nearest cached version competes with the stored current
     version and snapshots as the reconstruction anchor, so only the deltas
-    between the nearest anchor and the target are applied.  All blob reads
+    between the nearest anchor and the target are applied, each served
+    from the delta residents of the cache when possible.  All blob reads
     are IO-accounted; [stats] and [io_stats] count the deltas applied. *)
 
 val reconstruct_range :
@@ -144,9 +145,11 @@ val reconstruct_at :
   (int * Txq_vxml.Vnode.t) option
 
 val read_delta : t -> Txq_vxml.Eid.doc_id -> int -> Txq_vxml.Delta.t
-(** Reads one completed delta from the store (IO- and stats-accounted);
-    used by operators that work directly on deltas (CreTime traversal,
-    history sweeps). *)
+(** One completed delta (stats-accounted); used by operators that work
+    directly on deltas (CreTime traversal, history sweeps).  Served from
+    the version cache when resident; a miss reads and decodes the stored
+    blob (IO-accounted) and makes it resident.  Raises [Invalid_argument]
+    as {!Docstore.check_delta}. *)
 
 (** {1 Index access (for the query operators)} *)
 
@@ -353,3 +356,7 @@ val set_dtime_count_for_tests : t -> seconds:int -> int -> unit
 (** Pre-loads the document-time index's per-second row counter, so the
     2^20-rows-per-second overflow boundary is testable without a million
     B+-tree inserts.  Tests only. *)
+
+val version_cache_for_tests : t -> Vcache.t
+(** The version cache shared by the handle and its snapshots, so tests can
+    inspect which trees and deltas are resident.  Tests only. *)

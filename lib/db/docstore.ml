@@ -93,7 +93,9 @@ let restore ~blobs ~doc_id ~url ~ts ?doc_time ?current ~current_blob
 let create ~blobs ~doc_id ~url ~ts ~snapshot ?doc_time xml =
   check_ingest xml;
   let current = Vnode.of_xml (Txq_vxml.Xid.Gen.create ()) (Xml.normalize xml) in
-  let put () = Blob_store.put blobs ~cluster:doc_id (Codec.encode current) in
+  (* encode once: a snapshot blob holds the same bytes as the current one *)
+  let encoded = Codec.encode current in
+  let put () = Blob_store.put blobs ~cluster:doc_id encoded in
   let current_blob = put () in
   let snapshot_blob = if snapshot then Some (put ()) else None in
   restore ~blobs ~doc_id ~url ~ts ?doc_time ~current ~current_blob ~snapshot_blob ()
@@ -181,8 +183,10 @@ let commit ?on_durable ?free t ~ts ~snapshot ?doc_time xml =
      particular its still-allocated current blob — remains fully intact, so
      an interrupted commit leaves only unreachable pages behind. *)
   let delta_blob = Blob_store.put t.blobs ~cluster:t.doc_id (Delta.encode delta) in
-  let new_current_blob = put_version_blob t new_current in
-  let ve_snapshot = if snapshot then Some (put_version_blob t new_current) else None in
+  let encoded = Codec.encode new_current in
+  let put () = Blob_store.put t.blobs ~cluster:t.doc_id encoded in
+  let new_current_blob = put () in
+  let ve_snapshot = if snapshot then Some (put ()) else None in
   (* Commit point: all blobs durable.  The journal hook runs here; if it
      raises (a crash), no in-memory structure has changed yet. *)
   (match on_durable with
@@ -280,9 +284,12 @@ let snapshot_versions t =
   done;
   List.rev !out
 
-let read_delta_bytes t v =
+let check_delta t v =
   if v <= t.base || v >= version_count t then
-    invalid_arg (Printf.sprintf "Docstore.read_delta: no delta for version %d" v);
+    invalid_arg (Printf.sprintf "Docstore.read_delta: no delta for version %d" v)
+
+let read_delta_bytes t v =
+  check_delta t v;
   match (entry t v).ve_delta with
   | Some blob -> Blob_store.get t.blobs blob
   | None -> assert false
@@ -342,10 +349,14 @@ let anchor_kind t anchor_v = function
   | `Tree _ -> if anchor_v = version_count t - 1 then `Current else `Cached
   | `Blob _ -> if anchor_v = version_count t - 1 then `Current else `Snapshot
 
-let reconstruct ?cached t v =
+(* The caller's delta source, or the blob store. *)
+let delta_reader t = function Some read -> read | None -> read_delta t
+
+let reconstruct ?cached ?read_delta t v =
   let n = version_count t in
   if v < t.base || v >= n then
     invalid_arg (Printf.sprintf "Docstore.reconstruct: no version %d" v);
+  let read_delta = delta_reader t read_delta in
   Trace.with_span "docstore.reconstruct" @@ fun () ->
   let anchor_v, anchor = pick_anchor ?cached t ~lo:v ~hi:v in
   let tree = anchor_tree t anchor in
@@ -364,12 +375,12 @@ let reconstruct ?cached t v =
     if anchor_v > v then
       (* walk backward: most recent deltas first (Section 7.3.3) *)
       for i = anchor_v downto v + 1 do
-        Delta.apply_backward map (read_delta t i);
+        Delta.apply_backward map (read_delta i);
         incr deltas_applied
       done
     else
       for i = anchor_v + 1 to v do
-        Delta.apply_forward map (read_delta t i);
+        Delta.apply_forward map (read_delta i);
         incr deltas_applied
       done;
     Trace.add_count "deltas_applied" !deltas_applied;
@@ -381,11 +392,12 @@ let reconstruct ?cached t v =
       } )
   end
 
-let reconstruct_range ?cached t ~lo ~hi ~f =
+let reconstruct_range ?cached ?read_delta t ~lo ~hi ~f =
   let n = version_count t in
   if lo < t.base || hi >= n || lo > hi then
     invalid_arg
       (Printf.sprintf "Docstore.reconstruct_range: bad range [%d, %d]" lo hi);
+  let read_delta = delta_reader t read_delta in
   Trace.with_span "docstore.reconstruct_range" @@ fun () ->
   let anchor_v, anchor = pick_anchor ?cached t ~lo ~hi in
   let tree = anchor_tree t anchor in
@@ -394,14 +406,14 @@ let reconstruct_range ?cached t ~lo ~hi ~f =
      as soon as the walk reaches it. *)
   let backward_to map from down_to =
     for i = from downto down_to + 1 do
-      Delta.apply_backward map (read_delta t i);
+      Delta.apply_backward map (read_delta i);
       incr deltas_applied;
       if i - 1 <= hi then f (i - 1) (Xidmap.to_vnode map)
     done
   in
   let forward_to map from up_to =
     for i = from + 1 to up_to do
-      Delta.apply_forward map (read_delta t i);
+      Delta.apply_forward map (read_delta i);
       incr deltas_applied;
       if i >= lo then f i (Xidmap.to_vnode map)
     done

@@ -133,32 +133,40 @@ val doc_time_of_version : t -> int -> Txq_temporal.Timestamp.t option
 
 val snapshot_versions : t -> int list
 
+val check_delta : t -> int -> unit
+(** Raises [Invalid_argument] unless a delta leading to the given version
+    is retained and visible through this handle: the version lies above
+    {!first_version} and below {!version_count}. *)
+
 val read_delta : t -> int -> Txq_vxml.Delta.t
-(** Reads and decodes the delta leading to the given version (>= 1) from the
-    blob store (IO accounted).  Raises [Invalid_argument] for version 0. *)
+(** Reads and decodes the delta leading to the given version from the blob
+    store (IO accounted).  Raises as {!check_delta}. *)
 
 val read_delta_bytes : t -> int -> string
 (** The stored form of that delta, undecoded: the XML document
     {!Txq_vxml.Delta.encode} wrote (IO accounted). *)
 
 val reconstruct :
-  ?cached:int * Txq_vxml.Vnode.t -> t -> int ->
-  Txq_vxml.Vnode.t * reconstruct_cost
+  ?cached:int * Txq_vxml.Vnode.t -> ?read_delta:(int -> Txq_vxml.Delta.t) ->
+  t -> int -> Txq_vxml.Vnode.t * reconstruct_cost
 (** Materializes the given version, choosing the cheapest anchor among the
     stored current version, any snapshots, and an optional already-
     materialized [cached] version supplied by the caller, applying completed
     deltas backward or forward (Section 7.3.3).  A cached anchor wins cost
-    ties — it needs no blob read.  All blob reads are accounted. *)
+    ties — it needs no blob read.  Each delta comes from [read_delta] (the
+    database passes its delta cache; only versions inside the retained
+    chain are asked for), by default {!read_delta} on the blob store.  All
+    blob reads are accounted. *)
 
 val reconstruct_range :
-  ?cached:int * Txq_vxml.Vnode.t ->
+  ?cached:int * Txq_vxml.Vnode.t -> ?read_delta:(int -> Txq_vxml.Delta.t) ->
   t -> lo:int -> hi:int -> f:(int -> Txq_vxml.Vnode.t -> unit) -> int
 (** Materializes {e every} version in [\[lo, hi\]] in a single sweep — one
     delta application per step instead of one full walk per version — and
     hands each to [f] (order unspecified; an interior anchor walks outward
     both ways).  Anchor selection as in {!reconstruct}, minimizing total
     applications: an anchor inside the range attains the [hi - lo] minimum.
-    Returns the number of deltas applied.  Raises [Invalid_argument] on an
+    Deltas come from [read_delta] as in {!reconstruct}.  Returns the number of deltas applied.  Raises [Invalid_argument] on an
     empty or out-of-bounds range. *)
 
 (** {1 Vacuum} *)

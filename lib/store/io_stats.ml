@@ -7,6 +7,8 @@ type t = {
   mutable vcache_hits : int;
   mutable vcache_misses : int;
   mutable vcache_bytes : int;
+  mutable delta_cache_hits : int;
+  mutable delta_cache_misses : int;
   mutable deltas_applied : int;
   mutable fsyncs : int;
 }
@@ -14,7 +16,7 @@ type t = {
 let create () =
   { page_reads = 0; page_writes = 0; seeks = 0; cache_hits = 0;
     cache_misses = 0; vcache_hits = 0; vcache_misses = 0; vcache_bytes = 0;
-    deltas_applied = 0; fsyncs = 0 }
+    delta_cache_hits = 0; delta_cache_misses = 0; deltas_applied = 0; fsyncs = 0 }
 
 let reset t =
   t.page_reads <- 0;
@@ -24,6 +26,8 @@ let reset t =
   t.cache_misses <- 0;
   t.vcache_hits <- 0;
   t.vcache_misses <- 0;
+  t.delta_cache_hits <- 0;
+  t.delta_cache_misses <- 0;
   t.deltas_applied <- 0;
   t.fsyncs <- 0
 (* vcache_bytes is a gauge maintained by the version cache, not a counter:
@@ -39,6 +43,8 @@ let copy t =
     vcache_hits = t.vcache_hits;
     vcache_misses = t.vcache_misses;
     vcache_bytes = t.vcache_bytes;
+    delta_cache_hits = t.delta_cache_hits;
+    delta_cache_misses = t.delta_cache_misses;
     deltas_applied = t.deltas_applied;
     fsyncs = t.fsyncs;
   }
@@ -53,6 +59,8 @@ let diff ~after ~before =
     vcache_hits = after.vcache_hits - before.vcache_hits;
     vcache_misses = after.vcache_misses - before.vcache_misses;
     vcache_bytes = after.vcache_bytes;
+    delta_cache_hits = after.delta_cache_hits - before.delta_cache_hits;
+    delta_cache_misses = after.delta_cache_misses - before.delta_cache_misses;
     deltas_applied = after.deltas_applied - before.deltas_applied;
     fsyncs = after.fsyncs - before.fsyncs;
   }
@@ -66,6 +74,8 @@ let add acc x =
   acc.vcache_hits <- acc.vcache_hits + x.vcache_hits;
   acc.vcache_misses <- acc.vcache_misses + x.vcache_misses;
   acc.vcache_bytes <- Stdlib.max acc.vcache_bytes x.vcache_bytes;
+  acc.delta_cache_hits <- acc.delta_cache_hits + x.delta_cache_hits;
+  acc.delta_cache_misses <- acc.delta_cache_misses + x.delta_cache_misses;
   acc.deltas_applied <- acc.deltas_applied + x.deltas_applied;
   acc.fsyncs <- acc.fsyncs + x.fsyncs
 
@@ -79,6 +89,8 @@ let fields t =
     ("vcache_hits", t.vcache_hits);
     ("vcache_misses", t.vcache_misses);
     ("vcache_bytes", t.vcache_bytes);
+    ("delta_cache_hits", t.delta_cache_hits);
+    ("delta_cache_misses", t.delta_cache_misses);
     ("deltas_applied", t.deltas_applied);
     ("fsyncs", t.fsyncs);
   ]
@@ -93,9 +105,10 @@ let publish ?(prefix = "io.") t =
 let to_string t =
   Printf.sprintf
     "reads=%d writes=%d seeks=%d cache_hits=%d cache_misses=%d \
-     vcache_hits=%d vcache_misses=%d vcache_bytes=%d deltas_applied=%d \
-     fsyncs=%d"
+     vcache_hits=%d vcache_misses=%d vcache_bytes=%d delta_cache_hits=%d \
+     delta_cache_misses=%d deltas_applied=%d fsyncs=%d"
     t.page_reads t.page_writes t.seeks t.cache_hits t.cache_misses
-    t.vcache_hits t.vcache_misses t.vcache_bytes t.deltas_applied t.fsyncs
+    t.vcache_hits t.vcache_misses t.vcache_bytes t.delta_cache_hits
+    t.delta_cache_misses t.deltas_applied t.fsyncs
 
 let pp ppf t = Format.pp_print_string ppf (to_string t)

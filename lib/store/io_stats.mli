@@ -5,8 +5,8 @@
     Section 7.2).  Every layer of the storage simulator feeds these counters
     so the benchmarks can report exactly those quantities.  The version
     cache of [txq_db] reports through the same record ([vcache_*],
-    [deltas_applied]) so one snapshot captures both page traffic and
-    reconstruction work. *)
+    [delta_cache_*], [deltas_applied]) so one snapshot captures both page
+    traffic and reconstruction work. *)
 
 type t = {
   mutable page_reads : int;  (** pages fetched from the simulated disk *)
@@ -20,6 +20,11 @@ type t = {
   mutable vcache_bytes : int;
       (** current version-cache residency — a gauge, not a counter; [reset]
           leaves it alone and [diff] reports the [after] value *)
+  mutable delta_cache_hits : int;
+      (** decoded completed deltas served from the version cache; the
+          [vcache_*] counters count materialized-version lookups only *)
+  mutable delta_cache_misses : int;
+      (** delta lookups that read and decoded the stored blob *)
   mutable deltas_applied : int;
       (** completed-delta applications performed by reconstruction *)
   mutable fsyncs : int;

@@ -23,6 +23,28 @@ let make ~from_version ~to_version ops = { from_version; to_version; ops }
 let op_count t = List.length t.ops
 let is_empty t = t.ops = []
 
+(* Rough heap footprint in the manner of [Vnode.approx_bytes]: a fixed
+   per-op overhead (the op block, its list cell, XIDs and options) plus the
+   subtrees and strings it carries.  Only used for cache budgeting. *)
+let op_overhead = 64
+
+let approx_bytes t =
+  List.fold_left
+    (fun acc op ->
+      acc + op_overhead
+      +
+      match op with
+      | Insert { tree; _ } | Delete { tree; _ } -> Vnode.approx_bytes tree
+      | Update { old_text; new_text; _ } ->
+        String.length old_text + String.length new_text
+      | Rename { old_tag; new_tag; _ } ->
+        String.length old_tag + String.length new_tag
+      | Set_attr { name; old_value; new_value; _ } ->
+        let opt = function Some v -> String.length v | None -> 0 in
+        String.length name + opt old_value + opt new_value
+      | Move _ -> 0)
+    op_overhead t.ops
+
 let invert_op = function
   | Insert { parent; after; tree } -> Delete { parent; after; tree }
   | Delete { parent; after; tree } -> Insert { parent; after; tree }

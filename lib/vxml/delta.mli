@@ -43,6 +43,10 @@ val make : from_version:int -> to_version:int -> op list -> t
 val op_count : t -> int
 val is_empty : t -> bool
 
+val approx_bytes : t -> int
+(** Rough in-memory footprint of the decoded delta, for cache budgeting
+    (the counterpart of {!Vnode.approx_bytes}). *)
+
 val invert_op : op -> op
 val invert : t -> t
 

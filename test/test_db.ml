@@ -221,9 +221,12 @@ let test_version_cache_disabled () =
       (Db.stats db).Db.deltas_read;
     Alcotest.(check int) "no hits" 0 (Db.stats db).Db.reconstruct_cache_hits;
     let io = Db.io_stats db in
+    ignore (Db.read_delta db id 1);
     Alcotest.(check int) "no vcache traffic" 0
       (io.Txq_store.Io_stats.vcache_hits + io.Txq_store.Io_stats.vcache_misses
-      + io.Txq_store.Io_stats.vcache_bytes)
+      + io.Txq_store.Io_stats.vcache_bytes
+      + io.Txq_store.Io_stats.delta_cache_hits
+      + io.Txq_store.Io_stats.delta_cache_misses)
 
 let test_cretime_maintenance () =
   let db, id = fig1_db () in
@@ -379,6 +382,234 @@ let test_cache_invalidation () =
       (Vnode.equal_with_xids
          (fst (Docstore.reconstruct d v))
          (Db.reconstruct db id v))
+  done
+
+(* --- delta residents ------------------------------------------------------ *)
+
+module Vcache = Txq_db.Vcache
+module Delta = Txq_vxml.Delta
+module Io_stats = Txq_store.Io_stats
+
+(* The LRU against a list model: residents most recent first, each with its
+   size.  [put]/[put_delta] replace a same-key resident and evict from the
+   back until the newcomer fits (a value larger than the budget is not
+   cached); hits move to the front; [evict_before doc b] drops trees below
+   [b] and deltas at or below [b]. *)
+type cache_op =
+  | C_put of int * int * int
+  | C_put_delta of int * int * int
+  | C_find of int * int
+  | C_find_delta of int * int
+  | C_evict_before of int * int
+  | C_evict_doc of int
+
+let show_cache_op = function
+  | C_put (d, v, k) -> Printf.sprintf "put %d %d (%d)" d v k
+  | C_put_delta (d, v, k) -> Printf.sprintf "put_delta %d %d (%d)" d v k
+  | C_find (d, v) -> Printf.sprintf "find %d %d" d v
+  | C_find_delta (d, v) -> Printf.sprintf "find_delta %d %d" d v
+  | C_evict_before (d, v) -> Printf.sprintf "evict_before %d %d" d v
+  | C_evict_doc d -> Printf.sprintf "evict_doc %d" d
+
+let arb_cache_run =
+  let open QCheck.Gen in
+  let doc = int_range 0 2 and version = int_range 0 5 and size = int_range 0 300 in
+  let op =
+    frequency
+      [
+        (3, map3 (fun d v k -> C_put (d, v, k)) doc version size);
+        (3, map3 (fun d v k -> C_put_delta (d, v, k)) doc version size);
+        (3, map2 (fun d v -> C_find (d, v)) doc version);
+        (3, map2 (fun d v -> C_find_delta (d, v)) doc version);
+        (1, map2 (fun d v -> C_evict_before (d, v)) doc version);
+        (1, map (fun d -> C_evict_doc d) doc);
+      ]
+  in
+  QCheck.make
+    ~print:(fun (budget, ops) ->
+      Printf.sprintf "budget %d: %s" budget
+        (String.concat "; " (List.map show_cache_op ops)))
+    (pair (oneofl [ 0; 150; 400; 1000 ]) (list_size (int_range 0 80) op))
+
+(* Payloads whose footprint grows with [k]. *)
+let tree_of_size k =
+  Vnode.Text { xid = Txq_vxml.Xid.of_int k; content = String.make k 't' }
+
+let delta_of_size k =
+  Delta.make ~from_version:0 ~to_version:1
+    [ Delta.Update
+        { xid = Txq_vxml.Xid.of_int k; old_text = String.make k 'd';
+          new_text = "" } ]
+
+type payload = P_tree of Vnode.t | P_delta of Delta.t
+
+let same_payload a b =
+  match (a, b) with
+  | P_tree x, P_tree y -> x == y
+  | P_delta x, P_delta y -> x == y
+  | P_tree _, P_delta _ | P_delta _, P_tree _ -> false
+
+let prop_vcache_matches_model =
+  QCheck.Test.make ~count:300 ~name:"vcache LRU ≡ list model" arb_cache_run
+    (fun (budget, ops) ->
+      let io = Io_stats.create () in
+      let c = Vcache.create ~budget ~io in
+      (* model: (kind, doc, version, bytes, payload) most recent first *)
+      let model = ref [] in
+      let hits = ref 0 and misses = ref 0 in
+      let dhits = ref 0 and dmisses = ref 0 in
+      let total () = List.fold_left (fun acc (_, _, _, b, _) -> acc + b) 0 !model in
+      let same kind d v (k, d', v', _, _) = k = kind && d = d' && v = v' in
+      let model_put kind d v bytes payload =
+        if budget > 0 && bytes <= budget then begin
+          model := List.filter (fun e -> not (same kind d v e)) !model;
+          while total () + bytes > budget && !model <> [] do
+            model := List.rev (List.tl (List.rev !model))
+          done;
+          model := (kind, d, v, bytes, payload) :: !model
+        end
+      in
+      let model_find kind d v =
+        if budget = 0 then None
+        else
+          match List.find_opt (same kind d v) !model with
+          | Some e ->
+            model := e :: List.filter (fun e' -> e' != e) !model;
+            let _, _, _, _, payload = e in
+            Some payload
+          | None -> None
+      in
+      let check_payload what got want =
+        match (got, want) with
+        | None, None -> ()
+        | Some g, Some w when same_payload g w -> ()
+        | _ -> QCheck.Test.fail_reportf "%s: lookup disagrees with the model" what
+      in
+      List.iter
+        (fun op ->
+          (match op with
+           | C_put (d, v, k) ->
+             let tree = tree_of_size k in
+             Vcache.put c d v tree;
+             model_put `Tree d v (Vnode.approx_bytes tree) (P_tree tree)
+           | C_put_delta (d, v, k) ->
+             let delta = delta_of_size k in
+             Vcache.put_delta c d v delta;
+             model_put `Delta d v (Delta.approx_bytes delta) (P_delta delta)
+           | C_find (d, v) ->
+             let want = model_find `Tree d v in
+             if budget > 0 then (if want = None then incr misses else incr hits);
+             check_payload (show_cache_op op)
+               (Option.map (fun t -> P_tree t) (Vcache.find c d v)) want
+           | C_find_delta (d, v) ->
+             let want = model_find `Delta d v in
+             if budget > 0 then (if want = None then incr dmisses else incr dhits);
+             check_payload (show_cache_op op)
+               (Option.map (fun x -> P_delta x) (Vcache.find_delta c d v))
+               want
+           | C_evict_before (d, b) ->
+             Vcache.evict_before c d b;
+             model :=
+               List.filter
+                 (fun (k, d', v, _, _) ->
+                   not (d = d' && (match k with `Tree -> v < b | `Delta -> v <= b)))
+                 !model
+           | C_evict_doc d ->
+             Vcache.evict_doc c d;
+             model := List.filter (fun (_, d', _, _, _) -> d <> d') !model);
+          let want = List.map (fun (k, d, v, _, _) -> (k, d, v)) !model in
+          if Vcache.residents c <> want then
+            QCheck.Test.fail_reportf "after %s: residents differ from the model"
+              (show_cache_op op);
+          if Vcache.bytes c <> total () || Vcache.bytes c > budget then
+            QCheck.Test.fail_reportf "after %s: %d bytes resident (model %d, budget %d)"
+              (show_cache_op op) (Vcache.bytes c) (total ()) budget)
+        ops;
+      io.Io_stats.vcache_hits = !hits
+      && io.Io_stats.vcache_misses = !misses
+      && io.Io_stats.delta_cache_hits = !dhits
+      && io.Io_stats.delta_cache_misses = !dmisses)
+
+(* A history read decodes each delta once; repeating it is served from the
+   delta residents without a page read. *)
+let test_delta_residents_serve_history () =
+  let db, id = fig1_db () in
+  let eid = Txq_vxml.Eid.make ~doc:id ~xid:(Vnode.xid (Docstore.current (Db.doc db id))) in
+  let history () =
+    List.map
+      (fun ev -> Print.to_string (Vnode.to_xml ev.Txq_core.History.ev_tree))
+      (Txq_core.History.element_history db eid ~t1:(ts "01/01/2001")
+         ~t2:Timestamp.plus_infinity ())
+  in
+  Db.flush_cache db;
+  Db.reset_io db;
+  let cold = history () in
+  let io = Db.io_stats db in
+  Alcotest.(check int) "cold: both deltas decoded" 2 io.Io_stats.delta_cache_misses;
+  Alcotest.(check int) "cold: no delta hit" 0 io.Io_stats.delta_cache_hits;
+  Db.reset_io db;
+  let warm = history () in
+  Alcotest.(check (list string)) "same history" cold warm;
+  Alcotest.(check int) "warm: no decode" 0 io.Io_stats.delta_cache_misses;
+  Alcotest.(check int) "warm: both deltas resident" 2 io.Io_stats.delta_cache_hits;
+  Alcotest.(check int) "warm: no page read" 0 io.Io_stats.page_reads;
+  Alcotest.(check int) "version lookups counted apart" 0
+    (io.Io_stats.vcache_misses);
+  (* reconstruction walks the same residents *)
+  Db.reset_io db;
+  ignore (Db.reconstruct db id 0);
+  Alcotest.(check int) "reconstruct: deltas from residents" 2
+    io.Io_stats.delta_cache_hits;
+  Alcotest.(check int) "reconstruct: no decode" 0 io.Io_stats.delta_cache_misses
+
+(* Recovery and verification read their deltas straight from the blobs: a
+   recovered store starts with no delta resident, whatever the primary had
+   cached. *)
+let test_recovery_starts_cold () =
+  let config = Config.durable Config.default in
+  let db, id = fig1_db ~config () in
+  ignore (Db.read_delta db id 1);
+  ignore (Db.read_delta db id 2);
+  let deltas db =
+    List.filter
+      (fun (kind, _, _) -> kind = `Delta)
+      (Vcache.residents (Db.version_cache_for_tests db))
+  in
+  Alcotest.(check int) "primary holds both deltas" 2 (List.length (deltas db));
+  (* verification reads every delta from its blob, never from the cache *)
+  Db.reset_io db;
+  ignore (Db.verify db);
+  let io = Db.io_stats db in
+  Alcotest.(check int) "verify bypasses the delta residents" 0
+    (io.Io_stats.delta_cache_hits + io.Io_stats.delta_cache_misses);
+  let db2 = Db.recover (Db.disk db) config in
+  Alcotest.(check int) "recovered store holds none" 0 (List.length (deltas db2));
+  Alcotest.(check bool) "recovered chain reads back" true
+    (Vnode.equal_with_xids
+       (fst (Docstore.reconstruct (Db.doc db id) 0))
+       (Db.reconstruct db2 id 0))
+
+(* A snapshot-due commit encodes the new version once: the snapshot blob
+   and the current blob hold the same bytes, the encoding of the tree. *)
+let test_snapshot_blob_encoded_once () =
+  let db, id = fig1_db ~config:(Config.with_snapshots 1 Config.default) () in
+  let d = Db.doc db id in
+  let bytes blob = Txq_store.Blob_store.get (Db.blobs db) blob in
+  let current = bytes (Docstore.current_blob d) in
+  Alcotest.(check string) "current blob is the tree's encoding"
+    (Txq_vxml.Codec.encode (Docstore.current d)) current;
+  (match Docstore.snapshot_blob d 2 with
+   | Some blob ->
+     Alcotest.(check string) "snapshot blob = current blob" current (bytes blob)
+   | None -> Alcotest.fail "version 2 has no snapshot");
+  for v = 0 to 1 do
+    match Docstore.snapshot_blob d v with
+    | Some blob ->
+      Alcotest.(check string)
+        (Printf.sprintf "snapshot of v%d is its encoding" v)
+        (Txq_vxml.Codec.encode (Db.reconstruct db id v))
+        (bytes blob)
+    | None -> Alcotest.fail (Printf.sprintf "version %d has no snapshot" v)
   done
 
 (* property: reconstruction of every version of a random history equals the
@@ -649,6 +880,16 @@ let () =
           Alcotest.test_case "cache invalidation" `Quick test_cache_invalidation;
           QCheck_alcotest.to_alcotest prop_cache_differential;
           QCheck_alcotest.to_alcotest prop_reconstruct_matches_reference;
+          Alcotest.test_case "snapshot blob encoded once" `Quick
+            test_snapshot_blob_encoded_once;
+        ] );
+      ( "residents",
+        [
+          QCheck_alcotest.to_alcotest prop_vcache_matches_model;
+          Alcotest.test_case "history reads served warm" `Quick
+            test_delta_residents_serve_history;
+          Alcotest.test_case "recovery starts cold" `Quick
+            test_recovery_starts_cold;
         ] );
       ( "indexes",
         [

@@ -300,6 +300,45 @@ let test_concurrent_cache_on_equals_off () =
     ~oracle_config:{ Config.default with Config.version_cache_bytes = 0 }
     ()
 
+(* Constant eviction under concurrent readers: a budget of a few KB keeps
+   trees and deltas displacing each other while reader domains and the
+   writer share the cache. *)
+let test_concurrent_small_cache_equals_off () =
+  concurrent_differential
+    ~config:{ Config.default with Config.version_cache_bytes = 4096 }
+    ~oracle_config:{ Config.default with Config.version_cache_bytes = 0 }
+    ()
+
+(* Snapshots share the live handle's delta residents, but a resident delta
+   never lets a snapshot read past its pin. *)
+let test_snapshot_delta_residents () =
+  let db = Db.create () in
+  ignore
+    (Db.insert_document db ~url:"a" ~ts:(op_ts 0)
+       (parse "<doc><name>napoli</name></doc>"));
+  let update i =
+    ignore
+      (Db.update_document db ~url:"a" ~ts:(op_ts i)
+         (parse (Printf.sprintf "<doc><name>napoli</name><item>v%d</item></doc>" i)))
+  in
+  for i = 1 to 4 do update i done;
+  let snap = Db.snapshot db in
+  let before = fingerprint snap in
+  for i = 5 to 6 do update i done;
+  (* the live handle makes every delta resident, past the pin included *)
+  for v = 1 to 6 do ignore (Db.read_delta db 0 v) done;
+  let io = Db.io_stats db in
+  Db.reset_io db;
+  for v = 1 to 4 do ignore (Db.read_delta snap 0 v) done;
+  Alcotest.(check int) "snapshot served from shared residents" 4
+    io.Io_stats.delta_cache_hits;
+  Alcotest.(check int) "no decode" 0 io.Io_stats.delta_cache_misses;
+  (match Db.read_delta snap 0 5 with
+   | _ -> Alcotest.fail "a resident delta past the pin must not be readable"
+   | exception Invalid_argument _ -> ());
+  Alcotest.(check string) "snapshot reads unchanged" before (fingerprint snap);
+  Db.release snap
+
 (* --- vacuum hold-back ----------------------------------------------------- *)
 
 let test_vacuum_holdback () =
@@ -558,6 +597,8 @@ let () =
             test_snapshot_isolation;
           Alcotest.test_case "snapshot of snapshot raises" `Quick
             test_snapshot_of_snapshot_raises;
+          Alcotest.test_case "shared delta residents stop at the pin" `Quick
+            test_snapshot_delta_residents;
           QCheck_alcotest.to_alcotest prop_snapshot_equals_prefix_db;
         ] );
       ( "concurrency",
@@ -566,6 +607,8 @@ let () =
             test_concurrent_vs_oracle;
           Alcotest.test_case "cache-on = cache-off" `Slow
             test_concurrent_cache_on_equals_off;
+          Alcotest.test_case "4 KB cache = cache-off" `Slow
+            test_concurrent_small_cache_equals_off;
           Alcotest.test_case "rwlock" `Quick test_rwlock_basics;
           Alcotest.test_case "metrics registry" `Quick test_metrics_concurrent;
         ] );

@@ -415,6 +415,216 @@ let prop_vacuum_differential =
       then QCheck.Test.fail_reportf "algebra TExcept differs after vacuum";
       true)
 
+(* --- delta residents across vacuums ---------------------------------------- *)
+
+module Vcache = Txq_db.Vcache
+module Exec = Txq_query.Exec
+
+(* A squash to base [b] frees the delta blobs up to and including the delta
+   into [b] and the snapshots below it: no such delta or tree may stay
+   resident, while the retained ones stay served from memory. *)
+let test_squash_evicts_delta_residents () =
+  let db = build_chain 8 in
+  let id = Docstore.doc_id (Option.get (Db.find_live db "u")) in
+  let before = List.init 8 (fun v -> Vnode.to_xml (Db.reconstruct db id v)) in
+  for v = 1 to 7 do
+    ignore (Db.read_delta db id v)
+  done;
+  let resident kind =
+    List.sort compare
+      (List.filter_map
+         (fun (k, d, v) -> if k = kind && d = id then Some v else None)
+         (Vcache.residents (Db.version_cache_for_tests db)))
+  in
+  Alcotest.(check (list int)) "every tree warm" (List.init 8 Fun.id) (resident `Tree);
+  Alcotest.(check (list int)) "every delta warm" (List.init 7 succ) (resident `Delta);
+  let io = Db.io_stats db in
+  Db.reset_io db;
+  ignore (Db.vacuum ~retention:(keep_last 3) db : Db.vacuum_report);
+  (* the base snapshot is reconstructed from the blobs, not the cache *)
+  Alcotest.(check int) "vacuum bypasses the delta residents" 0
+    (io.Txq_store.Io_stats.delta_cache_hits
+    + io.Txq_store.Io_stats.delta_cache_misses);
+  let b = Docstore.first_version (Db.doc db id) in
+  Alcotest.(check int) "squashed to base 5" 5 b;
+  Alcotest.(check (list int)) "trees below the base dropped" [ 5; 6; 7 ]
+    (resident `Tree);
+  Alcotest.(check (list int)) "deltas up to the base dropped" [ 6; 7 ]
+    (resident `Delta);
+  (match Db.read_delta db id b with
+   | _ -> Alcotest.fail "the delta into the base must not be readable"
+   | exception Invalid_argument _ -> ());
+  Db.reset_io db;
+  for v = b to 7 do
+    Alcotest.(check bool) (Printf.sprintf "v%d unchanged" v) true
+      (Xml.equal (List.nth before v) (Vnode.to_xml (Db.reconstruct db id v)))
+  done;
+  ignore (Db.read_delta db id 6);
+  ignore (Db.read_delta db id 7);
+  Alcotest.(check int) "retained residents still served" 2
+    io.Txq_store.Io_stats.delta_cache_hits;
+  Alcotest.(check int) "nothing decoded" 0 io.Txq_store.Io_stats.delta_cache_misses
+
+(* A tree with its XIDs, so transcripts compare identities too. *)
+let show_tree tree =
+  let b = Buffer.create 64 in
+  let rec go = function
+    | Vnode.Text { xid; content } ->
+      Printf.bprintf b "%d%S" (Txq_vxml.Xid.to_int xid) content
+    | Vnode.Elem e ->
+      Printf.bprintf b "<%d %s" (Txq_vxml.Xid.to_int e.xid) e.tag;
+      List.iter (fun (n, v) -> Printf.bprintf b " %s=%S" n v) e.attrs;
+      Buffer.add_char b '>';
+      List.iter go e.children;
+      Buffer.add_string b "</>"
+  in
+  go tree;
+  Buffer.contents b
+
+let show_ts = function Some t -> Timestamp.to_string t | None -> "-"
+
+(* Everything a history reader observes of [db]: [EVERY], CREATE/DELETE
+   TIME and past-instant statements, past-instant reconstructions, both
+   forms of element history and the traversal lifetimes of the newest
+   version's elements. *)
+let observe buf ~n_ops db =
+  let line fmt = Printf.bprintf buf (fmt ^^ "\n") in
+  let guard what f =
+    try f () with Invalid_argument m | Failure m -> line "%s: error %s" what m
+  in
+  List.iter
+    (fun u ->
+      List.iter
+        (fun stmt ->
+          guard stmt (fun () ->
+              line "%s" (Print.to_string (Exec.run_string_exn db stmt))))
+        [
+          Printf.sprintf {|SELECT TIME(R), R FROM doc("%s")[EVERY]//name R|} u;
+          Printf.sprintf
+            {|SELECT CREATE TIME(R), DELETE TIME(R) FROM doc("%s")[EVERY]//item R|}
+            u;
+          Printf.sprintf {|SELECT R FROM doc("%s")[%s]//name R|} u
+            (Timestamp.to_string (op_ts 2));
+        ])
+    [ "a"; "b" ];
+  List.iter
+    (fun id ->
+      let d = Db.doc db id in
+      let b = Docstore.first_version d and n = Docstore.version_count d in
+      line "doc %d [%d,%d)" id b n;
+      for i = 0 to n_ops do
+        match Db.reconstruct_at db id (op_ts i) with
+        | Some (v, tree) -> line "  @%d v%d %s" i v (show_tree tree)
+        | None -> ()
+      done;
+      let t1 = Docstore.ts_of_version d b and t2 = Timestamp.plus_infinity in
+      let newest = Db.reconstruct db id (n - 1) in
+      let vts = Docstore.ts_of_version d (n - 1) in
+      List.iter
+        (fun xid ->
+          let eid = Eid.make ~doc:id ~xid in
+          List.iter
+            (fun distinct ->
+              guard "history" (fun () ->
+                  List.iter
+                    (fun ev ->
+                      line "  %d v%d %s %s" (Txq_vxml.Xid.to_int xid)
+                        ev.History.ev_version
+                        (Interval.to_string ev.History.ev_interval)
+                        (show_tree ev.History.ev_tree))
+                    (History.element_history db eid ~t1 ~t2 ~distinct ())))
+            [ false; true ];
+          let teid = Eid.Temporal.make eid vts in
+          guard "lifetime" (fun () ->
+              line "  %d cre=%s del=%s" (Txq_vxml.Xid.to_int xid)
+                (show_ts (Lifetime.cre_time db ~strategy:`Traverse teid))
+                (show_ts (Lifetime.del_time db ~strategy:`Traverse teid))))
+        (Vnode.xids newest))
+    (Db.doc_ids db)
+
+(* One script under one cache budget: the writes, with an action after
+   each — 1 reads everything, 2 vacuums to the newest [k] versions, 3 pins
+   a snapshot or, when one is pinned, reads through it and releases it. *)
+let residency_transcript ~budget ~k ops acts =
+  let db =
+    Db.create ~config:{ Config.default with Config.version_cache_bytes = budget } ()
+  in
+  let buf = Buffer.create 4096 in
+  let n_ops = List.length ops in
+  let vacuum () =
+    let r = Db.vacuum ~retention:(keep_last k) db in
+    Printf.bprintf buf "vacuum: %d dropped, %d squashed, %d docs dropped\n"
+      r.Db.vr_versions_dropped r.Db.vr_docs_squashed r.Db.vr_docs_dropped
+  in
+  let pinned = ref None in
+  let unpin s =
+    observe buf ~n_ops s;
+    Db.release s;
+    pinned := None
+  in
+  List.iteri
+    (fun i op ->
+      (match op with
+       | Ins (u, x) -> ignore (Db.insert_document db ~url:u ~ts:(op_ts i) x)
+       | Upd (u, x) -> ignore (Db.update_document db ~url:u ~ts:(op_ts i) x)
+       | Del u -> Db.delete_document db ~url:u ~ts:(op_ts i) ());
+      match List.nth_opt acts i with
+      | Some 1 -> observe buf ~n_ops db
+      | Some 2 -> vacuum ()
+      | Some 3 -> (
+        match !pinned with
+        | None -> pinned := Some (Db.snapshot db)
+        | Some s -> unpin s)
+      | _ -> ())
+    ops;
+  observe buf ~n_ops db;
+  Option.iter unpin !pinned;
+  vacuum ();
+  observe buf ~n_ops db;
+  Buffer.contents buf
+
+let prop_residency_differential =
+  let arb =
+    QCheck.quad
+      (Gen_xml.arb_history ~max_versions:4)
+      (Gen_xml.arb_history ~max_versions:4)
+      QCheck.(list_of_size Gen.(int_range 0 12) (int_range 0 3))
+      QCheck.(pair (int_range 1 3) bool)
+  in
+  QCheck.Test.make ~count:25
+    ~name:"history reads under any cache budget = budget 0" arb
+    (fun ((a0, asuccs), (b0, bsuccs), acts, (k, delete_b)) ->
+      let ops =
+        Ins ("a", a0) :: Ins ("b", b0)
+        :: interleave
+             (List.map (fun x -> Upd ("a", x)) asuccs)
+             (List.map (fun x -> Upd ("b", x)) bsuccs)
+        @ (if delete_b then [ Del "b" ] else [])
+      in
+      let transcript budget = residency_transcript ~budget ~k ops acts in
+      let reference = transcript 0 in
+      List.iter
+        (fun budget ->
+          let got = transcript budget in
+          if not (String.equal got reference) then begin
+            let rl = String.split_on_char '\n' reference
+            and gl = String.split_on_char '\n' got in
+            let rec first_diff i = function
+              | r :: rs, g :: gs ->
+                if String.equal r g then first_diff (i + 1) (rs, gs)
+                else (i, r, g)
+              | r :: _, [] -> (i, r, "<end>")
+              | [], g :: _ -> (i, "<end>", g)
+              | [], [] -> (i, "", "")
+            in
+            let i, r, g = first_diff 1 (rl, gl) in
+            QCheck.Test.fail_reportf
+              "budget %d differs from budget 0 at line %d:\n  0: %s\n  %d: %s"
+              budget i r budget g
+          end)
+        [ 2048; 8 * 1024 * 1024 ];
+      true)
+
 let () =
   Alcotest.run "vacuum"
     [
@@ -434,4 +644,10 @@ let () =
         ] );
       ( "differential",
         [ QCheck_alcotest.to_alcotest prop_vacuum_differential ] );
+      ( "residents",
+        [
+          Alcotest.test_case "squash evicts freed deltas" `Quick
+            test_squash_evicts_delta_residents;
+          QCheck_alcotest.to_alcotest prop_residency_differential;
+        ] );
     ]
