@@ -161,6 +161,16 @@ let test_streaming_matches_eager () =
       "SELECT TIME(R), R/price FROM collection(\"*\")[EVERY]//restaurant R";
       "SELECT COUNT(R) FROM collection(\"*\")//restaurant R";
       "SELECT R FROM doc(\"no.such.doc\")//restaurant R";
+      "SELECT R/name, S/name FROM doc(\"guide.example.org/city-0.xml\")//restaurant R, \
+       doc(\"guide.example.org/city-1.xml\")//restaurant S WHERE R/rating = S/rating";
+      "SELECT TIME(R), S/price FROM doc(\"guide.example.org/city-0.xml\")[EVERY]//restaurant R, \
+       collection(\"*\")//restaurant S WHERE R/name = S/name";
+      "SELECT DISTINCT R/rating FROM collection(\"*\")[EVERY]//restaurant R";
+      "SELECT SUM(R/price), AVG(R/price) FROM collection(\"*\")[EVERY]//restaurant R \
+       WHERE R/rating > 2";
+      "collection(\"*\")//restaurant/name = \"Napoli\" UNION \
+       doc(\"guide.example.org/city-1.xml\")//restaurant/price";
+      "SELECT R, S FROM doc(\"no.such.doc\")//restaurant R, collection(\"*\")//restaurant S";
     ]
   in
   List.iter
