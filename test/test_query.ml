@@ -243,6 +243,33 @@ let test_similarity_operator () =
     "<results><result><name>Napoli</name></result></results>"
     (Print.to_string out)
 
+(* An equality conjunct pushed into the pattern as a word test must keep
+   every row WHERE keeps: the word has to be the FTI's own token of the
+   literal, and a numeric literal ("012" = "12") has no word to push. *)
+let test_pushdown_keeps_rows () =
+  let db = Txq_db.Db.create () in
+  ignore
+    (Txq_db.Db.insert_document db ~url ~ts:(ts "01/01/2001")
+       (parse_xml
+          "<g><r><name>Napoli.</name><price>12</price></r><r><name>a,b</name><price>7</price></r></g>"));
+  let src time = Printf.sprintf {|doc("guide.com/restaurants.xml")%s/g/r R|} time in
+  List.iter
+    (fun (cond, want) ->
+      List.iter
+        (fun time ->
+          let q = Printf.sprintf "SELECT R/price FROM %s WHERE %s" (src time) cond in
+          let want = Printf.sprintf "<results><result><price>%s</price></result></results>" want in
+          Alcotest.(check string) q want (Print.to_string (run db q));
+          (* not a top-level conjunct, so never pushed down *)
+          let q = q ^ {| OR R/name = "zzz"|} in
+          Alcotest.(check string) q want (Print.to_string (run db q)))
+        [""; "[01/01/2001]"; "[EVERY]"])
+    [
+      ({|R/name = "Napoli."|}, "12");
+      ({|R/name = "a,b"|}, "7");
+      ({|R/price = "012"|}, "12");
+    ]
+
 (* --- PREVIOUS / CURRENT / DIFF ------------------------------------------------ *)
 
 let test_previous () =
@@ -664,6 +691,7 @@ let () =
           Alcotest.test_case "identity ==" `Quick test_identity_operator;
           Alcotest.test_case "deep equality" `Quick test_deep_vs_shallow_equality;
           Alcotest.test_case "similarity ~" `Quick test_similarity_operator;
+          Alcotest.test_case "pushdown keeps rows" `Quick test_pushdown_keeps_rows;
         ] );
       ( "navigation",
         [
