@@ -3,7 +3,6 @@ module Docstore = Txq_db.Docstore
 module Exec = Txq_query.Exec
 module Parser = Txq_query.Parser
 module Ast = Txq_query.Ast
-module Rewrite = Txq_query.Rewrite
 module Metrics = Txq_obs.Metrics
 module Timestamp = Txq_temporal.Timestamp
 module Xml = Txq_xml.Xml
@@ -118,8 +117,6 @@ let with_snapshot t f =
   let snap = Db.snapshot t.db in
   Fun.protect ~finally:(fun () -> Db.release snap) (fun () -> f snap)
 
-let rewrite_statement snap stmt = Rewrite.statement ~now:(Db.now snap) stmt
-
 let done_at snap ~rows =
   P.Done
     {
@@ -133,7 +130,6 @@ let done_at snap ~rows =
    chain never materializes its result document server-side. *)
 let handle_query t conn stmt =
   with_snapshot t @@ fun snap ->
-  let stmt = rewrite_statement snap stmt in
   let buf = Buffer.create (t.cfg.chunk_bytes + 512) in
   let flush () =
     if Buffer.length buf > 0 then begin
@@ -169,7 +165,6 @@ let handle_explain t conn input =
 
 let handle_analyze t conn stmt =
   with_snapshot t @@ fun snap ->
-  let stmt = rewrite_statement snap stmt in
   let result, report = Exec.explain_analyze_statement snap stmt in
   send_text t conn report;
   let rows =
