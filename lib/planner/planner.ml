@@ -268,8 +268,7 @@ let eval_algebra t ?domains db tl node =
 
 (* --- plan description (EXPLAIN) ----------------------------------------- *)
 
-let describe_scan t mode ?docs pattern =
-  let est = est_scan t mode ?docs pattern in
+let describe_scan t mode ~est pattern =
   let tests =
     let rec collect p acc =
       let k = test_of p in

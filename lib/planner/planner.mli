@@ -80,7 +80,7 @@ val eval_algebra : t -> ?domains:int -> Txq_db.Db.t ->
 
 val mode_to_string : mode -> string
 
-val describe_scan : t -> mode -> ?docs:Txq_vxml.Eid.doc_id list ->
-  Txq_core.Pattern.t -> string
-(** One EXPLAIN line: estimated rows, per-test cardinalities with their
-    index route, and the planned domain fan-out. *)
+val describe_scan : t -> mode -> est:int -> Txq_core.Pattern.t -> string
+(** One EXPLAIN line for a scan estimated at [est] rows ({!est_scan}):
+    the estimate, per-test cardinalities with their index route, and the
+    planned domain fan-out. *)

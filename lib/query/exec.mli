@@ -14,16 +14,24 @@
     containment-then-test strategy of Section 6.1.  [COUNT] over snapshot
     sources runs without reconstruction (the Q2 observation).
 
-    When {!Txq_db.Config.planner} is on (the default), the statement
-    entry points additionally run the cost-based planner
-    ({!Txq_planner.Planner}): statements pass through the rewrite rules
-    before costing, pattern join legs reorder by estimated selectivity,
-    provably-empty scans are skipped, CreTime/DelTime pick their
-    strategy from estimated chain depth, and algebra operators evaluate
-    their cheaper input first.  Every choice is output-preserving:
-    planner-on and planner-off results are byte-identical ([run] and
-    [run_algebra] always evaluate literally, as the differential
-    baseline). *)
+    There is one evaluator.  Each source is planned once and bound under
+    one ["query.bind_source"] span; the sources' cartesian product then
+    streams through WHERE, SELECT and DISTINCT, one row at a time.
+    {!stream_statement} hands the rows to its caller; every other entry
+    point collects them into the [<results>] document.
+
+    When {!Txq_db.Config.planner} is on (the default), the cost-based
+    planner ({!Txq_planner.Planner}) makes the plan choices: pattern join
+    legs reorder by estimated selectivity, provably-empty scans are
+    skipped, CreTime/DelTime pick their strategy from estimated chain
+    depth, and algebra operators evaluate their cheaper input first.  The
+    statement entry points ([run_statement], [stream_statement],
+    [explain_statement], [explain_analyze_statement] and the [_string]
+    forms) also pass the statement through the rewrite rules first.
+    Every choice is output-preserving: planner-on and planner-off results
+    are byte-identical.  [run], [run_algebra] and [explain_analyze] never
+    rewrite: they evaluate the statement as written, the differential
+    baseline for the rewrite rules. *)
 
 type error =
   | Parse_error of string
@@ -52,7 +60,8 @@ val run_algebra :
 val run_statement :
   Txq_db.Db.t -> Ast.statement -> (Txq_xml.Xml.t, error) result
 (** Rewrites then plans the statement when the planner is on; queries
-    otherwise run exactly as written. *)
+    otherwise run exactly as written.  The result document holds the rows
+    {!stream_statement} emits. *)
 
 val run_string : Txq_db.Db.t -> string -> (Txq_xml.Xml.t, error) result
 (** Parse (as a statement: query or algebra expression) and run. *)
@@ -63,15 +72,16 @@ val stream_statement :
   Txq_db.Db.t -> Ast.statement -> on_row:(Txq_xml.Xml.t -> unit) ->
   (int, error) result
 (** Evaluates the statement, calling [on_row] once per result element in
-    result order, and returns the number of rows emitted.  Semantically
-    identical to {!run_statement} — wrapping the emitted elements in
+    result order, and returns the number of rows emitted.  {!run_statement}
+    collects this same stream, so wrapping the emitted elements in
     [<results>…</results>] reproduces its result document byte for byte
-    (a zero-row stream corresponds to the empty [<results/>]) — but
-    [EVERY] sources expand their version histories lazily, one scan
-    binding at a time, so arbitrarily large history scans stream in
-    bounded memory.  Aggregates still materialize their row set (they
-    produce a single output row).  An exception raised by [on_row]
-    aborts evaluation and surfaces as [Error (Internal _)]. *)
+    (a zero-row stream corresponds to the empty [<results/>]).  Every
+    source is planned and scanned before the first row; [EVERY] sources
+    then expand their version histories lazily, one scan binding at a
+    time, so arbitrarily large history scans stream in bounded memory.
+    Aggregates still materialize their row set (they produce a single
+    output row).  An exception raised by [on_row] aborts evaluation and
+    surfaces as [Error (Internal _)]. *)
 
 val explain : Txq_db.Db.t -> Ast.query -> string
 (** Human-readable evaluation plan: which of the paper's operators each
@@ -93,7 +103,8 @@ val explain_string : Txq_db.Db.t -> string -> (string, error) result
 val explain_analyze :
   Txq_db.Db.t -> Ast.query -> (Txq_xml.Xml.t, error) result * string
 (** The plan of {!explain} followed by an execution profile: the query is
-    actually run under {!Txq_obs.Trace.collect}, and the report appends
+    actually run (as {!run} does, unrewritten) under
+    {!Txq_obs.Trace.collect}, and the report appends
     per-operator call counts, cumulative wall time, estimated vs actual
     row counts with an [est_err] ratio column (the smoothed symmetric
     ratio [max((est+1)/(act+1), (act+1)/(est+1))]; ["-"] for operators
