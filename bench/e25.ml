@@ -13,9 +13,14 @@
    default budget and with the cache disabled: microseconds, deltas
    decoded and page reads per statement, and the bytes left resident.
 
+   The element-history sweep follows a map of the restaurant's own
+   subtree, not of the whole guide; the nodes it maps per statement (the
+   [mapped_nodes] trace counter) are reported too.
+
    --check-delta-cache gates on the decode counts, which are exact: a warm
    repeat decodes no delta, and a cold run or any run without the cache
-   decodes the whole chain. *)
+   decodes the whole chain.  It also fails if a warm statement maps more
+   than [max_mapped_nodes] nodes (the guide has 657). *)
 
 module Xml = Txq_xml.Xml
 module Db = Txq_db.Db
@@ -29,6 +34,7 @@ module Vocab = Txq_workload.Vocab
 module Restaurant = Txq_workload.Restaurant
 
 let versions = 40
+let max_mapped_nodes = 64
 let url = "guide.example.org/e25.xml"
 
 (* E23's guide as the commit path receives it: plain XML revisions. *)
@@ -85,6 +91,14 @@ let measure db stmt =
   let decoded = (Db.stats db).Db.deltas_read - io.Io_stats.delta_cache_hits in
   (us, decoded, io.Io_stats.page_reads)
 
+(* Nodes the statement's element-history sweeps map, from one traced
+   (untimed) run. *)
+let mapped_nodes db stmt ~cold =
+  if cold then Db.flush_cache db;
+  let _, roots = Txq_obs.Trace.collect (fun () -> Exec.run_string_exn db stmt) in
+  Option.value ~default:0
+    (List.assoc_opt "mapped_nodes" (Txq_obs.Span.sum_int_attrs roots))
+
 let median xs =
   let a = Array.of_list xs in
   Array.sort Float.compare a;
@@ -110,8 +124,8 @@ let run ~smoke ~check =
     "Runs one [EVERY] element-history statement over a 40-version guide,\n\
      cold (caches emptied first) and warm (repeated), with the default\n\
      version-cache budget and with the cache disabled, and reports\n\
-     microseconds, deltas decoded and page reads per statement, and the\n\
-     bytes left resident.  Counts repeat exactly; time does not.";
+     microseconds, deltas decoded, page reads and nodes mapped per\n\
+     statement, and the bytes left resident.  Counts repeat exactly; time does not.";
   let runs = if smoke then 3 else 15 in
   let revs = revisions () in
   let chain = versions - 1 in
@@ -137,6 +151,7 @@ let run ~smoke ~check =
            let db = build ~budget revs in
            (* warm: one unmeasured statement first *)
            if not cold then ignore (Exec.run_string_exn db stmt);
+           let mapped = mapped_nodes db stmt ~cold in
            let us, decoded, reads, exact, resident =
              series db stmt ~runs ~cold
            in
@@ -148,8 +163,14 @@ let run ~smoke ~check =
                  decoded expected
                  (if exact then "" else ", and the count varied between runs")
                :: !failures;
+           if (not cold) && mapped > max_mapped_nodes then
+             failures :=
+               Printf.sprintf
+                 "budget %s, warm: the sweep mapped %d nodes (at most %d)" label
+                 mapped max_mapped_nodes
+               :: !failures;
            ( [ label; mode; Printf.sprintf "%.1f" us; string_of_int decoded;
-               string_of_int reads; Harness.fmt_int resident ],
+               string_of_int reads; string_of_int mapped; Harness.fmt_int resident ],
              Harness.Json.Obj
                [
                  ("budget_bytes", Harness.Json.Int budget);
@@ -157,6 +178,7 @@ let run ~smoke ~check =
                  ("us_per_statement", Harness.Json.Float us);
                  ("deltas_decoded", Harness.Json.Int decoded);
                  ("page_reads", Harness.Json.Int reads);
+                 ("mapped_nodes", Harness.Json.Int mapped);
                  ("resident_bytes", Harness.Json.Int resident);
                ] ))
          cases)
@@ -166,7 +188,7 @@ let run ~smoke ~check =
       (Printf.sprintf "E25: one [EVERY] statement over a %d-delta chain" chain)
     ~columns:
       [ "budget"; "run"; "us/stmt"; "deltas decoded"; "page reads";
-        "resident bytes" ]
+        "nodes mapped"; "resident bytes" ]
     rows;
   Harness.record_json "provenance" (E23.provenance ());
   Harness.record_json "smoke" (Harness.Json.Bool smoke);
@@ -178,8 +200,8 @@ let run ~smoke ~check =
     | [] ->
       Printf.printf
         "  delta cache check ok: warm repeat decodes 0, cold and budget 0 \
-         decode %d\n"
-        chain
+         decode %d, a warm sweep maps at most %d nodes\n"
+        chain max_mapped_nodes
     | fs ->
       List.iter (fun f -> Printf.eprintf "E25 FAIL: %s\n" f) fs;
       exit 1

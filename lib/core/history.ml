@@ -39,7 +39,6 @@ let doc_history db doc_id ~t1 ~t2 =
     collect (Docstore.first_version d) []
 
 module Xidmap = Txq_vxml.Xidmap
-module Xid = Txq_vxml.Xid
 module Delta = Txq_vxml.Delta
 
 type element_version = {
@@ -79,81 +78,69 @@ let doc_history_trees db doc_id ~t1 ~t2 =
 
 (* --- single-sweep element history --------------------------------------- *)
 
-(* Is [xid] the element or inside its subtree, in the current map state? *)
-let under_element map root_xid xid =
-  Xidmap.mem map xid
-  &&
-  let rec up x =
-    Xid.equal x root_xid
-    ||
-    match Xidmap.parent map x with
-    | Some p -> up p
-    | None -> false
-  in
-  up xid
-
-(* Does this forward operation (v-1 -> v) change the element's content?
-   Checked against the state at v, where every referenced parent/target
-   exists.  A move of the element itself only repositions it among its
-   siblings — its own content, hence its version, is unchanged
-   (Section 4's element-timestamp model). *)
-let op_touches map root_xid = function
-  | Delta.Update { xid; _ } | Delta.Rename { xid; _ } | Delta.Set_attr { xid; _ }
-    -> under_element map root_xid xid
-  | Delta.Insert { parent; _ } | Delta.Delete { parent; _ } ->
-    under_element map root_xid parent
-  | Delta.Move { xid; old_parent; new_parent; _ } ->
-    (under_element map root_xid xid && not (Xid.equal xid root_xid))
-    || under_element map root_xid old_parent
-    || under_element map root_xid new_parent
-
 (* Runs of consecutive versions over which the element's subtree is
    unchanged (no delta operation touched it and its presence never
    flipped), newest first.  Within a run the subtree is byte- and
    XID-identical across versions, so the per-version history is just the
-   run expanded. *)
+   run expanded.  The sweep follows a map of the element's own subtree
+   ([Delta.apply_backward_local]), not of the whole document; only a delta
+   that moves an outside node into the element going backward re-seeds it
+   from that delta's whole older version. *)
 let sweep_runs db eid ~t1 ~t2 =
-  let d = Db.doc db eid.Eid.doc in
-  match Docstore.versions_overlapping d ~t1 ~t2 with
+  let doc = eid.Eid.doc and root_xid = eid.Eid.xid in
+  match Docstore.versions_overlapping (Db.doc db doc) ~t1 ~t2 with
   | None -> []
   | Some (v_lo, v_hi) ->
-    let map = Xidmap.of_vnode (Db.reconstruct db eid.Eid.doc v_hi) in
-    let root_xid = eid.Eid.xid in
+    (* nodes mapped over the sweep: the seed and every re-seed *)
+    let mapped = ref 0 in
+    let count map = mapped := !mapped + Xidmap.size map; map in
+    (* the map of the element's subtree in version [v] *)
+    let seed v =
+      Option.map
+        (fun sub -> count (Xidmap.of_vnode sub))
+        (Vnode.find (Db.reconstruct db doc v) root_xid)
+    in
     let io = Db.io_stats db in
     let out = ref [] in
     let emit ~run_lo ~run_hi tree = out := (run_lo, run_hi, tree) :: !out in
-    (* walk newest -> oldest; [run_hi] is the top of the current run, and
-       [run_tree] its content (None while the element is absent) *)
+    (* walk newest -> oldest; [local] is the element's map in state v,
+       [run_hi] the top of the current run and [run_tree] its content
+       (None while the element is absent) *)
+    let local = ref (seed v_hi) in
+    let run_tree = ref (Option.map Xidmap.to_vnode !local) in
     let run_hi = ref v_hi in
-    let run_tree =
-      ref
-        (if Xidmap.mem map root_xid then Some (Xidmap.subtree map root_xid)
-         else None)
-    in
     for v = v_hi downto v_lo + 1 do
       (* step from state v to state v-1 *)
-      let delta = Db.read_delta db eid.Eid.doc v in
+      let delta = Db.read_delta db doc v in
       let touched =
-        List.exists (op_touches map root_xid) delta.Delta.ops
+        match Delta.apply_backward_local root_xid !local delta with
+        | Delta.Untouched -> false
+        | Delta.Touched map ->
+          (match (!local, map) with
+           | None, Some m -> ignore (count m)
+           | _ -> ());
+          local := map;
+          true
+        | Delta.Moved_in ->
+          local := seed (v - 1);
+          true
       in
-      Delta.apply_backward map delta;
       io.Txq_store.Io_stats.deltas_applied <-
         io.Txq_store.Io_stats.deltas_applied + 1;
       Txq_obs.Trace.add_count "deltas_applied" 1;
-      let present = Xidmap.mem map root_xid in
-      let was_present = !run_tree <> None in
-      if touched || present <> was_present then begin
+      if touched then begin
         (* the run [v .. run_hi] ends; emit it if the element existed *)
         (match !run_tree with
          | Some tree -> emit ~run_lo:v ~run_hi:!run_hi tree
          | None -> ());
         run_hi := v - 1;
-        run_tree := (if present then Some (Xidmap.subtree map root_xid) else None)
+        run_tree := Option.map Xidmap.to_vnode !local
       end
     done;
     (match !run_tree with
      | Some tree -> emit ~run_lo:v_lo ~run_hi:!run_hi tree
      | None -> ());
+    Txq_obs.Trace.add_count "mapped_nodes" !mapped;
     (* emitted oldest-last while walking down; !out is oldest-first, return
        newest-first *)
     List.rev !out

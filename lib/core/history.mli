@@ -66,10 +66,18 @@ val element_history_sweep :
   unit ->
   element_version list
 (** Same result as [element_history ~distinct:true], computed with a single
-    backward sweep: reconstruct the newest version in the window once, then
-    apply each completed delta backward exactly once, materializing the
-    element only at the versions where a delta operation touched its
-    subtree.  This is the kind of technique Section 8 calls for to "reduce
-    the number of delta versions that have to be retrieved": the naive
-    algorithm reads O(n²) deltas over an n-version window, the sweep reads
-    each delta once. *)
+    backward sweep: reconstruct the newest version in the window once and
+    map the element's subtree alone, then undo each completed delta
+    exactly once against that map ({!Txq_vxml.Delta.apply_backward_local}),
+    materializing the element only at the versions where a delta operation
+    touched its subtree.  Operations outside the subtree are skipped; the
+    element leaves and re-enters with the trees that remove or restore it.
+    Only a delta that moves an outside node into the element going
+    backward re-seeds the map from that delta's whole older version
+    ({!Txq_db.Db.reconstruct}).  The nodes mapped (the seed and every
+    re-seed) are the [mapped_nodes] count of the
+    [history.element_history_sweep] span.  This is the kind of technique
+    Section 8 calls for to "reduce the number of delta versions that have
+    to be retrieved": the naive algorithm reads O(n²) deltas over an
+    n-version window, the sweep reads each delta once and maps one
+    element, not the document. *)

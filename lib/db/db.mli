@@ -216,9 +216,10 @@ val vacuum : ?retention:Config.retention -> t -> vacuum_report
     true creation instant was vacuumed (see {!Txq_core.Lifetime}). *)
 
 val verify : t -> (int, string list) result
-(** Full integrity check: every version of every document is reconstructed
-    from its persisted delta chain; the newest must equal the in-memory
-    current version including XIDs, timestamps must be strictly monotone,
+(** Full integrity check: the stored current version must decode to the
+    in-memory current tree including XIDs (that tree anchors
+    reconstruction), every version of every document is reconstructed
+    from its persisted delta chain, timestamps must be strictly monotone,
     and no blob may fail to decode.  Returns the number of versions checked
     or the list of diagnostics.  (Corruption surfaces as decode failures —
     the completed-delta chain has no other redundancy to detect it.) *)

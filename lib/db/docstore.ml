@@ -296,19 +296,14 @@ let read_delta_bytes t v =
 
 let read_delta t v = Delta.decode_exn (read_delta_bytes t v)
 
-(* Stored anchors: the current version's blob and every snapshot blob.
-   Reconstruction starts from whichever anchor (stored or caller-cached)
-   minimizes the number of deltas between it and the target.  A bounded
-   view's newest anchor is the captured current {e tree} — its current
-   blob may already be freed by the live writer. *)
+(* Anchors: the current version and every snapshot blob.  Reconstruction
+   starts from whichever anchor (stored or caller-cached) minimizes the
+   number of deltas between it and the target.  The newest anchor is the
+   in-memory current {e tree}, which holds the current blob's content
+   without a read or decode; a bounded view's current blob may already be
+   freed by the live writer anyway. *)
 let stored_anchors t =
-  let n = version_count t in
-  let newest =
-    match t.bound with
-    | None -> (n - 1, `Blob t.current_blob)
-    | Some _ -> (n - 1, `Tree t.current)
-  in
-  newest
+  (version_count t - 1, `Tree t.current)
   :: List.filter_map
        (fun s ->
          match (entry t s).ve_snapshot with
@@ -344,10 +339,10 @@ let anchor_tree t = function
   | `Tree tree | `Cached tree -> tree
   | `Blob blob -> Codec.decode_exn (Blob_store.get t.blobs blob)
 
-let anchor_kind t anchor_v = function
+let anchor_kind = function
   | `Cached _ -> `Cached
-  | `Tree _ -> if anchor_v = version_count t - 1 then `Current else `Cached
-  | `Blob _ -> if anchor_v = version_count t - 1 then `Current else `Snapshot
+  | `Tree _ -> `Current
+  | `Blob _ -> `Snapshot
 
 (* The caller's delta source, or the blob store. *)
 let delta_reader t = function Some read -> read | None -> read_delta t
@@ -360,7 +355,7 @@ let reconstruct ?cached ?read_delta t v =
   Trace.with_span "docstore.reconstruct" @@ fun () ->
   let anchor_v, anchor = pick_anchor ?cached t ~lo:v ~hi:v in
   let tree = anchor_tree t anchor in
-  let anchor = anchor_kind t anchor_v anchor in
+  let anchor = anchor_kind anchor in
   Trace.add_attr "anchor"
     (Txq_obs.Span.Str
        (match anchor with

@@ -12,7 +12,7 @@ type t
 type reconstruct_cost = {
   deltas_applied : int;
   anchor : [ `Current | `Snapshot | `Cached ];
-      (** where the walk started: the stored current version, a stored
+      (** where the walk started: the in-memory current tree, a stored
           snapshot, or a caller-supplied cached tree *)
   direction : [ `Backward | `Forward | `None ];
 }
@@ -150,10 +150,11 @@ val reconstruct :
   ?cached:int * Txq_vxml.Vnode.t -> ?read_delta:(int -> Txq_vxml.Delta.t) ->
   t -> int -> Txq_vxml.Vnode.t * reconstruct_cost
 (** Materializes the given version, choosing the cheapest anchor among the
-    stored current version, any snapshots, and an optional already-
-    materialized [cached] version supplied by the caller, applying completed
-    deltas backward or forward (Section 7.3.3).  A cached anchor wins cost
-    ties — it needs no blob read.  Each delta comes from [read_delta] (the
+    in-memory current tree ({!current}, no blob read), any stored
+    snapshots, and an optional already-materialized [cached] version
+    supplied by the caller, applying completed deltas backward or forward
+    (Section 7.3.3).  A cached anchor wins cost ties against a snapshot —
+    it needs no blob read.  Each delta comes from [read_delta] (the
     database passes its delta cache; only versions inside the retained
     chain are asked for), by default {!read_delta} on the blob store.  All
     blob reads are accounted. *)
@@ -228,7 +229,9 @@ val restore :
 (** Version 0 of a document, over its written blobs.  [current] is the
     decoded version-0 tree; the generator advances past its XIDs.  Without
     it the document has no current tree until {!load_current} — crash
-    recovery reads no blob before the last journal record is applied. *)
+    recovery reads no blob before the last journal record is applied, and
+    reconstructs nothing before then (the current tree anchors
+    reconstruction). *)
 
 val append :
   t ->

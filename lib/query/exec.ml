@@ -592,10 +592,38 @@ let rec row_seq : _ -> row Seq.t = function
     let rest_seq = Seq.memoize (row_seq rest) in
     Seq.concat_map (fun rb -> Seq.map (fun row -> (var, rb) :: row) rest_seq) s
 
+(* The variables SELECT and WHERE name, in order of appearance. *)
+let rec expr_vars acc = function
+  | Ast.E_var v | Ast.E_path (v, _) | Ast.E_time v | Ast.E_create_time v
+  | Ast.E_delete_time v | Ast.E_previous v | Ast.E_next v | Ast.E_current v ->
+    v :: acc
+  | Ast.E_string _ | Ast.E_number _ | Ast.E_time_lit _ -> acc
+  | Ast.E_diff (a, b) -> expr_vars (expr_vars acc a) b
+  | Ast.E_count e | Ast.E_sum e | Ast.E_avg e | Ast.E_apply_path (e, _) ->
+    expr_vars acc e
+
+let rec cond_vars acc = function
+  | Ast.C_cmp (a, _, b) -> expr_vars (expr_vars acc a) b
+  | Ast.C_and (a, b) | Ast.C_or (a, b) -> cond_vars (cond_vars acc a) b
+  | Ast.C_not c -> cond_vars acc c
+
+(* Checked once against FROM, so a statement naming an unknown variable
+   fails whether or not any row binds. *)
+let check_variables query =
+  let used = List.fold_left expr_vars [] query.Ast.select in
+  let used = Option.fold ~none:used ~some:(cond_vars used) query.Ast.where in
+  let bound v =
+    List.exists (fun src -> String.equal src.Ast.src_var v) query.Ast.from
+  in
+  match List.find_opt (fun v -> not (bound v)) (List.rev used) with
+  | Some v -> raise (Fail (Unknown_variable v))
+  | None -> ()
+
 (* Every source binds (in FROM order), the product streams through WHERE,
    and each result element goes to [on_row] in result order; returns the
    number emitted.  The ["rows"] count is the rows WHERE kept. *)
 let eval_query db query ~on_row =
+  check_variables query;
   let ctx = make_ctx db in
   let rows =
     row_seq

@@ -85,6 +85,68 @@ let apply_op map = function
 let apply_forward map t = List.iter (apply_op map) t.ops
 let apply_backward map t = apply_forward map (invert t)
 
+(* --- one element's subtree, backward -------------------------------------- *)
+
+type local_step =
+  | Untouched
+  | Touched of Xidmap.t option
+  | Moved_in
+
+exception Needs_document
+
+(* The ops are undone last-to-first, each against the state it meets going
+   backward.  [cur] is the element's map in that state, [None] while the
+   element is absent; an op reaches the map only if it names a node the
+   map holds, so touch detection is membership. *)
+let apply_backward_local root local t =
+  let cur = ref local and touched = ref false in
+  let touch () = touched := true in
+  let contains tree = Vnode.find tree root in
+  let undo op =
+    match (op, !cur) with
+    | Insert { tree; _ }, Some map ->
+      (* undone: the inserted tree goes away *)
+      let top = Vnode.xid tree in
+      if Xidmap.mem map top then begin
+        if Xid.equal top root then cur := None
+        else ignore (Xidmap.delete_subtree map top);
+        touch ()
+      end
+      else if Option.is_some (contains tree) then (cur := None; touch ())
+    | Delete { parent; after; tree }, Some map ->
+      (* undone: the deleted tree comes back *)
+      if Xidmap.mem map parent then begin
+        Xidmap.insert_tree map ~parent ~after tree;
+        touch ()
+      end
+    | Delete { tree; _ }, None -> (
+      match contains tree with
+      | Some sub -> cur := Some (Xidmap.of_vnode sub); touch ()
+      | None -> ())
+    | Update { xid; old_text; _ }, Some map when Xidmap.mem map xid ->
+      Xidmap.update_text map xid old_text; touch ()
+    | Rename { xid; old_tag; _ }, Some map when Xidmap.mem map xid ->
+      Xidmap.rename map xid old_tag; touch ()
+    | Set_attr { xid; name; old_value; _ }, Some map when Xidmap.mem map xid ->
+      Xidmap.set_attr map xid ~name ~value:old_value; touch ()
+    | Move { xid; old_parent; old_after; _ }, Some map
+      when not (Xid.equal xid root) -> (
+      (* undone: [xid] returns to [old_parent]; the element's own move only
+         repositions it, its content is unchanged *)
+      match (Xidmap.mem map xid, Xidmap.mem map old_parent) with
+      | true, true ->
+        Xidmap.move map xid ~parent:old_parent ~after:old_after;
+        touch ()
+      | true, false -> ignore (Xidmap.delete_subtree map xid); touch ()
+      | false, true -> raise Needs_document
+      | false, false -> ())
+    | (Insert _ | Update _ | Rename _ | Set_attr _ | Move _), None
+    | (Update _ | Rename _ | Set_attr _ | Move _), Some _ -> ()
+  in
+  match List.iter undo (List.rev t.ops) with
+  | () -> if !touched then Touched !cur else Untouched
+  | exception Needs_document -> Moved_in
+
 let dedup_xids xids =
   let seen = Xid.Table.create 16 in
   List.filter

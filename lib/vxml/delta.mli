@@ -60,6 +60,31 @@ val apply_forward : Xidmap.t -> t -> unit
 
 val apply_backward : Xidmap.t -> t -> unit
 
+(** What {!apply_backward_local} did to an element's subtree. *)
+type local_step =
+  | Untouched  (** no operation reached the subtree; the map is as it was *)
+  | Touched of Xidmap.t option
+      (** the subtree changed, appeared or disappeared: its map in the
+          delta's [from_version] state, [None] if the element is absent
+          there (the given map may have been updated in place) *)
+  | Moved_in
+      (** an operation brings a node from outside into the element going
+          backward; its content is not in the map, so the subtree must be
+          taken from the whole [from_version] document (the given map is
+          left part-way and must be dropped) *)
+
+val apply_backward_local : Xid.t -> Xidmap.t option -> t -> local_step
+(** [apply_backward_local root local delta] follows one element, [root],
+    through [delta] backward without the rest of its document.  [local] is
+    the map of the element's subtree alone in the delta's [to_version]
+    state ({!Xidmap.of_vnode} of the subtree), [None] if the element is
+    absent there.  Operations on nodes outside the map are skipped, so an
+    operation touches the element exactly when the map holds a node it
+    names; the element's own move only repositions it and is no touch.
+    The element disappears when an operation removes it or a tree
+    containing it, and reappears, mapped from the operation's own tree,
+    when one re-inserts a tree containing it. *)
+
 val inserted_xids : t -> Xid.t list
 (** XIDs that come into existence going forward (insert trees), duplicates
     removed.  Feeds the CreTime index. *)

@@ -362,7 +362,7 @@ let test_element_history () =
    filter out the subtree.  The production path is the single backward
    sweep; this oracle is kept in the tests so the differential below stays
    meaningful. *)
-let naive_element_history db eid ~t1 ~t2 ~distinct =
+let naive_element_history ?(same = Vnode.deep_equal) db eid ~t1 ~t2 ~distinct =
   let d = Db.doc db eid.Eid.doc in
   let with_trees =
     List.filter_map
@@ -389,7 +389,7 @@ let naive_element_history db eid ~t1 ~t2 ~distinct =
       List.fold_left
         (fun (prev, acc) ev ->
           match prev with
-          | Some p when Vnode.deep_equal p.History.ev_tree ev.History.ev_tree ->
+          | Some p when same p.History.ev_tree ev.History.ev_tree ->
             let merged =
               {
                 p with
@@ -435,6 +435,17 @@ let test_element_history_sweep_agrees () =
         naive sweep)
     eids
 
+(* Per-version entries must match byte-for-byte, XIDs included: the sweep
+   shares one tree across a run. *)
+let same_history a b =
+  List.length a = List.length b
+  && List.for_all2
+       (fun x y ->
+         Vnode.equal_with_xids x.History.ev_tree y.History.ev_tree
+         && Interval.equal x.History.ev_interval y.History.ev_interval
+         && x.History.ev_version = y.History.ev_version)
+       a b
+
 let prop_sweep_equals_naive =
   QCheck.Test.make ~count:40
     ~name:"element_history (sweep) ≡ naive reconstruct-and-filter (random)"
@@ -460,27 +471,16 @@ let prop_sweep_equals_naive =
              (List.init n Fun.id))
       in
       let t1 = Timestamp.minus_infinity and t2 = Timestamp.plus_infinity in
-      let same a b =
-        List.length a = List.length b
-        && List.for_all2
-             (fun x y ->
-               (* per-version entries must match byte-for-byte, XIDs
-                  included: the sweep shares one tree across a run *)
-               Vnode.equal_with_xids x.History.ev_tree y.History.ev_tree
-               && Interval.equal x.History.ev_interval y.History.ev_interval
-               && x.History.ev_version = y.History.ev_version)
-             a b
-      in
       List.for_all
         (fun xid ->
           let eid = Eid.make ~doc:id ~xid in
-          same
+          same_history
             (naive_element_history db eid ~t1 ~t2 ~distinct:true)
             (History.element_history db eid ~t1 ~t2 ~distinct:true ())
-          && same
+          && same_history
                (naive_element_history db eid ~t1 ~t2 ~distinct:false)
                (History.element_history db eid ~t1 ~t2 ())
-          && same
+          && same_history
                (History.element_history db eid ~t1 ~t2 ~distinct:true ())
                (History.element_history_sweep db eid ~t1 ~t2 ()))
         all_xids)
@@ -504,6 +504,172 @@ let test_element_history_absent_element () =
   in
   Alcotest.(check (list int)) "absent from v0" [2; 1]
     (List.map (fun ev -> ev.History.ev_version) hist)
+
+(* --- element history over moved and copied subtrees ------------------------ *)
+
+(* A history committed one day apart from 01/01/2001. *)
+let history_db versions =
+  let db = Db.create () in
+  let base = ts "01/01/2001" in
+  let day i = Timestamp.add base (Txq_temporal.Duration.days i) in
+  match versions with
+  | [] -> invalid_arg "history_db"
+  | v0 :: rest ->
+    let id = Db.insert_document db ~url:"u" ~ts:base v0 in
+    List.iteri
+      (fun i v -> ignore (Db.update_document db ~url:"u" ~ts:(day (i + 1)) v))
+      rest;
+    (db, id)
+
+let xids_ever db id =
+  let d = Db.doc db id in
+  List.sort_uniq compare
+    (List.concat_map
+       (fun v -> Vnode.xids (Db.reconstruct db id v))
+       (List.init
+          (Docstore.version_count d - Docstore.first_version d)
+          (fun i -> Docstore.first_version d + i)))
+
+(* Both modes of the sweep against the naive reconstruct-and-filter oracle
+   whose runs split where the subtree differs XIDs included: a subtree
+   replaced by a copy has the same content and new XIDs, so the
+   content-equal oracle would merge runs the store keeps apart. *)
+let sweep_matches_exact db id ~t1 ~t2 =
+  List.for_all
+    (fun xid ->
+      let eid = Eid.make ~doc:id ~xid in
+      let naive = naive_element_history ~same:Vnode.equal_with_xids db eid ~t1 ~t2 in
+      same_history (naive ~distinct:true)
+        (History.element_history_sweep db eid ~t1 ~t2 ())
+      && same_history (naive ~distinct:false)
+           (History.element_history db eid ~t1 ~t2 ()))
+    (xids_ever db id)
+
+let prop_sweep_exact_transplants =
+  QCheck.Test.make ~count:60
+    ~name:"element_history (sweep) ≡ XID-exact oracle (transplants)"
+    (Txq_test_support.Gen_xml.arb_transplant_history ~max_versions:6)
+    (fun (doc0, versions) ->
+      let n = List.length versions + 1 in
+      let db, id = history_db (doc0 :: List.filteri (fun i _ -> i < n / 2) versions) in
+      let snap = Db.snapshot db in
+      let base = ts "01/01/2001" in
+      List.iteri
+        (fun i v ->
+          if i >= n / 2 then
+            ignore
+              (Db.update_document db ~url:"u"
+                 ~ts:(Timestamp.add base (Txq_temporal.Duration.days (i + 1)))
+                 v))
+        versions;
+      let at h = Timestamp.add base (Txq_temporal.Duration.hours h) in
+      let windows =
+        [
+          (Timestamp.minus_infinity, Timestamp.plus_infinity);
+          (* clipped inside versions at both ends *)
+          (at 12, at 60);
+          (at 36, Timestamp.plus_infinity);
+          (Timestamp.minus_infinity, at 30);
+        ]
+      in
+      let all db =
+        List.for_all (fun (t1, t2) -> sweep_matches_exact db id ~t1 ~t2) windows
+      in
+      let live = all db and pinned = all snap in
+      Db.release snap;
+      (* a vacuumed prefix: the sweep stops at the first retained version *)
+      ignore
+        (Db.vacuum
+           ~retention:{ Config.no_retention with Config.keep_versions = Some ((n + 1) / 2) }
+           db);
+      live && pinned && all db)
+
+(* Element [r]'s runs: first version and rendering, newest first. *)
+let runs db id r =
+  List.map
+    (fun ev -> (ev.History.ev_version, Print.to_string (Vnode.to_xml ev.History.ev_tree)))
+    (History.element_history_sweep db (Eid.make ~doc:id ~xid:(Vnode.xid r))
+       ~t1:Timestamp.minus_infinity ~t2:Timestamp.plus_infinity ())
+
+let child_named tree tag =
+  List.find (fun c -> Vnode.tag c = Some tag) (Vnode.children tree)
+
+let has_move db id v =
+  List.exists
+    (function Txq_vxml.Delta.Move _ -> true | _ -> false)
+    (Db.read_delta db id v).Txq_vxml.Delta.ops
+
+let mapped_nodes f =
+  let _, roots = Txq_obs.Trace.collect f in
+  List.assoc_opt "mapped_nodes" (Txq_obs.Span.sum_int_attrs roots)
+  |> Option.value ~default:0
+
+(* Going forward [a] moves out of [r]; going backward it moves in from
+   outside [r]'s map, so the sweep maps [r] afresh from version 0. *)
+let test_sweep_node_moved_out () =
+  let db, id =
+    history_db
+      [
+        parse "<g><r><a><c>salt</c></a><b/></r><s/></g>";
+        parse "<g><r><b/></r><s><a><c>salt</c></a></s></g>";
+      ]
+  in
+  Alcotest.(check bool) "the diff moves a" true (has_move db id 1);
+  let r = child_named (Db.reconstruct db id 1) "r" in
+  Alcotest.(check (list (pair int string))) "r's runs"
+    [ (1, "<r><b/></r>"); (0, "<r><a><c>salt</c></a><b/></r>") ]
+    (runs db id r);
+  Alcotest.(check bool) "sweep ≡ XID-exact oracle" true
+    (sweep_matches_exact db id ~t1:Timestamp.minus_infinity
+       ~t2:Timestamp.plus_infinity);
+  (* r, b at version 1; r, a, c, salt, b mapped again at version 0 *)
+  Alcotest.(check int) "mapped nodes" 7
+    (mapped_nodes (fun () ->
+         History.element_history_sweep db (Eid.make ~doc:id ~xid:(Vnode.xid r))
+           ~t1:Timestamp.minus_infinity ~t2:Timestamp.plus_infinity ()))
+
+(* [r] comes with its ancestor [p] and goes with it: undoing the deletion
+   brings it back from the delta's tree, undoing the insertion removes
+   it. *)
+let test_sweep_deleted_ancestor () =
+  let db, id =
+    history_db
+      [
+        parse "<g><q/></g>";
+        parse "<g><q/><p><r><n>one</n></r></p></g>";
+        parse "<g><q/><p><r><n>two</n></r></p></g>";
+        parse "<g><q/></g>";
+      ]
+  in
+  let r = child_named (child_named (Db.reconstruct db id 2) "p") "r" in
+  Alcotest.(check (list (pair int string))) "r's runs"
+    [ (2, "<r><n>two</n></r>"); (1, "<r><n>one</n></r>") ]
+    (runs db id r);
+  Alcotest.(check bool) "sweep ≡ XID-exact oracle" true
+    (sweep_matches_exact db id ~t1:Timestamp.minus_infinity
+       ~t2:Timestamp.plus_infinity)
+
+(* [r]'s own move only repositions it: one run over both versions, while
+   the parents it left and joined change. *)
+let test_sweep_own_move () =
+  let db, id =
+    history_db
+      [
+        parse "<g><p><r><n>x</n></r></p><q/></g>";
+        parse "<g><p/><q><r><n>x</n></r></q></g>";
+      ]
+  in
+  Alcotest.(check bool) "the diff moves r" true (has_move db id 1);
+  let v1 = Db.reconstruct db id 1 in
+  let r = child_named (child_named v1 "q") "r" in
+  Alcotest.(check (list (pair int string))) "r's one run"
+    [ (0, "<r><n>x</n></r>") ] (runs db id r);
+  Alcotest.(check (list (pair int string))) "p's runs"
+    [ (1, "<p/>"); (0, "<p><r><n>x</n></r></p>") ]
+    (runs db id (child_named v1 "p"));
+  Alcotest.(check (list (pair int string))) "q's runs"
+    [ (1, "<q><r><n>x</n></r></q>"); (0, "<q/>") ]
+    (runs db id (child_named v1 "q"))
 
 (* --- CreTime / DelTime ---------------------------------------------------- *)
 
@@ -1016,6 +1182,12 @@ let () =
           Alcotest.test_case "sweep agrees on Figure 1" `Quick
             test_element_history_sweep_agrees;
           QCheck_alcotest.to_alcotest prop_sweep_equals_naive;
+          QCheck_alcotest.to_alcotest prop_sweep_exact_transplants;
+          Alcotest.test_case "sweep: node moved out" `Quick
+            test_sweep_node_moved_out;
+          Alcotest.test_case "sweep: deleted ancestor" `Quick
+            test_sweep_deleted_ancestor;
+          Alcotest.test_case "sweep: own move" `Quick test_sweep_own_move;
         ] );
       ( "lifetime",
         [

@@ -406,6 +406,24 @@ let test_unknown_variable () =
   | Error e -> Alcotest.failf "wrong error: %s" (Exec.error_to_string e)
   | Ok _ -> Alcotest.fail "expected unknown-variable error"
 
+(* No row binds over a missing document, yet the statement names a
+   variable FROM does not bind: the same error as over a present one. *)
+let test_unknown_variable_no_rows () =
+  let db = fig1_db () in
+  List.iter
+    (fun (stmt, var) ->
+      match Exec.run_string db stmt with
+      | Error (Exec.Unknown_variable v) -> Alcotest.(check string) stmt var v
+      | Error e -> Alcotest.failf "wrong error: %s" (Exec.error_to_string e)
+      | Ok xml ->
+        Alcotest.failf "%s: expected unknown-variable error, got %s" stmt
+          (Txq_xml.Print.to_string xml))
+    [
+      ({|SELECT X FROM doc("no.such")/guide/restaurant R|}, "X");
+      ({|SELECT R FROM doc("no.such")/guide/restaurant R WHERE Y/price = "1"|}, "Y");
+      ({|SELECT COUNT(Z) FROM doc("no.such")[EVERY]/guide/restaurant R|}, "Z");
+    ]
+
 (* --- explain -------------------------------------------------------------------- *)
 
 let test_explain_operators () =
@@ -711,6 +729,8 @@ let () =
           Alcotest.test_case "root binding" `Quick test_root_binding;
           Alcotest.test_case "DISTINCT" `Quick test_distinct;
           Alcotest.test_case "unknown variable" `Quick test_unknown_variable;
+          Alcotest.test_case "unknown variable, no rows" `Quick
+            test_unknown_variable_no_rows;
         ] );
       ("explain", [Alcotest.test_case "operator mapping" `Quick test_explain_operators]);
       ( "collections",

@@ -132,6 +132,12 @@ let test_query_over_wire () =
      Alcotest.(check int) "parse error code"
        (P.error_code_to_int P.E_parse) code
    | Ok _ -> Alcotest.fail "expected a parse error");
+  (* an unknown variable is refused even when no row binds *)
+  (match Client.query c "SELECT X FROM doc(\"no.such\")/guide/restaurant R" with
+   | Error (code, _) ->
+     Alcotest.(check int) "unknown variable code"
+       (P.error_code_to_int P.E_unknown_variable) code
+   | Ok reply -> Alcotest.failf "expected an unknown-variable error, got %s" reply.Client.body);
   (* and the connection is still usable afterwards *)
   Alcotest.(check bool) "ping after error" true (Client.ping c);
   let contains s re =
