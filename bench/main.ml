@@ -404,20 +404,14 @@ let e6 () =
     List.map
       (fun versions ->
         let sp = spec ~documents:1 ~versions ~restaurants:20 () in
-        let db = Load.load_db sp (* paged B+-tree index, the default *) in
-        let db_mem =
-          Load.load_db
-            ~config:{ Config.default with Config.cretime_backing = `Memory }
-            sp
-        in
-        let teid_of db =
+        let db = Load.load_db sp in
+        let teid =
           let doc = List.hd (Db.doc_ids db) in
           let d = Db.doc db doc in
           Eid.Temporal.make
             (Eid.make ~doc ~xid:(Vnode.xid (Docstore.current d)))
             (Docstore.ts_of_version d (versions - 1))
         in
-        let teid = teid_of db and teid_mem = teid_of db_mem in
         let traverse_us =
           time_us (fun () ->
               Db.flush_cache db;
@@ -433,22 +427,16 @@ let e6 () =
         Txq_store.Io_stats.reset (Db.io_stats db);
         ignore (Lifetime.cre_time db ~strategy:`Index teid);
         let index_reads = (Db.io_stats db).Txq_store.Io_stats.page_reads in
-        let memory_us =
-          time_us (fun () -> Lifetime.cre_time db_mem ~strategy:`Index teid_mem)
-        in
         [
           string_of_int versions;
           Printf.sprintf "%s (%d deltas)" (fmt_us traverse_us) deltas;
           Printf.sprintf "%s (%d page reads)" (fmt_us paged_us) index_reads;
-          fmt_us memory_us;
           Printf.sprintf "%.0fx" (traverse_us /. Float.max paged_us 0.01);
         ])
       [16; 64; 192]
   in
   print_table ~title:"E6: CreTime of the oldest element (cold cache)"
-    ~columns:
-      ["versions"; "traverse"; "B+-tree index"; "memory index";
-       "paged-index speedup"]
+    ~columns:["versions"; "traverse"; "B+-tree index"; "index speedup"]
     rows;
   let sp = spec ~documents:1 ~versions:64 ~restaurants:20 () in
   let db = Load.load_db sp in

@@ -23,14 +23,9 @@ let last_deltas_key = Domain.DLS.new_key (fun () -> 0)
 let last_traverse_deltas () = Domain.DLS.get last_deltas_key
 
 let default_strategy db =
-  (* The CreTime index is shared with the live writer and reflects
-     deletions committed past a snapshot's watermark; delta traversal
-     clamps to the snapshot's bounded chains instead. *)
-  if Db.is_snapshot db then `Traverse
-  else
-    match Db.cretime db with
-    | Some _ -> `Index
-    | None -> `Traverse
+  match Db.cretime db with
+  | Some _ -> `Index
+  | None -> `Traverse
 
 let index_of db =
   match Db.cretime db with
@@ -112,51 +107,65 @@ let traced name strategy f =
       | `Index -> ());
       r)
 
+(* The index is shared with the live writer, so it holds rows written
+   past a snapshot's pin.  Its rows are transaction-time instants and a
+   document's commit timestamps strictly increase, so a row belongs to
+   this handle's view iff it is no later than the view's last event: the
+   document's deletion, or its newest version.  Per document, not one
+   watermark instant: two documents can commit at the same instant.  On
+   the live handle every row passes. *)
+let in_view d ts =
+  let last =
+    match Docstore.deleted_at d with
+    | Some del -> del
+    | None -> Docstore.ts_of_version d (Docstore.version_count d - 1)
+  in
+  Timestamp.(ts <= last)
+
+(* One index lookup, clipped to the view and passed to [answer] with the
+   view, all under the read lock: the paged B+-tree and the live docstores
+   are writer-mutated.  Vacuum holds back every document a pin can see, so
+   pruning never touches a row a snapshot reads. *)
+let index_answer db find (teid : Eid.Temporal.t) answer =
+  let eid = teid.Eid.Temporal.eid in
+  Db.with_read db @@ fun () ->
+  match Db.doc_opt db eid.Eid.doc with
+  | None -> None
+  | Some d -> (
+    match find (index_of db) eid with
+    | Some ts when in_view d ts -> Some (answer d ts)
+    | Some _ | None -> None)
+
 (* An index row can predate the retained window: elements alive across a
    vacuum keep their exact creation timestamp in the index, but a rebuild
    of the truncated chain (crash recovery) can only date them to the base
    version.  Clamp index answers at the first retained version so both
    strategies — and a recovered database — agree. *)
-let clamp_created db (teid : Eid.Temporal.t) = function
-  | None -> None
-  | Some ts ->
-    let d = Db.doc db teid.Eid.Temporal.eid.Eid.doc in
-    let fv = Docstore.first_version d in
-    if fv = 0 then Some (Exact ts)
-    else
-      let horizon_ts = Docstore.ts_of_version d fv in
-      if Timestamp.(ts <= horizon_ts) then Some (At_or_before horizon_ts)
-      else Some (Exact ts)
+let clamp_created d ts =
+  let fv = Docstore.first_version d in
+  if fv = 0 then Exact ts
+  else
+    let horizon_ts = Docstore.ts_of_version d fv in
+    if Timestamp.(ts <= horizon_ts) then At_or_before horizon_ts else Exact ts
+
+let strategy_or_default db = function
+  | Some s -> s
+  | None -> default_strategy db
 
 let cre_time_bound db ?strategy teid =
-  let strategy =
-    match strategy with
-    | Some s -> s
-    | None -> default_strategy db
-  in
+  let strategy = strategy_or_default db strategy in
   traced "lifetime.cre_time" strategy @@ fun () ->
   match strategy with
   | `Traverse -> cre_time_traverse db teid
   | `Index ->
-    (* writer-mutated paged B+-tree: exclude the writer for the lookup *)
-    ( Db.with_read db (fun () ->
-          clamp_created db teid
-            (Cretime_index.create_time (index_of db) teid.Eid.Temporal.eid)),
-      0 )
+    (index_answer db Cretime_index.create_time teid clamp_created, 0)
 
 let cre_time db ?strategy teid =
   Option.map bound_ts (cre_time_bound db ?strategy teid)
 
 let del_time db ?strategy teid =
-  let strategy =
-    match strategy with
-    | Some s -> s
-    | None -> default_strategy db
-  in
+  let strategy = strategy_or_default db strategy in
   traced "lifetime.del_time" strategy @@ fun () ->
   match strategy with
   | `Traverse -> del_time_traverse db teid
-  | `Index ->
-    ( Db.with_read db (fun () ->
-          Cretime_index.delete_time (index_of db) teid.Eid.Temporal.eid),
-      0 )
+  | `Index -> (index_answer db Cretime_index.delete_time teid (fun _ ts -> ts), 0)

@@ -10,7 +10,11 @@
       notes).
     - [`Index]: look the EID up in the auxiliary create/delete-time index.
 
-    Experiment E6 measures the trade. *)
+    Experiment E6 measures the trade.  Both strategies answer at the
+    handle's own view on every handle: the index is shared with the live
+    writer, and a snapshot counts only the rows no later than its view of
+    the element's document (its deletion, or its newest version), so a
+    later deletion reads as "still alive" there. *)
 
 type strategy = [ `Traverse | `Index ]
 

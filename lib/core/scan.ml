@@ -29,9 +29,9 @@ type cand = {
   c_versions : Vrange.t;
 }
 
-let range_of_posting p =
-  Vrange.singleton p.Posting.vstart
-    (if Posting.is_open p then max_int else p.Posting.vend)
+(* An open posting's [vend] is [Posting.open_end] = [max_int], the open
+   upper bound of a version range. *)
+let range_of_posting p = Vrange.singleton p.Posting.vstart p.Posting.vend
 
 (* --- sorted-array search primitives ----------------------------------- *)
 
@@ -193,8 +193,8 @@ let dedup bindings =
    for every [domains] value.
 
    Everything effectful happens on the calling domain: FTI fetches and
-   their trace spans, [version_at] resolution, the final dedup.  Workers
-   only read frozen hashtables and posting arrays. *)
+   their trace spans, version resolution, the final dedup.  Workers only
+   read frozen hashtables and posting arrays. *)
 
 let kind_of = function
   | Pattern.Tag _ -> Vnode.Tag
@@ -223,7 +223,19 @@ let distinct_docs arr =
     [] arr
   |> List.rev
 
-let engine ?(domains = 1) ?(min_per_task = 1) pattern ~fetch_all ~keep =
+(* Minimum candidate documents a spawned scan domain must amortize: below
+   it a multi-domain scan runs inline, since spawn cost dwarfs the work. *)
+let min_docs = 48
+
+(* [at], when given, makes the engine a snapshot operator: [at doc] names
+   the version each candidate document is read at ([None]: it has none).
+   It runs once per candidate document of the root postings, on the
+   calling domain; a worker keeps a posting iff it is valid at its
+   document's version and binds that version alone — a snapshot
+   operator's TEIDs name the version valid at the query time (Section
+   6.1), however many versions a posting spans.  Without [at] the engine
+   joins whole histories. *)
+let engine ~domains ?at pattern ~fetch_all =
   (match Pattern.validate pattern with
    | Ok () -> ()
    | Error e -> invalid_arg ("Scan: invalid pattern: " ^ e));
@@ -236,58 +248,58 @@ let engine ?(domains = 1) ?(min_per_task = 1) pattern ~fetch_all ~keep =
     match pattern.Pattern.test with
     | (Pattern.Tag w | Pattern.Word w) as t -> postings_for w (kind_of t)
   in
-  let keep_doc doc =
-    match keep with
-    | None -> true
-    | Some pred ->
-      let start, stop = doc_slice root_arr doc in
-      let rec any i = i < stop && (pred root_arr.(i) || any (i + 1)) in
-      any start
+  let candidates = distinct_docs root_arr in
+  let tasks =
+    match at with
+    | None -> List.map (fun doc -> (doc, None)) candidates
+    | Some version_of ->
+      List.filter_map
+        (fun doc ->
+          match version_of doc with
+          | None -> None
+          | Some v ->
+            let start, stop = doc_slice root_arr doc in
+            let rec any i =
+              i < stop && (Posting.valid_at root_arr.(i) v || any (i + 1))
+            in
+            if any start then Some (doc, Some v) else None)
+        candidates
   in
-  let docs = Array.of_list (List.filter keep_doc (distinct_docs root_arr)) in
-  let fetch_doc doc word kind =
+  let fetch_doc (doc, version) word kind =
     let arr = postings_for word kind in
     let start, stop = doc_slice arr doc in
-    match keep with
+    match version with
     | None -> Array.sub arr start (stop - start)
-    | Some pred ->
+    | Some v ->
       (* filtering a sorted slice preserves its order *)
       let out = ref [] in
       for i = stop - 1 downto start do
-        if pred arr.(i) then out := arr.(i) :: !out
+        if Posting.valid_at arr.(i) v then out := arr.(i) :: !out
       done;
       Array.of_list !out
   in
-  let scan_doc doc =
-    let cands = eval_node ~fetch:(fetch_doc doc) pattern in
+  let scan_doc ((doc, version) as task) =
+    let cands = eval_node ~fetch:(fetch_doc task) pattern in
     let out = ref [] in
     Array.iter
       (fun c ->
         if root_ok pattern c then
           match c.c_out with
           | Some path ->
-            out :=
-              { b_doc = doc; b_path = path; b_versions = c.c_versions }
-              :: !out
+            let versions =
+              match version with
+              | None -> c.c_versions
+              | Some v -> Vrange.singleton v (v + 1)
+            in
+            out := { b_doc = doc; b_path = path; b_versions = versions } :: !out
           | None -> ())
       cands;
     List.rev !out
   in
-  let per_doc = Dpool.map ~min_per_task ~domains docs scan_doc in
+  let per_doc =
+    Dpool.map ~min_per_task:min_docs ~domains (Array.of_list tasks) scan_doc
+  in
   dedup (List.concat (Array.to_list per_doc))
-
-(* Restrict each binding's validity to the single version the operator is
-   about: postings can span many versions, but a snapshot operator's TEIDs
-   must name the version valid at the query time (Section 6.1). *)
-let clamp ~version_of bindings =
-  List.filter_map
-    (fun b ->
-      match version_of b.b_doc with
-      | None -> None
-      | Some v ->
-        let versions = Vrange.inter b.b_versions (Vrange.singleton v (v + 1)) in
-        if Vrange.is_empty versions then None else Some { b with b_versions = versions })
-    bindings
 
 (* One span per operator invocation; the FTI lookups it performs show up
    as child spans carrying the postings counts.  [est] is the caller's
@@ -310,99 +322,64 @@ let domains_of db = function
   | Some n -> if n < 1 then 1 else n
   | None -> (Db.config db).Txq_db.Config.domains
 
-let min_docs db = (Db.config db).Txq_db.Config.dpool_min_docs
-
 (* Each fetch runs with the writer excluded: the FTI's mutable tail and
    segment freezing are writer-mutated.  Per-fetch locking is enough for
-   snapshots — results are clipped to the pinned watermark afterwards, so
-   commits landing between two fetches cannot leak into the answer. *)
+   snapshots: every answer is read at versions of the handle's own pinned
+   views, so commits landing between two fetches cannot leak into it. *)
 let fetch_all db word kind =
   Db.with_read db (fun () -> Fti.sorted_postings (Db.fti db) word ~kind)
 
-(* On a snapshot, shared-index postings may name documents or versions
-   committed past the watermark: keep only what the pinned views can see.
-   [hi >= version_count] sub-ranges keep their open upper bound's meaning
-   through {!binding_intervals}, which treats anything at or past the
-   count as "still valid at the end". *)
-let clip_to_snapshot db bindings =
-  if not (Db.is_snapshot db) then bindings
-  else
-    List.filter_map
-      (fun b ->
-        match Db.doc_opt db b.b_doc with
-        | None -> None
-        | Some d ->
-          let versions =
-            Vrange.inter b.b_versions
-              (Vrange.singleton 0 (Docstore.version_count d))
-          in
-          if Vrange.is_empty versions then None
-          else Some { b with b_versions = versions })
-      bindings
+(* Pattern scan at one version per document: [version_of] resolves it
+   through the handle's own docstore views, so the live handle and a
+   snapshot take the same path. *)
+let scan_at ?domains db pattern version_of =
+  engine ~domains:(domains_of db domains) ~at:version_of pattern
+    ~fetch_all:(fetch_all db)
 
 let pattern_scan ?domains ?est db pattern =
   traced ?est "scan.pattern_scan" pattern @@ fun () ->
-  let current_version doc =
-    match Db.doc_opt db doc with
-    | Some d when Docstore.is_alive d -> Some (Docstore.version_count d - 1)
-    | Some _ | None -> None
-  in
-  (* Live handle: an open posting is exactly "valid in the current
-     version".  Snapshot: the current version is the bounded one, and a
-     posting closed after the watermark is still open as of the pin — test
-     validity at the bounded current instead.  (Workers run [keep]; both
-     predicates only read frozen tables.) *)
-  let keep =
-    if Db.is_snapshot db then fun p ->
-      match current_version p.Posting.doc with
-      | Some v -> Posting.valid_at p v
-      | None -> false
-    else Posting.is_open
-  in
-  clamp ~version_of:current_version
-    (engine ~domains:(domains_of db domains) ~min_per_task:(min_docs db)
-       pattern ~fetch_all:(fetch_all db) ~keep:(Some keep))
+  scan_at ?domains db pattern (fun doc ->
+      match Db.doc_opt db doc with
+      | Some d when Docstore.is_alive d -> Some (Docstore.version_count d - 1)
+      | Some _ | None -> None)
 
 let tpattern_scan ?domains ?est db pattern ts =
   traced ?est "scan.tpattern_scan" pattern @@ fun () ->
-  let version_at doc =
-    match Db.doc_opt db doc with
-    | Some d -> Docstore.version_at d ts
-    | None -> None
-  in
-  (* Resolve each candidate document's version on the calling domain (it
-     reads the delta index), so the per-posting predicate the workers run
-     only consults this frozen table. *)
-  let vtab = Hashtbl.create 64 in
-  let version_cached doc =
-    match Hashtbl.find_opt vtab doc with
-    | Some v -> v
-    | None ->
-      let v = version_at doc in
-      Hashtbl.replace vtab doc v;
-      v
-  in
-  let root_word, root_kind =
-    match pattern.Pattern.test with
-    | (Pattern.Tag w | Pattern.Word w) as t -> (w, kind_of t)
-  in
-  Array.iter
-    (fun p -> ignore (version_cached p.Posting.doc))
-    (fetch_all db root_word root_kind);
-  let keep p =
-    match Hashtbl.find_opt vtab p.Posting.doc with
-    | Some (Some v) -> Posting.valid_at p v
-    | Some None | None -> false
-  in
-  clamp ~version_of:version_cached
-    (engine ~domains:(domains_of db domains) ~min_per_task:(min_docs db)
-       pattern ~fetch_all:(fetch_all db) ~keep:(Some keep))
+  scan_at ?domains db pattern (fun doc ->
+      Option.bind (Db.doc_opt db doc) (fun d -> Docstore.version_at d ts))
+
+(* History bindings as the handle's views see them.  Postings are shared
+   with the live writer, so a range can outrun a snapshot's view of its
+   document: a range starting at or past the view's version count is
+   dropped; one ending past the count, or at it while the view's document
+   is alive, was still open as of the view and is held open ([max_int]),
+   as the live handle holds it; every other range is kept.  On the live
+   handle this is the identity. *)
+let clip_to_view db bindings =
+  List.filter_map
+    (fun b ->
+      match Db.doc_opt db b.b_doc with
+      | None -> None
+      | Some d ->
+        let n = Docstore.version_count d in
+        let alive = Docstore.is_alive d in
+        let versions =
+          Vrange.of_list
+            (List.filter_map
+               (fun (lo, hi) ->
+                 if lo >= n then None
+                 else if hi > n || (hi = n && alive) then Some (lo, max_int)
+                 else Some (lo, hi))
+               (Vrange.to_list b.b_versions))
+        in
+        if Vrange.is_empty versions then None
+        else Some { b with b_versions = versions })
+    bindings
 
 let tpattern_scan_all ?domains ?est db pattern =
   traced ?est "scan.tpattern_scan_all" pattern @@ fun () ->
-  clip_to_snapshot db
-    (engine ~domains:(domains_of db domains) ~min_per_task:(min_docs db)
-       pattern ~fetch_all:(fetch_all db) ~keep:None)
+  clip_to_view db
+    (engine ~domains:(domains_of db domains) pattern ~fetch_all:(fetch_all db))
 
 let binding_intervals db b =
   let d = Db.doc db b.b_doc in

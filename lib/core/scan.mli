@@ -22,6 +22,12 @@ type binding = {
 
 val eid_of_binding : binding -> Txq_vxml.Eid.t
 
+val min_docs : int
+(** Candidate documents each spawned domain must have to amortize its
+    spawn: a scan over fewer than [min_docs] per extra domain runs inline
+    (the [?min_per_task] of {!Dpool.map}).  The planner plans fan-out with
+    the same floor. *)
+
 val pattern_scan :
   ?domains:int -> ?est:int -> Txq_db.Db.t -> Pattern.t -> binding list
 (** Matches against current versions only (FTI_lookup).  The result

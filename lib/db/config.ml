@@ -13,7 +13,6 @@ type t = {
   snapshot_every : int option;
   fti_mode : fti_mode;
   cretime_index : bool;
-  cretime_backing : [ `Memory | `Paged ];
   placement : Txq_store.Blob_store.policy;
   buffer_pool_pages : int;
   version_cache_bytes : int;
@@ -25,7 +24,6 @@ type t = {
   retention : retention;
   group_commit : bool;
   group_commit_window_us : int;
-  dpool_min_docs : int;
   planner : bool;
   ship_buffer : int;
 }
@@ -37,7 +35,6 @@ let default =
     snapshot_every = None;
     fti_mode = Fti_versions;
     cretime_index = true;
-    cretime_backing = `Paged;
     placement = `Unclustered;
     buffer_pool_pages = 256;
     version_cache_bytes = 8 * 1024 * 1024;
@@ -49,7 +46,6 @@ let default =
     retention = no_retention;
     group_commit = false;
     group_commit_window_us = 2000;
-    dpool_min_docs = 48;
     planner = true;
     ship_buffer = 0;
   }
@@ -66,8 +62,6 @@ let with_retention ?keep_newer_than ?keep_versions t =
 
 let with_tracing t = { t with tracing = true }
 
-let with_domains n t = { t with domains = (if n < 1 then 1 else n) }
-
 let with_snapshots k t = { t with snapshot_every = Some k }
 
 let with_group_commit ?window_us t =
@@ -80,8 +74,6 @@ let with_group_commit ?window_us t =
        | Some _ -> 0
        | None -> t.group_commit_window_us);
   }
-
-let with_dpool_min_docs n t = { t with dpool_min_docs = (if n < 0 then 0 else n) }
 
 let with_planner on t = { t with planner = on }
 

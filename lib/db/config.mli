@@ -30,11 +30,9 @@ type t = {
   fti_mode : fti_mode;
   cretime_index : bool;
       (** Maintain the auxiliary EID → (create, delete) timestamp index of
-          Section 7.3.6; without it CreTime/DelTime traverse deltas. *)
-  cretime_backing : [ `Memory | `Paged ];
-      (** [`Paged] (default) keeps the CreTime index in a page-backed
-          B+-tree whose maintenance and lookups are IO-accounted;
-          [`Memory] is the free-lookup upper bound for comparisons. *)
+          Section 7.3.6, a page-backed B+-tree whose maintenance and
+          lookups are IO-accounted; without it CreTime/DelTime traverse
+          deltas. *)
   placement : Txq_store.Blob_store.policy;
       (** Delta/version blob placement (Section 7.2's clustering remark). *)
   buffer_pool_pages : int;
@@ -74,7 +72,9 @@ type t = {
       (** Worker domains for the document-parallel pattern-scan operators.
           1 (the default) runs everything inline on the calling domain —
           exactly the sequential behaviour; results are deterministic and
-          identical for every value. *)
+          identical for every value.  A scan fans out only over enough
+          candidate documents to amortize the spawns
+          ([Txq_core.Scan.min_docs] per extra domain). *)
   retention : retention;
   group_commit : bool;
       (** Batch journal durability across concurrent committers: [commit]
@@ -91,12 +91,6 @@ type t = {
           commit leader waits for other committers to join its batch
           before flushing.  0 flushes immediately (batching then happens
           only when committers pile up faster than the flush). *)
-  dpool_min_docs : int;
-      (** Minimum candidate documents a spawned scan domain must amortize:
-          pattern scans skip domain fan-out when the corpus slice is
-          smaller than [dpool_min_docs] per extra domain, so multi-domain
-          configurations never regress small scans (spawn cost dwarfs the
-          work).  0 disables the threshold. *)
   planner : bool;
       (** Cost-based planning in [Exec]: statements are rewritten before
           costing, multiway-join legs are ordered by estimated
@@ -127,15 +121,9 @@ val durable : t -> t
 val with_tracing : t -> t
 (** Turns on [tracing]. *)
 
-val with_domains : int -> t -> t
-(** Sets [domains] (clamped up to 1). *)
-
 val with_group_commit : ?window_us:int -> t -> t
 (** Turns on [group_commit]; [window_us] overrides the collection window
     (clamped up to 0). *)
-
-val with_dpool_min_docs : int -> t -> t
-(** Sets [dpool_min_docs] (clamped up to 0). *)
 
 val with_planner : bool -> t -> t
 (** Sets [planner].  [with_planner false] is the literal-evaluation

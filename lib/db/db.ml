@@ -129,10 +129,7 @@ let make config ~clock ~disk ~pool journal =
        else None);
     cretime =
       (if config.Config.cretime_index then
-         Some
-           (match config.Config.cretime_backing with
-            | `Paged -> Cretime_index.create_paged pool
-            | `Memory -> Cretime_index.create ())
+         Some (Cretime_index.create_paged pool)
        else None);
     next_doc_id = 0;
     dtime_path =
@@ -616,6 +613,11 @@ let delete_document t ~url ?ts () =
     let ts = commit_ts t ts in
     let doc_id = Docstore.doc_id d in
     let version = Docstore.version_count d in
+    (* A deletion advances the document's transaction time like a commit
+       does, so its versions never hold an empty interval and a reader
+       tells its own view from a later deletion by instant alone. *)
+    if Timestamp.(ts <= Docstore.ts_of_version d (version - 1)) then
+      invalid_arg "Db.delete_document: timestamp does not advance";
     ticket :=
       journal_append t (Journal_record.Delete { r_doc = doc_id; r_ts = seconds ts });
     Docstore.mark_deleted d ~ts;

@@ -97,6 +97,8 @@ val update_document :
 
 val delete_document :
   t -> url:string -> ?ts:Txq_temporal.Timestamp.t -> unit -> unit
+(** Marks the live document at [url] deleted.  Raises [Invalid_argument]
+    if none is live or [ts] does not advance past its newest version. *)
 
 (** {1 Document access} *)
 

@@ -37,16 +37,11 @@ let test_of (p : Pattern.t) =
   | Pattern.Tag w -> (w, Vnode.Tag)
   | Pattern.Word w -> (w, Vnode.Word)
 
-(* Cardinality of one word test under the operator's temporal mode.
-   On a snapshot handle the shared index's open-posting counters are
-   wrong for the pinned instant (a posting closed after the watermark is
-   still open as of the pin), so [Current] falls back to history counts
-   there — an upper bound, which keeps a zero a proof of emptiness. *)
+(* Cardinality of one word test under the operator's temporal mode. *)
 let test_count t mode word kind =
   match mode with
-  | Current when not (Db.is_snapshot (Stats.db t.stats)) ->
-    Stats.word_open t.stats word kind
-  | Current | Every -> fst (Stats.word_history t.stats word kind)
+  | Current -> fst (Stats.word_current t.stats word kind)
+  | Every -> fst (Stats.word_history t.stats word kind)
   | At ->
     let total, _route = Stats.word_history t.stats word kind in
     if total = 0 then 0
@@ -60,11 +55,7 @@ let test_count t mode word kind =
       let churn =
         Stdlib.max 1 (int_of_float (float_of_int total /. Stats.avg_chain c))
       in
-      let stable =
-        if Db.is_snapshot (Stats.db t.stats) then 0
-        else Stats.word_open t.stats word kind
-      in
-      Stdlib.max churn stable
+      Stdlib.max churn (Stats.word_open t.stats word kind)
 
 let rec subtree_min t mode (p : Pattern.t) =
   let word, kind = test_of p in
@@ -145,28 +136,22 @@ let scan_skippable t ~est ~docs =
 
 (* Domain fan-out from estimated rows: below the per-domain amortization
    floor a parallel scan only pays spawn cost, so plan it inline.  The
-   floor reuses [dpool_min_docs] — the same knob that gates fan-out by
-   candidate documents inside the pool — here applied earlier, to the
-   estimate. *)
+   floor is [Scan.min_docs] — the one that gates fan-out by candidate
+   documents inside the pool — here applied earlier, to the estimate. *)
 let scan_domains t ~est =
   if t.config.Config.domains <= 1 then None
-  else if est <= Stdlib.max 1 t.config.Config.dpool_min_docs then Some 1
+  else if est <= Txq_core.Scan.min_docs then Some 1
   else None
 
 (* CreTime/DelTime strategy from estimated chain depth: a short chain is
-   cheaper to walk than to look up.  On snapshots the choice is forced to
-   the default ([None]): the shared CreTime index sees post-watermark
-   deletions, and [Lifetime.default_strategy] already pins [`Traverse]
-   there for correctness. *)
+   cheaper to walk than to look up.  Both strategies answer at the
+   handle's own view, so the rule is the same on every handle. *)
 let lifetime_strategy t ~doc =
-  let db = Stats.db t.stats in
-  if Db.is_snapshot db then None
-  else
-    match Db.cretime db with
-    | None -> Some `Traverse
-    | Some _ ->
-      if Stats.chain_len t.stats doc <= traverse_cutoff then Some `Traverse
-      else Some `Index
+  match Db.cretime (Stats.db t.stats) with
+  | None -> Some `Traverse
+  | Some _ ->
+    if Stats.chain_len t.stats doc <= traverse_cutoff then Some `Traverse
+    else Some `Index
 
 (* --- algebra ------------------------------------------------------------ *)
 
@@ -280,9 +265,8 @@ let describe_scan t mode ~est pattern =
   let leg (word, kind) =
     let n, route =
       match mode with
-      | Current when not (Db.is_snapshot (Stats.db t.stats)) ->
-        (Stats.word_open t.stats word kind, Stats.A1)
-      | _ -> Stats.word_history t.stats word kind
+      | Current -> Stats.word_current t.stats word kind
+      | At | Every -> Stats.word_history t.stats word kind
     in
     Printf.sprintf "%s%s=%d[%s]"
       (match kind with Vnode.Tag -> "" | Vnode.Word -> "~")

@@ -31,6 +31,11 @@ let unknown = max_int / 4
 
 type t = {
   db : Db.t;
+  live : bool;
+      (* the shared FTI's open-posting counters describe this handle's
+         state: true on the live handle, false on a snapshot, where a
+         posting closed past the pin was still open as of the pin and one
+         opened past it did not exist *)
   has_a1 : bool;
   has_a2 : bool;
   mutable corpus_memo : corpus option;
@@ -43,6 +48,7 @@ let create db =
   let config = Db.config db in
   {
     db;
+    live = not (Db.is_snapshot db);
     has_a1 = Config.maintains_version_index config;
     has_a2 = Config.maintains_delta_index config;
     corpus_memo = None;
@@ -131,7 +137,10 @@ let word_history t word kind =
   let a2 = a2_count t word in
   if a1 <= a2 then (a1, A1) else (a2, A2)
 
-let word_open t word kind = snd (a1_counts t word kind)
+let word_current t word kind =
+  if t.live then (snd (a1_counts t word kind), A1) else word_history t word kind
+
+let word_open t word kind = if t.live then snd (a1_counts t word kind) else 0
 
 let doc_word_history t word kind doc =
   if not t.has_a1 then unknown

@@ -56,9 +56,18 @@ val word_history : t -> string -> Txq_vxml.Vnode.occurrence_kind -> int * route
     from either proves the word never occurred in a retained version.
     Saturates (rather than returning 0) when neither index exists. *)
 
+val word_current :
+  t -> string -> Txq_vxml.Vnode.occurrence_kind -> int * route
+(** Current-version cardinality.  On the live handle: the A1 open-posting
+    counter (saturating when A1 is not maintained).  The counters describe
+    only the live state, so on a snapshot this is {!word_history} — an
+    upper bound, which keeps a zero a proof of emptiness. *)
+
 val word_open : t -> string -> Txq_vxml.Vnode.occurrence_kind -> int
-(** Current-version cardinality: the A1 open-posting counter.
-    Saturates when A1 is not maintained. *)
+(** The A1 open-posting counter on the live handle — the planner's floor
+    for a past-instant estimate, since a stable element keeps one posting
+    open across its whole history — and 0 on a snapshot, where the
+    counter does not describe the pin. *)
 
 val doc_word_history :
   t -> string -> Txq_vxml.Vnode.occurrence_kind -> Txq_vxml.Eid.doc_id -> int

@@ -142,7 +142,12 @@ let test_timestamps_must_advance () =
   Alcotest.check_raises "same timestamp rejected"
     (Invalid_argument "Clock.set: transaction time cannot move backwards")
     (fun () ->
-      ignore (Db.update_document db ~url ~ts:(ts "15/01/2001") fig1_v1))
+      ignore (Db.update_document db ~url ~ts:(ts "15/01/2001") fig1_v1));
+  (* a deletion must advance past the document's newest version too *)
+  Alcotest.check_raises "deletion at the newest version's instant rejected"
+    (Invalid_argument "Db.delete_document: timestamp does not advance")
+    (fun () -> Db.delete_document db ~url ~ts:(ts "31/01/2001") ());
+  Db.delete_document db ~url ~ts:(ts "01/02/2001") ()
 
 let test_snapshots_reduce_delta_reads () =
   let versions = 40 in
@@ -245,6 +250,96 @@ let test_cretime_maintenance () =
       (Option.map Timestamp.to_string (Cretime_index.create_time idx eid));
     Alcotest.(check (option string)) "still alive" None
       (Option.map Timestamp.to_string (Cretime_index.delete_time idx eid))
+
+(* The paged CreTime index against the hash-table model it replaced:
+   random runs of creates (duplicates included), deletes and both kinds of
+   prune, every lookup of every EID compared after each step. *)
+type cretime_op =
+  | Cr of int * int * int  (* doc, xid, day *)
+  | De of int * int * int
+  | Pr_drop of int
+  | Pr_before of int * int  (* doc, cutoff day *)
+
+let show_cretime_op = function
+  | Cr (d, x, t) -> Printf.sprintf "create %d.%d@%d" d x t
+  | De (d, x, t) -> Printf.sprintf "delete %d.%d@%d" d x t
+  | Pr_drop d -> Printf.sprintf "drop %d" d
+  | Pr_before (d, t) -> Printf.sprintf "prune %d<=%d" d t
+
+let cretime_docs = 3
+let cretime_xids = 8
+
+let arb_cretime_run =
+  let open QCheck.Gen in
+  let doc = int_range 0 (cretime_docs - 1)
+  and xid = int_range 0 (cretime_xids - 1)
+  and day = int_range 0 20 in
+  let op =
+    frequency
+      [
+        (5, map3 (fun d x t -> Cr (d, x, t)) doc xid day);
+        (3, map3 (fun d x t -> De (d, x, t)) doc xid day);
+        (1, map (fun d -> Pr_drop d) doc);
+        (2, map2 (fun d t -> Pr_before (d, t)) doc day);
+      ]
+  in
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map show_cretime_op ops))
+    (list_size (int_range 1 60) op)
+
+let prop_cretime_matches_model =
+  QCheck.Test.make ~count:200 ~name:"cretime index ≡ hash-table model"
+    arb_cretime_run (fun ops ->
+      let module Model = Txq_test_support.Cretime_model in
+      let pool =
+        Txq_store.Buffer_pool.create ~capacity:16 (Txq_store.Disk.create ())
+      in
+      let idx = Cretime_index.create_paged pool in
+      let model = Model.create () in
+      let eid d x = Txq_vxml.Eid.make ~doc:d ~xid:(Txq_vxml.Xid.of_int x) in
+      let day t = Timestamp.of_seconds (t * 86_400) in
+      let raises f =
+        match f () with () -> false | exception Invalid_argument _ -> true
+      in
+      let agree what a b =
+        if a <> b then QCheck.Test.fail_reportf "%s: index and model disagree" what
+      in
+      let show = Option.map Timestamp.to_string in
+      List.iter
+        (fun op ->
+          let what = show_cretime_op op in
+          (match op with
+           | Cr (d, x, t) ->
+             agree what
+               (raises (fun () -> Cretime_index.record_created idx (eid d x) (day t)))
+               (raises (fun () -> Model.record_created model (eid d x) (day t)))
+           | De (d, x, t) ->
+             Cretime_index.record_deleted idx (eid d x) (day t);
+             Model.record_deleted model (eid d x) (day t)
+           | Pr_drop d ->
+             let affected = [ (d, `Drop) ] in
+             agree what
+               (Cretime_index.prune idx ~affected)
+               (Model.prune model ~affected)
+           | Pr_before (d, t) ->
+             let affected = [ (d, `Before (day t)) ] in
+             agree what
+               (Cretime_index.prune idx ~affected)
+               (Model.prune model ~affected));
+          for d = 0 to cretime_docs - 1 do
+            for x = 0 to cretime_xids - 1 do
+              let e = eid d x in
+              let at = Printf.sprintf "%s, then %d.%d" what d x in
+              agree (at ^ " created")
+                (show (Cretime_index.create_time idx e))
+                (show (Model.create_time model e));
+              agree (at ^ " deleted")
+                (show (Cretime_index.delete_time idx e))
+                (show (Model.delete_time model e))
+            done
+          done)
+        ops;
+      true)
 
 let test_fti_maintained_on_commit () =
   let db, id = fig1_db () in
@@ -898,6 +993,7 @@ let () =
           Alcotest.test_case "fti disabled" `Quick test_fti_none_config;
           Alcotest.test_case "delta fti" `Quick test_delta_fti_records_changes;
           QCheck_alcotest.to_alcotest prop_fti_agrees_with_bruteforce;
+          QCheck_alcotest.to_alcotest prop_cretime_matches_model;
         ] );
       ( "document_time",
         [

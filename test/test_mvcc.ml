@@ -113,6 +113,17 @@ let render_queries ?(ts_probes = []) db =
       Buffer.add_string buf
         (Printf.sprintf "all %s -> %s\n" (Pattern.to_string p)
            (render_teids db all));
+      (* the raw version ranges too, open ends included *)
+      Buffer.add_string buf
+        (Printf.sprintf "ranges %s -> %s\n" (Pattern.to_string p)
+           (String.concat ";"
+              (List.sort compare
+                 (List.map
+                    (fun b ->
+                      Format.asprintf "%s%a"
+                        (Eid.to_string (Scan.eid_of_binding b))
+                        Txq_core.Vrange.pp b.Scan.b_versions)
+                    all))));
       List.iter
         (fun t ->
           Buffer.add_string buf
@@ -339,6 +350,92 @@ let test_snapshot_delta_residents () =
   Alcotest.(check string) "snapshot reads unchanged" before (fingerprint snap);
   Db.release snap
 
+(* The CreTime index is shared with the live writer, so it holds the
+   deletions committed past a snapshot's pin; the snapshot must still read
+   its own state from it, with no delta read.  Every lifetime of the
+   snapshot's elements, by one strategy, as text. *)
+let render_lifetimes ?strategy snap =
+  let teids =
+    List.concat_map
+      (fun p -> Scan.to_teids snap (Scan.tpattern_scan_all snap p))
+      patterns
+    |> List.sort_uniq Eid.Temporal.compare
+  in
+  let show = function Some t -> Timestamp.to_string t | None -> "-" in
+  String.concat "\n"
+    (List.map
+       (fun teid ->
+         Printf.sprintf "%s cre=%s del=%s"
+           (Eid.Temporal.to_string teid)
+           (show (Lifetime.cre_time snap ?strategy teid))
+           (show (Lifetime.del_time snap ?strategy teid)))
+       teids)
+
+let test_snapshot_lifetimes_from_index () =
+  let db = Db.create () in
+  let doc items =
+    parse
+      (Printf.sprintf "<doc><name>napoli</name>%s</doc>"
+         (String.concat "" (List.map (Printf.sprintf "<item>%s</item>") items)))
+  in
+  ignore (Db.insert_document db ~url:"a" ~ts:(op_ts 0) (doc [ "pizza"; "wine" ]));
+  for i = 1 to 4 do
+    ignore
+      (Db.update_document db ~url:"a" ~ts:(op_ts i)
+         (doc [ "pizza"; "wine"; Printf.sprintf "v%d" i ]))
+  done;
+  let snap = Db.snapshot db in
+  let pizza =
+    match
+      Scan.pattern_scan snap (Pattern.of_path_exn ~value:"pizza" "//item")
+    with
+    | [ b ] ->
+      Eid.Temporal.make (Scan.eid_of_binding b)
+        (Docstore.ts_of_version (Db.doc snap 0) 4)
+    | _ -> Alcotest.fail "one current pizza item expected"
+  in
+  let traversed = render_lifetimes ~strategy:`Traverse snap in
+  (* past the pin: one element goes, then the whole document *)
+  ignore (Db.update_document db ~url:"a" ~ts:(op_ts 5) (doc [ "wine" ]));
+  Db.delete_document db ~url:"a" ~ts:(op_ts 6) ();
+  (match Lifetime.del_time db pizza with
+   | Some _ -> ()
+   | None -> Alcotest.fail "the live handle sees the deletion");
+  (* a traversal on the live handle leaves a known count behind *)
+  ignore (Lifetime.cre_time db ~strategy:`Traverse pizza);
+  let last = Lifetime.last_traverse_deltas () in
+  let deltas_read () = (Db.stats snap).Db.deltas_read in
+  let read_before = deltas_read () in
+  let (cre, del), spans =
+    Txq_obs.Trace.collect (fun () ->
+        let cre = Lifetime.cre_time snap pizza in
+        (cre, Lifetime.del_time snap pizza))
+  in
+  Alcotest.(check (option string)) "created in version 0"
+    (Some (Timestamp.to_string (op_ts 0)))
+    (Option.map Timestamp.to_string cre);
+  Alcotest.(check (option string)) "still alive at the pin" None
+    (Option.map Timestamp.to_string del);
+  let strategies =
+    List.filter_map
+      (fun sp ->
+        match Txq_obs.Span.attr sp "strategy" with
+        | Some (Txq_obs.Span.Str s) -> Some (sp.Txq_obs.Span.sp_name ^ "=" ^ s)
+        | _ -> None)
+      spans
+  in
+  Alcotest.(check (list string)) "answered by the index"
+    [ "lifetime.cre_time=index"; "lifetime.del_time=index" ]
+    strategies;
+  Alcotest.(check int) "no traversal" last (Lifetime.last_traverse_deltas ());
+  Alcotest.(check int) "no delta read" read_before (deltas_read ());
+  (* every lifetime the snapshot can name: index = traversal = before *)
+  Alcotest.(check string) "index = traversal at the pin" traversed
+    (render_lifetimes ~strategy:`Index snap);
+  Alcotest.(check string) "default strategy at the pin" traversed
+    (render_lifetimes snap);
+  Db.release snap
+
 (* --- vacuum hold-back ----------------------------------------------------- *)
 
 let test_vacuum_holdback () =
@@ -353,6 +450,11 @@ let test_vacuum_holdback () =
   done;
   let snap = Db.snapshot db in
   let before = fingerprint snap in
+  let lifetimes () =
+    render_lifetimes ~strategy:`Index snap
+    ^ "\n" ^ render_lifetimes ~strategy:`Traverse snap
+  in
+  let lifetimes_before = lifetimes () in
   Alcotest.(check (option int)) "hold-back horizon" (Some 5)
     (Db.oldest_pinned_watermark db);
   (* a document born after the pin is fair game even while the pin holds *)
@@ -364,6 +466,9 @@ let test_vacuum_holdback () =
       (Db.update_document db ~url:"b" ~ts:(op_ts i)
          (parse (Printf.sprintf "<doc><item>b%d</item></doc>" i)))
   done;
+  (* the pinned document dies past the pin: the shared CreTime index now
+     records every element of it deleted *)
+  Db.delete_document db ~url:"a" ~ts:(op_ts 9) ();
   let retention = (Config.with_retention ~keep_versions:1 Config.default).Config.retention in
   let r1 = Db.vacuum ~retention db in
   Alcotest.(check int) "only the post-pin document squashed" 1
@@ -373,6 +478,11 @@ let test_vacuum_holdback () =
   (* every version the snapshot could see still reads back identically *)
   Alcotest.(check string) "snapshot unaffected by vacuum" before
     (fingerprint snap);
+  Alcotest.(check string) "snapshot lifetimes unaffected by vacuum"
+    lifetimes_before (lifetimes ());
+  Alcotest.(check string) "index = traversal at the pin"
+    (render_lifetimes ~strategy:`Traverse snap)
+    (render_lifetimes ~strategy:`Index snap);
   Db.release snap;
   let r2 = Db.vacuum ~retention db in
   Alcotest.(check bool) "released pin frees the chain" true
@@ -599,6 +709,8 @@ let () =
             test_snapshot_of_snapshot_raises;
           Alcotest.test_case "shared delta residents stop at the pin" `Quick
             test_snapshot_delta_residents;
+          Alcotest.test_case "lifetimes at the pin from the index" `Quick
+            test_snapshot_lifetimes_from_index;
           QCheck_alcotest.to_alcotest prop_snapshot_equals_prefix_db;
         ] );
       ( "concurrency",

@@ -109,6 +109,11 @@ let test_http_preamble () =
 
 (* --- server basics over the wire ------------------------------------------- *)
 
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec scan i = i + m <= n && (String.sub s i m = sub || scan (i + 1)) in
+  scan 0
+
 let test_query_over_wire () =
   let db = Load.load_db small_spec in
   with_server db @@ fun _server port ->
@@ -140,11 +145,6 @@ let test_query_over_wire () =
    | Ok reply -> Alcotest.failf "expected an unknown-variable error, got %s" reply.Client.body);
   (* and the connection is still usable afterwards *)
   Alcotest.(check bool) "ping after error" true (Client.ping c);
-  let contains s re =
-    let n = String.length s and m = String.length re in
-    let rec scan i = i + m <= n && (String.sub s i m = re || scan (i + 1)) in
-    scan 0
-  in
   match Client.metrics c with
   | Ok reply ->
     Alcotest.(check bool) "metrics count connections" true
@@ -153,6 +153,48 @@ let test_query_over_wire () =
     Alcotest.(check bool) "metrics list live connections" true
       (contains reply.Client.body "conn.")
   | Error (code, msg) -> Alcotest.failf "metrics failed (%d): %s" code msg
+
+(* CREATE/DELETE TIME over the wire run on the request's snapshot; they
+   must answer like the live handle in process, after an update removed
+   an element.  The chain is longer than the planner's traverse cutoff, so
+   both handles look the lifetimes up in the CreTime index. *)
+let test_served_lifetimes () =
+  let db = Load.load_db small_spec in
+  let url = "served-lifetimes.xml" in
+  let guide names price =
+    Parse.parse_exn
+      (Printf.sprintf "<guide>%s</guide>"
+         (String.concat ""
+            (List.map
+               (fun n ->
+                 Printf.sprintf
+                   "<restaurant><name>%s</name><price>%d</price></restaurant>" n
+                   price)
+               names)))
+  in
+  ignore (Db.insert_document db ~url (guide [ "napoli"; "akropolis" ] 10));
+  for price = 11 to 16 do
+    ignore (Db.update_document db ~url (guide [ "napoli" ] price))
+  done;
+  let stmt =
+    Printf.sprintf
+      "SELECT CREATE TIME(R), DELETE TIME(R) FROM doc(%S)[EVERY]//restaurant R"
+      url
+  in
+  let want =
+    match Exec.run_string db stmt with
+    | Ok xml -> Print.to_string xml
+    | Error e -> Alcotest.failf "in process: %s" (Exec.error_to_string e)
+  in
+  Alcotest.(check bool) "the removed element has a delete time" true
+    (contains want "</time><time>");
+  with_server db @@ fun _server port ->
+  let c = Client.connect ~port () in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  match Client.query c stmt with
+  | Ok reply ->
+    Alcotest.(check string) "served = in process" want reply.Client.body
+  | Error (code, msg) -> Alcotest.failf "query failed (%d): %s" code msg
 
 let test_streaming_matches_eager () =
   (* tiny chunks force many Chunk frames; reassembly must be byte-identical *)
@@ -608,6 +650,7 @@ let () =
           Alcotest.test_case "streaming matches eager" `Quick
             test_streaming_matches_eager;
           Alcotest.test_case "http endpoints" `Quick test_http_endpoints;
+          Alcotest.test_case "served lifetimes" `Quick test_served_lifetimes;
         ] );
       ( "hostile input",
         [

@@ -452,11 +452,10 @@ let test_kill_across_vacuum () =
    on the raw CreTime rows of every element of every retained version: the
    primary, its recovery, a caught-up replica, and the replica's recovery.
    The workload vacuums half-way. *)
-let test_recover_equals_replay_indexes cretime_backing () =
+let test_recover_equals_replay_indexes () =
   let config =
     Config.durable
-      { Config.default with
-        document_time_path = Some "//meta/published"; cretime_backing }
+      { Config.default with document_time_path = Some "//meta/published" }
   in
   let article published items =
     parse
@@ -635,9 +634,7 @@ let () =
           Alcotest.test_case "killed at every boundary across a vacuum" `Slow
             test_kill_across_vacuum;
           Alcotest.test_case "recover = replay on the derived indexes" `Quick
-            (test_recover_equals_replay_indexes `Paged);
-          Alcotest.test_case "recover = replay, in-memory CreTime" `Quick
-            (test_recover_equals_replay_indexes `Memory);
+            test_recover_equals_replay_indexes;
         ] );
       ( "restore",
         [
