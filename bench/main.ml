@@ -2043,8 +2043,11 @@ let e21 () =
     let primary = Load.load_db ~config:durable sp in
     let r = Db.Replay.create ~config:durable () in
     let writer_done = Atomic.make false in
+    (* The writer gets its own domain: [Db]'s reader-writer lock tells
+       holders apart by domain, so a writer thread sharing the follower's
+       domain would look like a read -> write upgrade. *)
     let writer =
-      Thread.create
+      Domain.spawn
         (fun () ->
           for i = 1 to commits do
             ignore
@@ -2054,7 +2057,6 @@ let e21 () =
             if offered_delay_s > 0.0 then Thread.delay offered_delay_s
           done;
           Atomic.set writer_done true)
-        ()
     in
     let max_lag = ref 0 in
     let pulls = ref 0 in
@@ -2075,7 +2077,7 @@ let e21 () =
     in
     follow_loop ();
     let elapsed = Unix.gettimeofday () -. t0 in
-    Thread.join writer;
+    Domain.join writer;
     let applied = Db.Replay.applied r in
     let final_lag = Db.durable_records primary - applied in
     if !check_ship && final_lag <> 0 then

@@ -9,6 +9,3 @@ let reconstruct db (teid : Eid.Temporal.t) =
   | Some (_v, tree) -> Vnode.find tree teid.Eid.Temporal.eid.Eid.xid
 
 let reconstruct_xml db teid = Option.map Vnode.to_xml (reconstruct db teid)
-
-let reconstruct_document db doc ts =
-  Option.map snd (Db.reconstruct_at db doc ts)

@@ -13,8 +13,3 @@ val reconstruct :
 val reconstruct_xml :
   Txq_db.Db.t -> Txq_vxml.Eid.Temporal.t -> Txq_xml.Xml.t option
 (** Same, stripped of XIDs — result form for query output. *)
-
-val reconstruct_document :
-  Txq_db.Db.t -> Txq_vxml.Eid.doc_id -> Txq_temporal.Timestamp.t ->
-  Txq_vxml.Vnode.t option
-(** Whole-document variant. *)

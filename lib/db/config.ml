@@ -25,7 +25,6 @@ type t = {
   group_commit : bool;
   group_commit_window_us : int;
   planner : bool;
-  ship_buffer : int;
 }
 
 let no_retention = { keep_newer_than = None; keep_versions = None }
@@ -47,7 +46,6 @@ let default =
     group_commit = false;
     group_commit_window_us = 2000;
     planner = true;
-    ship_buffer = 0;
   }
 
 let durable t = { t with durability = `Journal }
@@ -76,8 +74,6 @@ let with_group_commit ?window_us t =
   }
 
 let with_planner on t = { t with planner = on }
-
-let with_ship_buffer n t = { t with ship_buffer = (if n < 0 then 0 else n) }
 
 let maintains_version_index t =
   match t.fti_mode with

@@ -99,14 +99,6 @@ type t = {
           scan domain fan-out follows estimated rows.  On (the default)
           and off produce byte-identical results — off preserves literal
           as-written evaluation as the differential oracle. *)
-  ship_buffer : int;
-      (** Keep the shipping contents (version-0 snapshots, commit deltas)
-          of the newest N journal records in memory so [Db.ship] can serve
-          them even after vacuum truncated the delta chains they came
-          from.  0 (the default) keeps nothing: shipments are fabricated
-          from the retained chains, and a shipper lagging behind a vacuum
-          gets an explicit gap error and must re-clone — the same contract
-          as a base backup. *)
 }
 
 val default : t
@@ -128,9 +120,6 @@ val with_group_commit : ?window_us:int -> t -> t
 val with_planner : bool -> t -> t
 (** Sets [planner].  [with_planner false] is the literal-evaluation
     oracle the planner differential tests compare against. *)
-
-val with_ship_buffer : int -> t -> t
-(** Sets [ship_buffer] (clamped up to 0). *)
 
 val no_retention : retention
 

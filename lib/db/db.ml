@@ -82,20 +82,8 @@ type t = {
      synced — drained at the next mutation, under the write lock.
      (ticket, blob, cluster). *)
   mutable deferred : (int * Txq_store.Blob_store.blob * Eid.doc_id) list;
-  (* Journal shipping.  [ship_history] holds every applied journal record as
-     (group ticket, raw payload), in applied order — the index space of
-     [ship]/[Replay].  It is NOT the journal's ticket space: recovery may
-     drop an undecodable tail record the journal still counts, so shipping
-     indexes what was {e applied}, the only order a replica can follow.
-     Ticket 0 marks a record already durable (plain appends, recovered
-     records); under group commit the real ticket bounds shipping to the
-     synced prefix.  [ship_ring] optionally retains the newest
-     [Config.ship_buffer] records' logical contents so shipping can cross a
-     vacuum.  [replica] marks a handle fed by [Replay]: mutators raise,
-     like snapshots. *)
+  (* Marks a handle fed by [Replay]: mutators raise, like snapshots. *)
   mutable replica : bool;
-  ship_history : (int * string) Txq_store.Vec.t;
-  ship_ring : (int, string list) Hashtbl.t;
 }
 
 (* [Config.tracing] installs the cheapest sink so spans are built at all;
@@ -149,8 +137,6 @@ let make config ~clock ~disk ~pool journal =
     view = None;
     deferred = [];
     replica = false;
-    ship_history = Txq_store.Vec.create ();
-    ship_ring = Hashtbl.create 8;
   }
 
 let create ?(config = Config.default) ?clock () =
@@ -414,50 +400,27 @@ let blob_ref b =
     br_length = Txq_store.Blob_store.length b;
   }
 
-(* Caller holds the write lock.  Every journaled record also lands in the
-   shipping history; [contents] (lazily) supplies its logical blob contents
-   for the optional ship ring. *)
-let ship_push t ticket payload contents =
-  let index = Txq_store.Vec.length t.ship_history in
-  Txq_store.Vec.push t.ship_history (ticket, payload);
-  let buffer = t.config.Config.ship_buffer in
-  if buffer > 0 then begin
-    (match contents () with
-     | [] -> ()
-     | cs -> Hashtbl.replace t.ship_ring index cs);
-    Hashtbl.remove t.ship_ring (index - buffer)
-  end
-
-let no_contents () = []
-
 (* Buffered under group commit (the caller syncs at the barrier, after
    the write lock is released); one record, one durability point
    otherwise.  Returns the group ticket when one was issued. *)
-let journal_append ?(contents = no_contents) t record =
+let journal_append t record =
   match t.journal with
   | None -> None
   | Some j ->
     let payload = Journal_record.encode record in
-    if t.config.Config.group_commit then begin
-      let ticket = Txq_store.Journal.append_buffered j payload in
-      ship_push t ticket payload contents;
-      Some ticket
-    end
+    if t.config.Config.group_commit then
+      Some (Txq_store.Journal.append_buffered j payload)
     else begin
       Txq_store.Journal.append j payload;
-      ship_push t 0 payload contents;
       None
     end
 
 (* Vacuum frees pages in its apply phase, so its record can never stay
    buffered behind them: append-and-sync regardless of group mode. *)
 let journal_append_now t record =
-  match t.journal with
-  | None -> ()
-  | Some j ->
-    let payload = Journal_record.encode record in
-    Txq_store.Journal.append j payload;
-    ship_push t 0 payload no_contents
+  Option.iter
+    (fun j -> Txq_store.Journal.append j (Journal_record.encode record))
+    t.journal
 
 (* caller holds the write lock *)
 let drain_deferred t =
@@ -523,8 +486,6 @@ let insert_document t ~url ?ts xml =
   (* Commit point: the version-0 blobs are on disk, nothing registered yet. *)
   ticket :=
     journal_append t
-      ~contents:(fun () ->
-        [ Txq_store.Blob_store.get t.blobs (Docstore.current_blob d) ])
       (Journal_record.Insert
          {
            r_doc = doc_id;
@@ -567,8 +528,6 @@ let update_document t ~url ?ts xml =
     let on_durable cb =
       ticket :=
         journal_append t
-          ~contents:(fun () ->
-            [ Txq_store.Blob_store.get t.blobs cb.Docstore.cb_delta ])
           (Journal_record.Commit
              {
                r_doc = doc_id;
@@ -1154,9 +1113,7 @@ let apply_record t src record =
     d
   in
   let put doc c = Txq_store.Blob_store.put t.blobs ~cluster:doc c in
-  let rejournal contents r =
-    ignore (journal_append t ~contents:(fun () -> contents) r : int option)
-  in
+  let rejournal r = ignore (journal_append t r : int option) in
   let of_seconds = Timestamp.of_seconds in
   (match record with
    | Journal_record.Insert r ->
@@ -1171,7 +1128,7 @@ let apply_record t src record =
          let tree = decode "version-0 tree" Txq_vxml.Codec.decode c0 in
          let current_blob = put doc c0 in
          let snapshot_blob = Option.map (fun _ -> put doc c0) r.r_snapshot in
-         rejournal contents
+         rejournal
            (Journal_record.Insert
               { r with r_current = blob_ref current_blob;
                        r_snapshot = Option.map blob_ref snapshot_blob });
@@ -1224,7 +1181,7 @@ let apply_record t src record =
          let delta_blob = put doc c0 in
          let current_blob = put doc enc in
          let snapshot_blob = Option.map (fun _ -> put doc enc) r.r_snapshot in
-         rejournal contents
+         rejournal
            (Journal_record.Commit
               { r with r_delta = blob_ref delta_blob;
                        r_current = blob_ref current_blob;
@@ -1249,8 +1206,8 @@ let apply_record t src record =
      let ts = of_seconds r_ts in
      (match src with
       | Local _ -> Docstore.mark_deleted d ~ts
-      | Shipped contents ->
-        rejournal contents record;
+      | Shipped _ ->
+        rejournal record;
         Docstore.mark_deleted d ~ts;
         index_delete t ~doc ~version:(Docstore.version_count d) ~ts
           (Docstore.current d);
@@ -1351,7 +1308,9 @@ let recover disk config =
 
      - an undecodable {e suffix} is a torn tail — the crash caught the last
        append(s) mid-flight; dropping it quietly is exactly recovering to a
-       commit prefix;
+       commit prefix.  The journal drops it too, before anything appends,
+       so the next commit does not land behind it, and record i of the
+       journal stays record i of the shipping stream;
      - an undecodable record with decodable records {e after} it is
        mid-journal corruption: those later records are durable commits the
        prefix rule would silently discard, and the store that produced them
@@ -1362,7 +1321,7 @@ let recover disk config =
       | [] -> List.rev acc
       | raw :: rest -> (
         match Journal_record.decode raw with
-        | Ok r -> prefix ((raw, r) :: acc) rest
+        | Ok r -> prefix (r :: acc) rest
         | Error reason ->
           if
             List.exists
@@ -1391,17 +1350,13 @@ let recover disk config =
     in
     prefix [] raw_records
   in
+  let released = Txq_store.Journal.truncate journal (List.length records) in
   (* The allocator rebuild covers the pages on disk now — not the index
      pages [make] allocates. *)
   let page_total = Txq_store.Disk.page_count disk in
   let t = make config ~clock:(Clock.create ()) ~disk ~pool journal in
   let freed = Hashtbl.create 256 in
-  List.iter
-    (fun (raw, r) ->
-      (* every recovered record is durable: re-shippable as-is, ticket 0 *)
-      Txq_store.Vec.push t.ship_history (0, raw);
-      apply_record t (Local freed) r)
-    records;
+  List.iter (apply_record t (Local freed)) records;
   (* Rebuild the blob allocator: a page is live iff a surviving chain
      references it; journal pages stay owned by the journal; the rest —
      crash debris, superseded versions, dead index pages — is free. *)
@@ -1412,6 +1367,7 @@ let recover disk config =
     t.docs;
   let journal_owned = Array.make (Stdlib.max 1 page_total) false in
   List.iter (fun p -> journal_owned.(p) <- true) journal_pages;
+  List.iter (fun p -> journal_owned.(p) <- false) released;
   let live_count = ref 0 in
   let free_global = ref [] in
   let free_clustered : (int, int list ref) Hashtbl.t = Hashtbl.create 64 in
@@ -1433,7 +1389,7 @@ let recover disk config =
     end
   done;
   Txq_store.Blob_store.restore_state t.blobs
-    ~allocated:(page_total - List.length journal_pages)
+    ~allocated:(page_total - List.length journal_pages + List.length released)
     ~live:!live_count ~free_global:!free_global
     ~free_clustered:
       (Hashtbl.fold (fun doc l acc -> (doc, !l) :: acc) free_clustered []);
@@ -1448,11 +1404,11 @@ let recover disk config =
   in
   List.iter
     (function
-      | _, Journal_record.Insert { r_doc; r_doc_time; _ } ->
+      | Journal_record.Insert { r_doc; r_doc_time; _ } ->
         dtime_row r_doc 0 r_doc_time
-      | _, Journal_record.Commit { r_doc; r_version; r_doc_time; _ } ->
+      | Journal_record.Commit { r_doc; r_version; r_doc_time; _ } ->
         dtime_row r_doc r_version r_doc_time
-      | _, (Journal_record.Delete _ | Journal_record.Vacuum _) -> ())
+      | Journal_record.Delete _ | Journal_record.Vacuum _ -> ())
     records;
   List.iter (fun id -> rebuild_doc t id (doc t id)) (doc_ids t);
   Log.debug (fun m ->
@@ -1466,28 +1422,16 @@ let journal t = t.journal
 
 exception Ship_gap of int
 
-(* Highest shippable index: the durable prefix of the shipping history.
-   Tickets are nondecreasing along the history (ticket 0 = synced at append
-   time), so the un-synced records form a suffix; scan back over it.
-   Caller holds at least the read lock. *)
-let durable_upto t =
+(* Record i of the journal is shipment i: recovery truncates the journal to
+   what it applied, so the two index spaces never part. *)
+let durable_records t =
   match t.journal with
   | None -> 0
-  | Some j ->
-    let synced = Txq_store.Journal.synced_count j in
-    let n = Txq_store.Vec.length t.ship_history in
-    let rec back i =
-      if i >= 0 && fst (Txq_store.Vec.get t.ship_history i) > synced then
-        back (i - 1)
-      else i + 1
-    in
-    back (n - 1)
+  | Some j -> Txq_store.Journal.synced_count j
 
-let durable_records t = with_read t @@ fun () -> durable_upto t
-
-(* Contents for a record whose ring entry (if any) is gone: a commit ships
-   its stored delta blob as it is; an insert's version-0 tree is
-   reconstructed and re-encoded, and [Codec] encoding is deterministic and
+(* A record's logical blob contents, from the chains: a commit ships its
+   stored delta blob as it is; an insert's version-0 tree is reconstructed
+   and re-encoded, and [Codec] encoding is deterministic and
    XID-preserving, so those bytes equal what the primary originally wrote.
    A record whose history a vacuum truncated cannot be regenerated: the
    shipper gets [Ship_gap] and must re-clone — the same contract as a base
@@ -1509,21 +1453,21 @@ let fabricate_contents t index record =
     | Some _ | None -> raise (Ship_gap index))
 
 let ship t ~from ?(limit = 256) () =
-  (match t.journal with
-   | None ->
-     invalid_arg "Db.ship: durability is `None — there is no journal to ship"
-   | Some _ -> ());
+  let j =
+    match t.journal with
+    | None ->
+      invalid_arg "Db.ship: durability is `None — there is no journal to ship"
+    | Some j -> j
+  in
   if from < 0 then invalid_arg "Db.ship: negative start index";
   with_read t @@ fun () ->
-  let stop = Stdlib.min (durable_upto t) (from + Stdlib.max 0 limit) in
+  let stop =
+    Stdlib.min (Txq_store.Journal.synced_count j) (from + Stdlib.max 0 limit)
+  in
   let out = ref [] in
   for i = stop - 1 downto from do
-    let _, payload = Txq_store.Vec.get t.ship_history i in
-    let contents =
-      match Hashtbl.find_opt t.ship_ring i with
-      | Some cs -> cs
-      | None -> fabricate_contents t i (Journal_record.decode_exn payload)
-    in
+    let payload = Txq_store.Journal.read j i in
+    let contents = fabricate_contents t i (Journal_record.decode_exn payload) in
     out :=
       { Journal_record.sh_index = i; sh_payload = payload;
         sh_contents = contents }
@@ -1552,15 +1496,15 @@ module Replay = struct
     { rd; applied = 0 }
 
   (* Resume after a restart: wrap a [recover]ed replica store.  Its local
-     journal holds exactly the shipments it applied, in order, so the
-     shipping history's length is the resume position. *)
+     journal holds exactly the shipments it applied, in order, so its
+     record count is the resume position. *)
   let of_db rd =
     if is_snapshot rd then invalid_arg "Db.Replay.of_db: snapshot handle";
-    (match rd.journal with
-     | None -> invalid_arg "Db.Replay.of_db: replica stores must journal"
-     | Some _ -> ());
-    rd.replica <- true;
-    { rd; applied = Txq_store.Vec.length rd.ship_history }
+    match rd.journal with
+    | None -> invalid_arg "Db.Replay.of_db: replica stores must journal"
+    | Some j ->
+      rd.replica <- true;
+      { rd; applied = Txq_store.Journal.record_count j }
 
   let detach r =
     r.rd.replica <- false;
@@ -1650,8 +1594,7 @@ let restore_as_of t ~as_of =
      failwith
        (Printf.sprintf
           "Db.restore_as_of: record %d's history was vacuumed away on the \
-           source; restore from a store that retains it (or raise \
-           Config.ship_buffer)"
+           source; restore from a store that retains it"
           i));
   Replay.detach rp
 

@@ -233,8 +233,11 @@ val recover : Txq_store.Disk.t -> Config.t -> t
     for the commit journal, discards any record a crash left incomplete,
     and replays the committed ones — document chains, blob directory and
     free lists, URL directory, full-text/CreTime/document-time indexes —
-    to a state equivalent to the last committed operation.  Works equally
-    on an uncrashed disk (clean restart).  [config] must describe the same
+    to a state equivalent to the last committed operation.  A tail of
+    records that do not decode is dropped from replay and truncated from
+    the journal before anything appends behind it; an undecodable record
+    with decodable ones after it raises [Failure].  Works equally on an
+    uncrashed disk (clean restart).  [config] must describe the same
     layout the database was created with (placement policy, durability);
     index maintenance knobs take effect on the rebuilt state.  Requires a
     database created with a [`Journal] durability configuration — a disk
@@ -248,32 +251,32 @@ val journal : t -> Txq_store.Journal.t option
 
     A primary streams its committed journal records — with the logical
     contents of the blobs they reference — to replicas that replay them
-    incrementally through {!Replay}.  Shipment indexes count {e applied}
-    records from 0 (not journal tickets: recovery may drop a torn tail
-    record the journal still counts), so a replica's resume position is
-    simply how many records it has applied. *)
+    incrementally through {!Replay}.  Shipment [i] is record [i] of the
+    journal, read back from the journal's pages: recovery truncates an
+    undecodable tail from the journal as well as from replay, so the two
+    index spaces are one, and a replica's resume position is simply how
+    many records it has applied. *)
 
 exception Ship_gap of int
 (** Raised by {!ship} when the record at the given index references history
-    a vacuum has already truncated, and [Config.ship_buffer] no longer
-    retains its contents.  The shipper must re-clone from the current
-    state — the same contract as a base backup predating the retained
-    WAL. *)
+    a vacuum has already truncated.  The shipper must re-clone from the
+    current state — the same contract as a base backup predating the
+    retained WAL. *)
 
 val durable_records : t -> int
-(** How many applied records are durable (and therefore shippable).  Equals
-    the applied-record count except under group commit, where buffered
-    records are excluded until their batch syncs. *)
+(** How many journal records are durable (and therefore shippable).
+    Equals the applied-record count except under group commit, where
+    buffered records are excluded until their batch syncs. *)
 
 val ship :
   t -> from:int -> ?limit:int -> unit -> Journal_record.shipment list
 (** Shipments [from .. min (from + limit) (durable_records t)), in order
     ([limit] defaults to 256; empty when [from] is at the durable
-    watermark).  Contents come from the ship ring when retained, otherwise
-    they are regenerated from the document chains ([Codec]/[Delta] encoding
-    is deterministic, so regenerated bytes equal the originals).  Raises
-    {!Ship_gap} when neither source survives, and [Invalid_argument] on a
-    store without a journal. *)
+    watermark).  Payloads are read from the journal; contents are
+    regenerated from the document chains ([Codec]/[Delta] encoding is
+    deterministic, so regenerated bytes equal the originals).  Raises
+    {!Ship_gap} when a vacuum truncated the chain a record's contents come
+    from, and [Invalid_argument] on a store without a journal. *)
 
 exception Replay_error of string
 (** A shipment that cannot be applied: out-of-order index, undecodable

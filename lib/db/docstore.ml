@@ -142,7 +142,6 @@ let entry t v =
   Vec.get t.entries (v - t.base)
 
 let ts_of_version t v = (entry t v).ve_ts
-let created_at t = (Vec.get t.entries 0).ve_ts
 let snapshot_blob t v = (entry t v).ve_snapshot
 
 let check_append t what ts =

@@ -124,10 +124,6 @@ val versions_overlapping :
 (** [(v_lo, v_hi)]: the inclusive range of versions whose validity overlaps
     [\[t1, t2)]; [None] when no version does. *)
 
-val created_at : t -> Txq_temporal.Timestamp.t
-(** Timestamp of the first {e retained} version — the creation time only
-    while [first_version] is 0. *)
-
 val doc_time_of_version : t -> int -> Txq_temporal.Timestamp.t option
 (** The document time recorded with the version, if any. *)
 

@@ -8,13 +8,6 @@ type change_kind =
   | Renamed
   | Moved
 
-let change_kind_to_string = function
-  | Inserted -> "insert"
-  | Deleted -> "delete"
-  | Updated -> "update"
-  | Renamed -> "rename"
-  | Moved -> "move"
-
 type entry = {
   ch_doc : Txq_vxml.Eid.doc_id;
   ch_version : int;

@@ -28,8 +28,6 @@ type entry = {
   ch_xid : Txq_vxml.Xid.t;  (** the node the change touched *)
 }
 
-val change_kind_to_string : change_kind -> string
-
 type t
 
 val create : unit -> t

@@ -10,7 +10,6 @@ let open_end = max_int
 let make ~doc ~kind ~path ~vstart = { doc; kind; path; vstart; vend = open_end }
 let is_open t = t.vend = open_end
 let valid_at t v = t.vstart <= v && v < t.vend
-let element_xid t = Txq_vxml.Xidpath.leaf t.path
 
 let compare_for_join a b =
   match Int.compare a.doc b.doc with

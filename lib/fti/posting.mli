@@ -32,8 +32,6 @@ val is_open : t -> bool
 val valid_at : t -> int -> bool
 (** Valid at the given version number. *)
 
-val element_xid : t -> Txq_vxml.Xid.t option
-(** The XID of the element the posting points into: last path component. *)
 
 val compare_for_join : t -> t -> int
 (** Orders by document then path then version start: the order the

@@ -124,6 +124,17 @@ let ordered_holds op c =
   | O_gt -> c > 0
   | O_ge -> c >= 0
 
+let number_text f =
+  if Float.is_integer f then string_of_int (int_of_float f) else string_of_float f
+
+let atom_xml atom =
+  let module Xml = Txq_xml.Xml in
+  match atom with
+  | `Null -> Xml.element "null" []
+  | `String s -> Xml.element "string" [ Xml.text s ]
+  | `Number f -> Xml.element "number" [ Xml.text (number_text f) ]
+  | `Time t -> Xml.element "time" [ Xml.text (Timestamp.to_string t) ]
+
 let ordered_to_string = function
   | O_eq -> "="
   | O_neq -> "!="

@@ -94,6 +94,20 @@ val ordered_holds : ordered -> int -> bool
 (** [ordered_holds op c] interprets a [compare]-style result [c] under
     [op] — the single shared dispatch for every evaluator. *)
 
+val number_text : float -> string
+(** A number as results print it: integral values without a fraction. *)
+
+val atom_xml :
+  [ `Null
+  | `String of string
+  | `Number of float
+  | `Time of Txq_temporal.Timestamp.t ] ->
+  Txq_xml.Xml.t
+(** The element a SELECT value that is not a node renders as: [<null/>],
+    [<string>s</string>], [<number>n</number>] or [<time>t</time>], so
+    adjacent values in one result stay apart.  Every evaluator renders
+    through it. *)
+
 type statement =
   | S_query of query  (** a [SELECT …] query *)
   | S_algebra of Txq_algebra.Algebra.t

@@ -248,9 +248,7 @@ let atoms = function
 
 let atom_text = function
   | A_string s -> s
-  | A_number f ->
-    if Float.is_integer f then string_of_int (int_of_float f)
-    else string_of_float f
+  | A_number f -> Ast.number_text f
   | A_time t -> Timestamp.to_string t
   | A_node (_, n) -> Vnode.text_content n
 
@@ -533,13 +531,10 @@ let source_rows ctx where src : row_binding Seq.t =
 (* --- result construction ------------------------------------------------------- *)
 
 let value_to_xml = function
-  | V_null -> [Xml.element "null" []]
-  | V_string s -> [Xml.text s]
-  | V_number f ->
-    [Xml.text
-       (if Float.is_integer f then string_of_int (int_of_float f)
-        else string_of_float f)]
-  | V_time t -> [Xml.element "time" [Xml.text (Timestamp.to_string t)]]
+  | V_null -> [Ast.atom_xml `Null]
+  | V_string s -> [Ast.atom_xml (`String s)]
+  | V_number f -> [Ast.atom_xml (`Number f)]
+  | V_time t -> [Ast.atom_xml (`Time t)]
   | V_binding rb -> [Vnode.to_xml (Lazy.force rb.rb_tree)]
   | V_nodes (_, nodes) -> List.map Vnode.to_xml nodes
   | V_xml xml -> [xml]

@@ -74,7 +74,6 @@ let delete_document t ~url ?ts () =
     invalid_arg (Printf.sprintf "Stratum.delete_document: no live document at %s" url)
   | Some doc -> doc.deleted <- Some (commit_ts t ts)
 
-let stored_bytes t = t.bytes
 let stored_pages t = (t.bytes + 4095) / 4096
 let versions_parsed t = t.parsed
 let reset_counters t = t.parsed <- 0
@@ -218,9 +217,7 @@ let atoms = function
 
 let atom_text = function
   | A_string s -> s
-  | A_number f ->
-    if Float.is_integer f then string_of_int (int_of_float f)
-    else string_of_float f
+  | A_number f -> Ast.number_text f
   | A_time ts -> Timestamp.to_string ts
   | A_node n -> Xml.text_content n
 
@@ -276,13 +273,10 @@ let rec eval_cond ~now row = function
     List.exists (fun a -> List.exists (fun b -> compare_atoms op a b) ra) la
 
 let value_to_xml = function
-  | V_null -> [Xml.element "null" []]
-  | V_string s -> [Xml.text s]
-  | V_number f ->
-    [Xml.text
-       (if Float.is_integer f then string_of_int (int_of_float f)
-        else string_of_float f)]
-  | V_time ts -> [Xml.element "time" [Xml.text (Timestamp.to_string ts)]]
+  | V_null -> [Ast.atom_xml `Null]
+  | V_string s -> [Ast.atom_xml (`String s)]
+  | V_number f -> [Ast.atom_xml (`Number f)]
+  | V_time ts -> [Ast.atom_xml (`Time ts)]
   | V_nodes ns -> ns
 
 let cartesian lists =

@@ -27,11 +27,9 @@ val update_document :
 val delete_document :
   t -> url:string -> ?ts:Txq_temporal.Timestamp.t -> unit -> unit
 
-val stored_bytes : t -> int
-(** Total size of all stored full versions. *)
-
 val stored_pages : t -> int
-(** [stored_bytes] in 4 KiB pages (storage comparison, E7). *)
+(** Total size of all stored full versions, in 4 KiB pages (storage
+    comparison, E7). *)
 
 val versions_parsed : t -> int
 (** Full documents parsed since the last reset — the stratum's unit of

@@ -39,18 +39,6 @@ let error_code_to_int = function
   | E_too_large -> 8
   | E_ship_gap -> 9
 
-let error_code_of_int = function
-  | 1 -> Some E_parse
-  | 2 -> Some E_unknown_variable
-  | 3 -> Some E_unsupported
-  | 4 -> Some E_internal
-  | 5 -> Some E_bad_frame
-  | 6 -> Some E_conflict
-  | 7 -> Some E_shutting_down
-  | 8 -> Some E_too_large
-  | 9 -> Some E_ship_gap
-  | _ -> None
-
 let default_max_frame = 4 * 1024 * 1024
 
 (* --- request encoding ---------------------------------------------------- *)
@@ -229,10 +217,6 @@ let read_frame ~max_frame fd =
 
 let write_request fd r =
   let opcode, body = encode_request r in
-  write_frame fd opcode body
-
-let write_response fd r =
-  let opcode, body = encode_response r in
   write_frame fd opcode body
 
 let http_preamble s = String.length s >= 4 && String.equal (String.sub s 0 4) "GET "

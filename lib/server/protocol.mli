@@ -57,11 +57,11 @@ type error_code =
   | E_shutting_down  (** 7 *)
   | E_too_large  (** 8 — frame exceeds the server's limit *)
   | E_ship_gap
-      (** 9 — the requested journal records were vacuumed away on the
-          primary; the replica must re-clone from current state *)
+      (** 9 — a vacuum on the primary truncated the history the
+          requested records' contents come from; the replica must
+          re-clone from current state *)
 
 val error_code_to_int : error_code -> int
-val error_code_of_int : int -> error_code option
 
 val default_max_frame : int
 (** 4 MiB: bounds a malicious length prefix. *)
@@ -98,7 +98,6 @@ val read_frame :
     bytes consumed, so servers can poll a shutdown flag. *)
 
 val write_request : Unix.file_descr -> request -> unit
-val write_response : Unix.file_descr -> response -> unit
 
 val http_preamble : string -> bool
 (** Does this look like the start of an HTTP GET rather than a binary

@@ -24,7 +24,10 @@ type t = {
   m : Mutex.t;
   cond : Condition.t;  (* group-commit barrier: synced advanced *)
   mutable next_seq : int;
-  mutable records : int;
+  (* The page ids of every committed record (recovered, then appended), by
+     record index — the journal's only directory, and what [read] follows.
+     Record i carries append ticket i + 1. *)
+  mutable records : int array Vec.t;
   mutable pages : int;
   (* Encoded pages of appended-but-not-yet-synced records, oldest first.
      Page ids are allocated at append time (allocation writes nothing),
@@ -32,32 +35,32 @@ type t = {
      order, which is what makes a torn batch recover to a record
      prefix. *)
   mutable pending : (int * bytes) list;  (* newest first *)
-  mutable appended : int;  (* append tickets issued *)
   mutable synced : int;  (* highest ticket known durable *)
   mutable leader : bool;  (* a group-commit leader is collecting a batch *)
   mutable dead : bool;  (* a flush crashed: buffered tickets can never sync *)
 }
 
-let create pool =
+let make pool ~next_seq ~records ~pages =
   {
     pool;
     m = Mutex.create ();
     cond = Condition.create ();
-    next_seq = 0;
-    records = 0;
-    pages = 0;
+    next_seq;
+    records;
+    pages;
     pending = [];
-    appended = 0;
-    synced = 0;
+    synced = Vec.length records;
     leader = false;
     dead = false;
   }
+
+let create pool = make pool ~next_seq:0 ~records:(Vec.create ()) ~pages:0
 
 let locked t f =
   Mutex.lock t.m;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.m) f
 
-let record_count t = locked t @@ fun () -> t.records
+let record_count t = locked t @@ fun () -> Vec.length t.records
 let page_count t = locked t @@ fun () -> t.pages
 let synced_count t = locked t @@ fun () -> t.synced
 
@@ -104,16 +107,17 @@ let append_locked t payload =
      part-way, recovery burns it and the torn record can never complete. *)
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
-  for index = 0 to count - 1 do
-    let off = index * payload_capacity in
-    let chunk = String.sub payload off (Stdlib.min payload_capacity (len - off)) in
-    let id = Buffer_pool.alloc t.pool in
-    t.pages <- t.pages + 1;
-    t.pending <- (id, encode_page ~seq ~index ~count chunk) :: t.pending
-  done;
-  t.records <- t.records + 1;
-  t.appended <- t.appended + 1;
-  t.appended
+  let ids =
+    Array.init count (fun index ->
+        let off = index * payload_capacity in
+        let chunk = String.sub payload off (Stdlib.min payload_capacity (len - off)) in
+        let id = Buffer_pool.alloc t.pool in
+        t.pending <- (id, encode_page ~seq ~index ~count chunk) :: t.pending;
+        id)
+  in
+  t.pages <- t.pages + count;
+  Vec.push t.records ids;
+  Vec.length t.records
 
 (* caller holds t.m.  Writes the batch strictly in append order: a torn
    write leaves every earlier record complete on disk and every later one
@@ -126,7 +130,7 @@ let flush_locked t =
   | [] -> ()
   | pending ->
     t.pending <- [];
-    let target = t.appended in
+    let target = Vec.length t.records in
     (try
        List.iter
          (fun (id, page) -> Buffer_pool.write t.pool id page)
@@ -182,102 +186,55 @@ let group_sync t ~sleep ticket =
   in
   Fun.protect ~finally:(fun () -> Mutex.unlock t.m) loop
 
-(* Tailing cursor.
+let read t i =
+  let ids =
+    locked t @@ fun () ->
+    if i < 0 || i >= t.synced then
+      invalid_arg (Printf.sprintf "Journal.read: record %d is not durable" i);
+    Vec.get t.records i
+  in
+  let count = Array.length ids in
+  String.concat ""
+    (List.mapi
+       (fun index id ->
+         match decode_page (Buffer_pool.read t.pool id) with
+         | Some (_, index', count', chunk) when index' = index && count' = count ->
+           chunk
+         | Some _ | None ->
+           failwith
+             (Printf.sprintf "Journal.read: page %d of record %d fails its check"
+                index i))
+       (Array.to_list ids))
 
-   Scans the disk for journal pages and yields committed records one at a
-   time, in sequence order, remembering where it stopped.  The distinctions
-   it draws rest on the flush discipline: pages land on disk strictly in
-   append order, so once a {e later} sequence number is complete on disk,
-   every page an earlier sequence number will ever have is already there —
-   an incomplete earlier record is a burned sequence number ([Tail_gap]),
-   never a record still in flight.  Conversely an incomplete record with
-   nothing complete beyond it may simply not have been flushed yet
-   ([Tail_wait]): more bytes may arrive, or — after a crash — never will.
-
-   Positive page decodes are cached (journal pages are never rewritten);
-   pages that decode to [None] are re-examined on every call, since a freed
-   blob page can be reallocated to the journal later.  The 4-byte magic
-   check rejects non-journal pages before any digest work. *)
-
-type tail = Tail_record of string | Tail_wait | Tail_gap of int
-
-type tailer = {
-  tl_pool : Buffer_pool.t;
-  tl_seen : (int, unit) Hashtbl.t;  (* page ids known to be journal pages *)
-  tl_by_seq : (int, int * string array) Hashtbl.t;  (* undelivered records *)
-  mutable tl_page_ids : int list;  (* newest first *)
-  mutable tl_pages : int;
-  mutable tl_max_seq : int;
-  mutable tl_next_seq : int;
-}
-
-let tailer pool =
-  {
-    tl_pool = pool;
-    tl_seen = Hashtbl.create 64;
-    tl_by_seq = Hashtbl.create 64;
-    tl_page_ids = [];
-    tl_pages = 0;
-    tl_max_seq = -1;
-    tl_next_seq = 0;
-  }
-
-let tailer_scan tl =
-  let n = Buffer_pool.page_count tl.tl_pool in
-  for id = 0 to n - 1 do
-    if not (Hashtbl.mem tl.tl_seen id) then
-      match decode_page (Buffer_pool.read tl.tl_pool id) with
-      | None -> ()
-      | Some (seq, index, count, chunk) ->
-        Hashtbl.replace tl.tl_seen id ();
-        tl.tl_page_ids <- id :: tl.tl_page_ids;
-        tl.tl_pages <- tl.tl_pages + 1;
-        if seq > tl.tl_max_seq then tl.tl_max_seq <- seq;
-        if seq >= tl.tl_next_seq then (
-          match Hashtbl.find_opt tl.tl_by_seq seq with
-          | Some (c, slots) when c = count ->
-            if index < Array.length slots then slots.(index) <- chunk
-          | Some (_, slots) ->
-            (* A digest-valid page disagreeing on the record's shape cannot
-               arise from this writer; treat the record as unreadable. *)
-            Hashtbl.replace tl.tl_by_seq seq (-1, slots)
-          | None ->
-            let slots = Array.make count "" in
-            slots.(index) <- chunk;
-            Hashtbl.replace tl.tl_by_seq seq (count, slots))
-  done
-
-(* every page present?  (the empty string cannot occur as a chunk of a
-   committed record: all chunks but possibly none are non-empty, and a
-   record is non-empty) *)
-let tailer_complete (c, slots) = c > 0 && Array.for_all (fun s -> s <> "") slots
-
-(* The next record among the pages scanned so far; no disk reads. *)
-let tail_take tl =
-  let seq = tl.tl_next_seq in
-  match Hashtbl.find_opt tl.tl_by_seq seq with
-  | Some ((_, slots) as entry) when tailer_complete entry ->
-    tl.tl_next_seq <- seq + 1;
-    Hashtbl.remove tl.tl_by_seq seq;
-    Tail_record (String.concat "" (Array.to_list slots))
-  | _ ->
-    let beyond =
-      Hashtbl.fold
-        (fun s entry acc -> acc || (s > seq && tailer_complete entry))
-        tl.tl_by_seq false
-    in
-    if beyond then begin
-      tl.tl_next_seq <- seq + 1;
-      Hashtbl.remove tl.tl_by_seq seq;
-      Tail_gap seq
-    end
-    else Tail_wait
-
-let tail_next tl =
-  tailer_scan tl;
-  tail_take tl
-
-let tailer_position tl = tl.tl_next_seq
+(* Overwrites with a page that carries no magic, so no later scan can take
+   it for a journal page.  A crash part-way leaves each dropped record
+   whole or incomplete: recovery drops the incomplete ones, and the whole
+   ones are still the tail the caller is dropping. *)
+let truncate t k =
+  locked t @@ fun () ->
+  let n = Vec.length t.records in
+  if k < 0 || k > n then
+    invalid_arg (Printf.sprintf "Journal.truncate: %d of %d records" k n);
+  if t.pending <> [] then invalid_arg "Journal.truncate: records are buffered";
+  let released =
+    List.concat_map
+      (fun i -> Array.to_list (Vec.get t.records i))
+      (List.init (n - k) (fun i -> k + i))
+  in
+  if released <> [] then begin
+    let blank = Bytes.make Disk.page_size '\000' in
+    List.iter (fun id -> Buffer_pool.write t.pool id blank) released;
+    let stats = Buffer_pool.stats t.pool in
+    stats.Io_stats.fsyncs <- stats.Io_stats.fsyncs + 1;
+    let kept = Vec.create () in
+    for i = 0 to k - 1 do
+      Vec.push kept (Vec.get t.records i)
+    done;
+    t.records <- kept;
+    t.pages <- t.pages - List.length released;
+    t.synced <- k
+  end;
+  released
 
 type recovery = {
   journal : t;
@@ -285,39 +242,59 @@ type recovery = {
   journal_pages : int list;
 }
 
+(* One scan of every page.  Pages land on disk strictly in append order, so
+   every complete record is committed: an incomplete record with a complete
+   one beyond it is a burned sequence number, and one with nothing complete
+   beyond it is the torn tail.  Either way it is not a record.  The
+   sequence numbers of incomplete records are burned: appends continue
+   past the highest number on disk, so their surviving pages can never be
+   confused with later appends. *)
 let recover pool =
-  let tl = tailer pool in
-  (* Nothing appends while recovery runs: one scan sees every page. *)
-  tailer_scan tl;
-  let records = ref [] in
-  let committed = ref 0 in
-  let rec drain () =
-    match tail_take tl with
-    | Tail_record r ->
-      records := r :: !records;
-      incr committed;
-      drain ()
-    | Tail_gap _ -> drain () (* burned sequence number: the append never completed *)
-    | Tail_wait -> ()
+  let by_seq : (int, int * string array * int array) Hashtbl.t =
+    Hashtbl.create 64
   in
-  drain ();
+  let page_ids = ref [] in
+  let max_seq = ref (-1) in
+  for id = 0 to Buffer_pool.page_count pool - 1 do
+    match decode_page (Buffer_pool.read pool id) with
+    | None -> ()
+    | Some (seq, index, count, chunk) ->
+      page_ids := id :: !page_ids;
+      if seq > !max_seq then max_seq := seq;
+      (match Hashtbl.find_opt by_seq seq with
+       | Some (c, chunks, ids) when c = count ->
+         chunks.(index) <- chunk;
+         ids.(index) <- id
+       | Some (_, chunks, ids) ->
+         (* A digest-valid page disagreeing on the record's shape cannot
+            arise from this writer; treat the record as unreadable. *)
+         Hashtbl.replace by_seq seq (-1, chunks, ids)
+       | None ->
+         let chunks = Array.make count "" and ids = Array.make count (-1) in
+         chunks.(index) <- chunk;
+         ids.(index) <- id;
+         Hashtbl.replace by_seq seq (count, chunks, ids))
+  done;
+  (* Every chunk of a committed record is non-empty: a record is non-empty
+     and only its last page can hold less than a full page. *)
+  let complete =
+    Hashtbl.fold
+      (fun seq (c, chunks, ids) acc ->
+        if c > 0 && Array.for_all (fun s -> s <> "") chunks then
+          (seq, chunks, ids) :: acc
+        else acc)
+      by_seq []
+    |> List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b)
+  in
+  let records = Vec.create () in
+  List.iter (fun (_, _, ids) -> Vec.push records ids) complete;
   let journal =
-    {
-      pool;
-      m = Mutex.create ();
-      cond = Condition.create ();
-      next_seq = tl.tl_max_seq + 1;
-      records = !committed;
-      pages = tl.tl_pages;
-      pending = [];
-      appended = !committed;
-      synced = !committed;
-      leader = false;
-      dead = false;
-    }
+    make pool ~next_seq:(!max_seq + 1) ~records
+      ~pages:(List.length !page_ids)
   in
   {
     journal;
-    records = List.rev !records;
-    journal_pages = List.sort compare tl.tl_page_ids;
+    records =
+      List.map (fun (_, chunks, _) -> String.concat "" (Array.to_list chunks)) complete;
+    journal_pages = List.rev !page_ids;
   }

@@ -10,8 +10,9 @@
     ordering.  Every journal page is self-validating: it carries a magic
     tag, the record's sequence number, its position within the record
     ([page_index]/[page_count]) and an MD5 digest of the page body.  A page
-    is never rewritten once it holds part of a committed record, so a torn
-    write can only damage the record being appended, never an earlier one.
+    is never rewritten once it holds part of a committed record (except by
+    {!truncate}, which drops records on purpose), so a torn write can only
+    damage the record being appended, never an earlier one.
     A record exists after recovery iff {e all} of its pages are present and
     digest-valid; otherwise the append never happened.
 
@@ -39,8 +40,9 @@ val append : t -> string -> unit
 val append_buffered : t -> string -> int
 (** Appends one record without making it durable: pages are allocated and
     encoded but land on disk only at the next {!sync} (or a group-commit
-    leader's flush).  Returns the record's {e ticket}; the record is
-    durable once the journal's synced ticket reaches it.  Thread-safe. *)
+    leader's flush).  Returns the record's {e ticket}, its record index
+    plus one; the record is durable once the journal's synced ticket
+    reaches it.  Thread-safe. *)
 
 val sync : t -> unit
 (** Flushes every buffered record to disk, strictly in append order, as
@@ -57,7 +59,8 @@ val group_sync : t -> sleep:(unit -> unit) -> int -> unit
     {!Disk.Crash} if a flush crashed before the ticket could sync. *)
 
 val synced_count : t -> int
-(** Tickets known durable (recovered records count as synced). *)
+(** Tickets known durable (recovered records count as synced): records
+    [0 .. synced_count - 1] are on disk. *)
 
 val record_count : t -> int
 (** Committed records this journal knows of (appended plus recovered),
@@ -66,45 +69,22 @@ val record_count : t -> int
 val page_count : t -> int
 (** Pages owned by the journal (its storage overhead). *)
 
-(** {1 Tailing}
+val read : t -> int -> string
+(** [read t i] is the payload of record [i] (counting committed records
+    from 0, recovered ones first), read back from its pages: each page's
+    digest and position are checked as {!recover} checks them.  Raises
+    [Invalid_argument] when record [i] is not durable yet, and [Failure]
+    when a page fails its check. *)
 
-    A {!tailer} is a resumable cursor over the committed records of a disk's
-    journal: it scans for journal pages, yields records in sequence order,
-    and remembers where it stopped so the next call continues from there —
-    the read side of journal shipping.  Crucially it distinguishes "nothing
-    further is committed {e yet}" from "this sequence number can never
-    complete":
-
-    - {!Tail_wait}: the next sequence number has no complete record and
-      nothing complete exists beyond it.  Either the tail is still being
-      written (keep polling) or a crash tore it (recovery drops it).
-    - [Tail_gap seq]: [seq] is incomplete but a {e later} sequence number is
-      complete on disk.  Since flushes land strictly in append order, [seq]
-      was burned by an append that never finished; it can never complete and
-      the cursor steps over it.
-
-    The distinction is physical (page-level).  Whether a record that {e is}
-    complete carries a decodable payload is the layer above's concern. *)
-
-type tail =
-  | Tail_record of string  (** the next committed record, in order *)
-  | Tail_wait  (** nothing further committed; poll again for more bytes *)
-  | Tail_gap of int  (** this sequence number was burned; stepped over it *)
-
-type tailer
-
-val tailer : Buffer_pool.t -> tailer
-(** A cursor positioned before the first record.  Safe on a disk without
-    journal pages (every call returns {!Tail_wait} until pages appear). *)
-
-val tail_next : tailer -> tail
-(** Advances past the returned record or gap; {!Tail_wait} does not move
-    the cursor.  Each call rescans pages not yet known to be journal pages
-    (a cheap magic-tag check filters non-journal pages), so new appends are
-    picked up. *)
-
-val tailer_position : tailer -> int
-(** The sequence number the next {!tail_next} will consider. *)
+val truncate : t -> int -> int list
+(** [truncate t k] drops every record from index [k] on: it overwrites
+    their pages with non-journal pages, counts one durability point, and
+    returns the page ids it released (they belong to the blob allocator
+    from now on).  Their sequence numbers stay burned.  A crash part-way
+    leaves each dropped record whole or incomplete, so the next
+    {!recover} still ends at a prefix that keeps the first [k].  Raises
+    [Invalid_argument] when [k] is out of range or records are
+    buffered. *)
 
 type recovery = {
   journal : t;  (** positioned to append after the last record *)
@@ -115,7 +95,8 @@ type recovery = {
 }
 
 val recover : Buffer_pool.t -> recovery
-(** Scans every page of the underlying disk.  Also the read path for a
-    clean (uncrashed) restart: on a disk without journal pages it returns
-    an empty journal.  The disk is scanned once, however many records it
-    holds. *)
+(** Scans every page of the underlying disk once, however many records it
+    holds.  Every complete record is committed, in sequence order; an
+    incomplete one is a burned sequence number or the torn tail.  Also the
+    read path for a clean (uncrashed) restart: on a disk without journal
+    pages it returns an empty journal. *)

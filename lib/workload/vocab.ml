@@ -73,9 +73,3 @@ let cuisines =
 
 let cities =
   [| "Trondheim"; "Paris"; "Roma"; "Oslo"; "Athens"; "Madrid"; "Lyon" |]
-
-let news_topics =
-  [|
-    "politics"; "economy"; "science"; "sports"; "culture"; "technology";
-    "weather"; "health";
-  |]

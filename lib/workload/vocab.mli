@@ -21,4 +21,3 @@ val restaurant_names : string array
 val street_names : string array
 val cuisines : string array
 val cities : string array
-val news_topics : string array

@@ -17,16 +17,6 @@ and add_entity buf ~quot s start i entity =
 
 let escape buf ~quot s = escape_from buf ~quot s 0 0
 
-let escape_text s =
-  let buf = Buffer.create (String.length s + 8) in
-  escape buf ~quot:false s;
-  Buffer.contents buf
-
-let escape_attr s =
-  let buf = Buffer.create (String.length s + 8) in
-  escape buf ~quot:true s;
-  Buffer.contents buf
-
 let add_attrs buf attrs =
   List.iter
     (fun { Xml.attr_name; attr_value } ->

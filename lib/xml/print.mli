@@ -5,9 +5,6 @@
     nodes are never emitted by the library's own constructors).  [to_pretty]
     is an indented human-readable form for examples and the CLI. *)
 
-val escape_text : string -> string
-val escape_attr : string -> string
-
 val to_string : Xml.t -> string
 (** Compact serialization, no added whitespace. *)
 

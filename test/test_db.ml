@@ -871,7 +871,7 @@ let test_query_empty_db () =
   with
   | Ok xml ->
     Alcotest.(check string) "count zero"
-      "<results><result>0</result></results>" (Txq_xml.Print.to_string xml)
+      "<results><result><number>0</number></result></results>" (Txq_xml.Print.to_string xml)
   | Error e -> Alcotest.failf "unexpected: %s" (Txq_query.Exec.error_to_string e)
 
 let test_verify_after_delete () =

@@ -124,7 +124,7 @@ let test_q2 () =
     run db
       {|SELECT COUNT(R) FROM doc("guide.com/restaurants.xml")[26/01/2001]/guide/restaurant R|}
   in
-  Alcotest.(check string) "count 2" "<results><result>2</result></results>"
+  Alcotest.(check string) "count 2" "<results><result><number>2</number></result></results>"
     (Print.to_string out);
   (* the Q2 point: no reconstruction happened *)
   Txq_db.Db.reset_io db;
@@ -141,7 +141,14 @@ let test_sum () =
       {|SELECT SUM(R/price) FROM doc("guide.com/restaurants.xml")/guide/restaurant R|}
   in
   Alcotest.(check string) "current prices sum to 31"
-    "<results><result>31</result></results>" (Print.to_string out)
+    "<results><result><number>31</number></result></results>" (Print.to_string out);
+  (* each value keeps its own element: 31 and 15.5 never print as 3115.5 *)
+  let q =
+    {|SELECT SUM(R/price), AVG(R/price) FROM doc("guide.com/restaurants.xml")/guide/restaurant R|}
+  in
+  Alcotest.(check string) "two aggregates stay apart"
+    "<results><result><number>31</number><number>15.5</number></result></results>"
+    (Print.to_string (run db q))
 
 (* --- Q3: history ----------------------------------------------------------- *)
 
@@ -352,7 +359,7 @@ let test_avg () =
     run db
       {|SELECT AVG(R/price) FROM doc("guide.com/restaurants.xml")[26/01/2001]/guide/restaurant R|}
   in
-  Alcotest.(check string) "avg of 15 and 13" "<results><result>14</result></results>"
+  Alcotest.(check string) "avg of 15 and 13" "<results><result><number>14</number></result></results>"
     (Print.to_string out)
 
 let test_every_includes_deleted_doc_history () =
@@ -387,7 +394,7 @@ let test_root_binding () =
     run db {|SELECT COUNT(D) FROM doc("guide.com/restaurants.xml")[EVERY] D|}
   in
   Alcotest.(check string) "three document versions"
-    "<results><result>3</result></results>" (Print.to_string out)
+    "<results><result><number>3</number></result></results>" (Print.to_string out)
 
 let test_distinct () =
   let db = fig1_db () in
@@ -484,12 +491,12 @@ let test_collection_source () =
   let out =
     run db {|SELECT COUNT(R) FROM collection("a.com/*")/guide/restaurant R|}
   in
-  Alcotest.(check string) "two docs in a.com" "<results><result>2</result></results>"
+  Alcotest.(check string) "two docs in a.com" "<results><result><number>2</number></result></results>"
     (Print.to_string out);
   let all =
     run db {|SELECT SUM(R/price) FROM collection("*")/guide/restaurant R|}
   in
-  Alcotest.(check string) "whole warehouse" "<results><result>60</result></results>"
+  Alcotest.(check string) "whole warehouse" "<results><result><number>60</number></result></results>"
     (Print.to_string all)
 
 let test_collection_snapshot () =
@@ -507,7 +514,7 @@ let test_collection_snapshot () =
     run db {|SELECT COUNT(R) FROM collection("a.com/*")[02/01/2001]/guide/restaurant R|}
   in
   Alcotest.(check string) "two documents existed on 02/01"
-    "<results><result>2</result></results>" (Print.to_string out)
+    "<results><result><number>2</number></result></results>" (Print.to_string out)
 
 let test_collection_stratum_agrees () =
   let db = collection_db () in
@@ -553,10 +560,16 @@ let test_stratum_q1_agrees () =
 let test_stratum_counts_work () =
   let s = fig1_stratum () in
   Alcotest.(check string) "count at snapshot"
-    "<results><result>2</result></results>"
+    "<results><result><number>2</number></result></results>"
     (Print.to_string
        (run_stratum s
-          {|SELECT COUNT(R) FROM doc("guide.com/restaurants.xml")[26/01/2001]/guide/restaurant R|}))
+          {|SELECT COUNT(R) FROM doc("guide.com/restaurants.xml")[26/01/2001]/guide/restaurant R|}));
+  let q =
+    {|SELECT SUM(R/price), AVG(R/price) FROM doc("guide.com/restaurants.xml")/guide/restaurant R|}
+  in
+  Alcotest.(check string) "two aggregates: native = stratum"
+    (Print.to_string (run (fig1_db ()) q))
+    (Print.to_string (run_stratum s q))
 
 let test_stratum_rejects_identity () =
   let s = fig1_stratum () in

@@ -83,15 +83,48 @@ let test_journal_torn_append () =
   Alcotest.(check (list string))
     "append continues after recovery" [ "first"; "second" ] r2.Journal.records
 
+(* Record i reads back as the i-th payload, on the journal that appended
+   it and on every recovered one.  Half-way, an append tears on its second
+   page: its sequence number is burned, and record indexes step over it. *)
 let prop_journal_recover_roundtrip =
   QCheck.Test.make ~count:100 ~name:"journal: append*/recover round-trip"
     Gen_store.arb_payloads (fun payloads ->
       let disk = Disk.create () in
-      let pool = Buffer_pool.create ~capacity:8 disk in
-      let j = Journal.create pool in
-      List.iter (Journal.append j) payloads;
+      let j = Journal.create (Buffer_pool.create ~capacity:8 disk) in
+      let reads j = List.init (Journal.record_count j) (Journal.read j) in
+      let half = List.length payloads / 2 in
+      let first = List.filteri (fun i _ -> i < half) payloads in
+      List.iter (Journal.append j) first;
+      let live_first = reads j in
+      Disk.fail_after_writes disk 2;
+      (match Journal.append j (String.make 9_000 'z') with
+       | () -> QCheck.Test.fail_report "the torn append did not crash"
+       | exception Disk.Crash -> ());
+      Disk.clear_fault disk;
       let r = Journal.recover (Buffer_pool.create ~capacity:8 disk) in
-      r.Journal.records = payloads)
+      List.iteri
+        (fun i p -> if i >= half then Journal.append r.Journal.journal p)
+        payloads;
+      let r2 = Journal.recover (Buffer_pool.create ~capacity:8 disk) in
+      live_first = first
+      && r.Journal.records = first
+      && reads r.Journal.journal = payloads
+      && r2.Journal.records = payloads
+      && reads r2.Journal.journal = payloads)
+
+(* A buffered record is not durable: reading it is refused until it syncs. *)
+let test_journal_read_durable_only () =
+  let _, pool = mk_pool () in
+  let j = Journal.create pool in
+  Journal.append j "durable";
+  let ticket = Journal.append_buffered j "buffered" in
+  Alcotest.(check int) "ticket is record index + 1" 2 ticket;
+  Alcotest.(check string) "durable record reads" "durable" (Journal.read j 0);
+  (match Journal.read j 1 with
+   | (_ : string) -> Alcotest.fail "read a record that is not durable"
+   | exception Invalid_argument _ -> ());
+  Journal.sync j;
+  Alcotest.(check string) "synced record reads" "buffered" (Journal.read j 1)
 
 (* --- codec round-trip properties ---------------------------------------- *)
 
@@ -487,9 +520,12 @@ let test_document_time_recovery () =
    exactly as if the crash had happened one commit earlier — and the drop
    is visible in the metrics registry.  Regression: Db.recover used
    Journal_record.decode_exn and died on the first such record. *)
-let test_corrupt_tail_recovery () =
-  let config = { Config.default with durability = `Journal } in
-  let db = Db.create ~config () in
+let corrupt_tail_config = { Config.default with durability = `Journal }
+
+(* Two commits, then two records that are whole journal records but no
+   journal records of the database; the first spans three pages. *)
+let corrupt_tail_store () =
+  let db = Db.create ~config:corrupt_tail_config () in
   ignore (Db.insert_document db ~url:"u" ~ts:(ts "01/06/2001") (parse "<a>one</a>"));
   ignore (Db.update_document db ~url:"u" ~ts:(ts "02/06/2001") (parse "<a>two</a>"));
   let j =
@@ -497,8 +533,13 @@ let test_corrupt_tail_recovery () =
     | Some j -> j
     | None -> Alcotest.fail "journaled config must carry a journal"
   in
-  Journal.append j "garbage: not a journal record";
+  Journal.append j ("garbage: not a journal record" ^ String.make 9_000 'g');
   Journal.append j "trailing garbage";
+  db
+
+let test_corrupt_tail_recovery () =
+  let config = corrupt_tail_config in
+  let db = corrupt_tail_store () in
   Txq_obs.Metrics.reset ();
   let rdb = Db.recover (Db.disk db) config in
   Alcotest.(check int) "document survives" 1 (Db.document_count rdb);
@@ -509,6 +550,63 @@ let test_corrupt_tail_recovery () =
     (Xml.equal (current db) (current rdb));
   Alcotest.(check (option int)) "dropped records counted" (Some 2)
     (Txq_obs.Metrics.counter_value "db.recover.records_dropped")
+
+(* After dropping an undecodable tail, recovery truncates it from the
+   journal too, so a commit made after the restart is not stranded behind
+   it: the store reopens again, and record i is still shipment i.
+   Regression: the second recovery found the garbage before a decodable
+   record and refused the store as corrupt mid-journal. *)
+let recovered_state_ok what ~expect db =
+  Alcotest.(check string) (what ^ ": state") expect
+    (fingerprint ~ts_probes:[] db);
+  (match Db.verify db with
+   | Ok _ -> ()
+   | Error errs -> Alcotest.failf "%s: verify: %s" what (String.concat "; " errs));
+  check_no_leaks what db;
+  Alcotest.(check int) (what ^ ": journal records = commits")
+    (Db.stats db).Db.commits
+    (Journal.record_count (Option.get (Db.journal db)))
+
+let commit_and_reopen what db =
+  ignore (Db.update_document db ~url:"u" ~ts:(ts "03/06/2001") (parse "<a>three</a>"));
+  let expect = fingerprint ~ts_probes:[] db in
+  let shipped = Db.ship db ~from:0 () in
+  let reopened = Db.recover (Db.disk db) corrupt_tail_config in
+  recovered_state_ok (what ^ ", commit, recover") ~expect reopened;
+  Alcotest.(check (list string)) (what ^ ": the stream ships unchanged")
+    (List.map (fun sh -> sh.Journal_record.sh_payload) shipped)
+    (List.map
+       (fun sh -> sh.Journal_record.sh_payload)
+       (Db.ship reopened ~from:0 ()))
+
+let test_corrupt_tail_then_commit () =
+  let db = corrupt_tail_store () in
+  let expect = fingerprint ~ts_probes:[] db in
+  let rdb = Db.recover (Db.disk db) corrupt_tail_config in
+  recovered_state_ok "recover" ~expect rdb;
+  commit_and_reopen "recover" rdb
+
+(* Tear every write the truncation makes: the next recovery must land on
+   the same decodable prefix, and a commit after it must recover. *)
+let test_truncate_crash_sweep () =
+  let probe = corrupt_tail_store () in
+  let expect = fingerprint ~ts_probes:[] probe in
+  let pages_before = Journal.page_count (Option.get (Db.journal probe)) in
+  let rprobe = Db.recover (Db.disk probe) corrupt_tail_config in
+  let writes = pages_before - Journal.page_count (Option.get (Db.journal rprobe)) in
+  Alcotest.(check int) "truncation rewrites the four garbage pages" 4 writes;
+  for i = 1 to writes do
+    let what = Printf.sprintf "truncate torn at write %d" i in
+    let db = corrupt_tail_store () in
+    Disk.fail_after_writes (Db.disk db) i;
+    (match Db.recover (Db.disk db) corrupt_tail_config with
+     | (_ : Db.t) -> Alcotest.failf "%s: recovery did not crash" what
+     | exception Disk.Crash -> ());
+    Disk.clear_fault (Db.disk db);
+    let rdb = Db.recover (Db.disk db) corrupt_tail_config in
+    recovered_state_ok what ~expect rdb;
+    commit_and_reopen what rdb
+  done
 
 (* The converse shape: garbage followed by records that still decode is not
    a torn tail — it is mid-journal corruption, and silently dropping the
@@ -555,6 +653,8 @@ let () =
           Alcotest.test_case "torn append dropped" `Quick
             test_journal_torn_append;
           QCheck_alcotest.to_alcotest prop_journal_recover_roundtrip;
+          Alcotest.test_case "read waits for durability" `Quick
+            test_journal_read_durable_only;
         ] );
       ( "codecs",
         [
@@ -604,6 +704,10 @@ let () =
             test_document_time_recovery;
           Alcotest.test_case "corrupt journal tail truncates replay" `Quick
             test_corrupt_tail_recovery;
+          Alcotest.test_case "truncated tail: commit, then recover again"
+            `Quick test_corrupt_tail_then_commit;
+          Alcotest.test_case "crash inside the tail truncation" `Quick
+            test_truncate_crash_sweep;
           Alcotest.test_case "mid-journal corruption refuses to open" `Quick
             test_corrupt_mid_journal_refused;
           Alcotest.test_case "no journal, no state" `Quick

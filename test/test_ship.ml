@@ -353,35 +353,16 @@ let test_replica_attribute_order () =
 
 let retention = lazy { Config.no_retention with Config.keep_newer_than = Some (op_ts 12) }
 
-(* With a ship buffer, vacuum flows through the stream: an already-caught-up
-   replica applies the Vacuum record, and a from-scratch clone still works
-   because the ring retains the truncated history's contents. *)
-let test_vacuum_ships () =
-  let config = Config.with_ship_buffer 4_096 durable in
-  let primary = loaded_primary ~config () in
-  let r = Db.Replay.create ~config () in
-  catch_up primary r;
-  ignore (Db.vacuum ~retention:(Lazy.force retention) primary : Db.vacuum_report);
-  Alcotest.(check bool) "vacuum shipped as one record" true
-    (Db.durable_records primary > Db.Replay.applied r);
-  catch_up primary r;
-  Alcotest.(check string) "caught-up replica applies the vacuum"
-    (fingerprint primary)
-    (fingerprint (Db.Replay.db r));
-  (* a clone started after the vacuum replays the full stream from the ring *)
-  let r2 = Db.Replay.create ~config () in
-  catch_up primary r2;
-  Alcotest.(check string) "post-vacuum clone converges" (fingerprint primary)
-    (fingerprint (Db.Replay.db r2))
-
-(* Without a ship buffer, vacuumed history is gone: a from-scratch ship
-   raises Ship_gap — but shipping from the vacuum record onward still
-   works, and the caught-up replica keeps following. *)
-let test_vacuum_gap_without_buffer () =
+(* Vacuumed history is gone: a from-scratch ship raises Ship_gap — but the
+   vacuum ships as one record, and the caught-up replica applies it and
+   keeps following. *)
+let test_vacuum_gap () =
   let primary = loaded_primary () in
   let r = Db.Replay.create ~config:durable () in
   catch_up primary r;
   ignore (Db.vacuum ~retention:(Lazy.force retention) primary : Db.vacuum_report);
+  Alcotest.(check int) "vacuum shipped as one record"
+    (Db.Replay.applied r + 1) (Db.durable_records primary);
   catch_up primary r;
   Alcotest.(check string) "caught-up replica survives the vacuum"
     (fingerprint primary)
@@ -405,22 +386,25 @@ let check_no_leaks what db =
 (* The kill sweep again, across a shipped vacuum: the replica journals the
    Vacuum record it applied, and recovery must replay that record from the
    replica's own disk.  Two updates follow the vacuum, so a kill lands on
-   each side of it.  The ship buffer lets the reference replica start from
-   index 0. *)
+   each side of it.  The stream is shipped in two pulls, as a replica
+   following the primary sees it: the prefix before the vacuum, then
+   everything from the vacuum record on. *)
 let test_kill_across_vacuum () =
-  let config = Config.with_ship_buffer 4_096 durable in
-  let primary = loaded_primary ~config () in
+  let primary = loaded_primary () in
+  let before = Db.ship primary ~from:0 ~limit:1_000 () in
   ignore (Db.vacuum ~retention:(Lazy.force retention) primary : Db.vacuum_report);
   let vacuum_at = Db.durable_records primary - 1 in
+  Alcotest.(check int) "the prefix ends at the vacuum" vacuum_at
+    (List.length before);
   ignore (Db.update_document primary ~url:"c" ~ts:(op_ts 20) (parse "<c>after</c>"));
   ignore (Db.update_document primary ~url:"b" ~ts:(op_ts 21) (parse "<b>after</b>"));
-  let all = Db.ship primary ~from:0 ~limit:1_000 () in
+  let all = before @ Db.ship primary ~from:vacuum_at ~limit:1_000 () in
   let n = List.length all in
   (match Journal_record.decode_exn (List.nth all vacuum_at).Journal_record.sh_payload with
    | Journal_record.Vacuum _ -> ()
    | _ -> Alcotest.fail "the workload ships a Vacuum record");
   let rfps = Array.make (n + 1) "" in
-  let ref_r = Db.Replay.create ~config () in
+  let ref_r = Db.Replay.create ~config:durable () in
   rfps.(0) <- fingerprint (Db.Replay.db ref_r);
   List.iteri
     (fun i sh ->
@@ -430,9 +414,9 @@ let test_kill_across_vacuum () =
   Alcotest.(check string) "reference replica converges"
     (fingerprint primary) rfps.(n);
   for k = 0 to n do
-    let r = Db.Replay.create ~config () in
+    let r = Db.Replay.create ~config:durable () in
     ignore (Db.apply_stream r (stream_of_list (take_n k all)) : int);
-    let rdb = Db.recover (Db.disk (Db.Replay.db r)) config in
+    let rdb = Db.recover (Db.disk (Db.Replay.db r)) durable in
     let what = Printf.sprintf "killed at %d (vacuum is record %d)" k vacuum_at in
     Alcotest.(check string) (what ^ ": recovered = prefix") rfps.(k)
       (fingerprint rdb);
@@ -627,10 +611,8 @@ let () =
         ] );
       ( "vacuum",
         [
-          Alcotest.test_case "vacuum flows through a buffered stream" `Quick
-            test_vacuum_ships;
           Alcotest.test_case "unbuffered vacuum gaps a fresh clone" `Quick
-            test_vacuum_gap_without_buffer;
+            test_vacuum_gap;
           Alcotest.test_case "killed at every boundary across a vacuum" `Slow
             test_kill_across_vacuum;
           Alcotest.test_case "recover = replay on the derived indexes" `Quick

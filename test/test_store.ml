@@ -284,66 +284,6 @@ let prop_bptree_vs_map =
              (M.filter (fun k _ -> Int64.compare 100L k <= 0 && Int64.compare k 300L < 0) model)
       && Bptree.entry_count t = M.cardinal model)
 
-(* --- journal tailer ---------------------------------------------------- *)
-
-let mk_journal () =
-  let disk = Disk.create () in
-  let pool = Buffer_pool.create ~capacity:32 disk in
-  (disk, Journal.create pool)
-
-(* The tailer streams records in append order, reports Tail_wait at the
-   committed frontier, and resumes when more records land. *)
-let test_tailer_streams () =
-  let disk, j = mk_journal () in
-  Journal.append j "one";
-  Journal.append j (String.make 9_000 'x');
-  let tl = Journal.tailer (Buffer_pool.create ~capacity:32 disk) in
-  Alcotest.(check int) "starts at 0" 0 (Journal.tailer_position tl);
-  (match Journal.tail_next tl with
-   | Journal.Tail_record s -> Alcotest.(check string) "first" "one" s
-   | _ -> Alcotest.fail "expected a record");
-  (match Journal.tail_next tl with
-   | Journal.Tail_record s ->
-     Alcotest.(check int) "multi-page record" 9_000 (String.length s)
-   | _ -> Alcotest.fail "expected a record");
-  (match Journal.tail_next tl with
-   | Journal.Tail_wait -> ()
-   | _ -> Alcotest.fail "expected Tail_wait at the frontier");
-  Alcotest.(check int) "wait does not advance" 2 (Journal.tailer_position tl);
-  Journal.append j "three";
-  (match Journal.tail_next tl with
-   | Journal.Tail_record s -> Alcotest.(check string) "resumes" "three" s
-   | _ -> Alcotest.fail "expected the new record")
-
-(* A torn append burns its sequence number: the tailer distinguishes the
-   still-torn frontier (Tail_wait) from a burned number with a committed
-   record beyond it (Tail_gap), and steps over the latter exactly once. *)
-let test_tailer_gap_vs_wait () =
-  let disk, j = mk_journal () in
-  Journal.append j "first";
-  Disk.fail_after_writes disk 2;
-  (match Journal.append j (String.make 9_000 'y') with
-   | () -> Alcotest.fail "expected a crash"
-   | exception Disk.Crash -> ());
-  Disk.clear_fault disk;
-  let tl = Journal.tailer (Buffer_pool.create ~capacity:32 disk) in
-  (match Journal.tail_next tl with
-   | Journal.Tail_record s -> Alcotest.(check string) "first" "first" s
-   | _ -> Alcotest.fail "expected a record");
-  (* nothing beyond the torn record yet: could still be an append in flight *)
-  (match Journal.tail_next tl with
-   | Journal.Tail_wait -> ()
-   | _ -> Alcotest.fail "expected Tail_wait on the torn frontier");
-  (* a record lands beyond the torn one: now it is provably a gap *)
-  let r = Journal.recover (Buffer_pool.create ~capacity:32 disk) in
-  Journal.append r.Journal.journal "second";
-  (match Journal.tail_next tl with
-   | Journal.Tail_gap seq -> Alcotest.(check int) "burned seq" 1 seq
-   | _ -> Alcotest.fail "expected Tail_gap");
-  (match Journal.tail_next tl with
-   | Journal.Tail_record s -> Alcotest.(check string) "after gap" "second" s
-   | _ -> Alcotest.fail "expected the record after the gap")
-
 (* --- disk directory save/load ------------------------------------------ *)
 
 let fill_disk () =
@@ -434,12 +374,6 @@ let () =
           Alcotest.test_case "save/load round-trip" `Quick
             test_save_load_roundtrip;
           Alcotest.test_case "save crash sweep" `Quick test_save_crash_sweep;
-        ] );
-      ( "journal tailer",
-        [
-          Alcotest.test_case "streams records in order" `Quick
-            test_tailer_streams;
-          Alcotest.test_case "gap vs wait" `Quick test_tailer_gap_vs_wait;
         ] );
       ( "buffer_pool",
         [
