@@ -538,10 +538,9 @@ let corrupt_tail_store () =
   db
 
 let test_corrupt_tail_recovery () =
-  let config = corrupt_tail_config in
   let db = corrupt_tail_store () in
   Txq_obs.Metrics.reset ();
-  let rdb = Db.recover (Db.disk db) config in
+  let rdb = Db.recover (Db.disk db) corrupt_tail_config in
   Alcotest.(check int) "document survives" 1 (Db.document_count rdb);
   Alcotest.(check int) "both real commits replayed" 2
     (Db.stats rdb).Db.commits;
@@ -551,11 +550,6 @@ let test_corrupt_tail_recovery () =
   Alcotest.(check (option int)) "dropped records counted" (Some 2)
     (Txq_obs.Metrics.counter_value "db.recover.records_dropped")
 
-(* After dropping an undecodable tail, recovery truncates it from the
-   journal too, so a commit made after the restart is not stranded behind
-   it: the store reopens again, and record i is still shipment i.
-   Regression: the second recovery found the garbage before a decodable
-   record and refused the store as corrupt mid-journal. *)
 let recovered_state_ok what ~expect db =
   Alcotest.(check string) (what ^ ": state") expect
     (fingerprint ~ts_probes:[] db);
@@ -579,6 +573,11 @@ let commit_and_reopen what db =
        (fun sh -> sh.Journal_record.sh_payload)
        (Db.ship reopened ~from:0 ()))
 
+(* After dropping an undecodable tail, recovery truncates it from the
+   journal too, so a commit made after the restart is not stranded behind
+   it: the store reopens again, and record i is still shipment i.
+   Regression: the second recovery found the garbage before a decodable
+   record and refused the store as corrupt mid-journal. *)
 let test_corrupt_tail_then_commit () =
   let db = corrupt_tail_store () in
   let expect = fingerprint ~ts_probes:[] db in
