@@ -602,6 +602,13 @@ let test_db_group_commit_concurrent () =
   (match Db.journal db with
    | Some j -> Journal.sync j
    | None -> Alcotest.fail "journal expected");
+  (* the shipping watermark is the journal's synced count: every record
+     ships once synced, and a replica fed from the journal converges *)
+  Alcotest.(check int) "every commit is shippable" commits (Db.durable_records db);
+  let r = Db.Replay.create ~config () in
+  List.iter (Db.Replay.apply r) (Db.ship db ~from:0 ~limit:commits ());
+  Alcotest.(check string) "replica = primary" (fingerprint db)
+    (fingerprint (Db.Replay.db r));
   let rdb = Db.recover (Db.disk db) config in
   Alcotest.(check int) "recovered documents" committers (Db.document_count rdb);
   (match Db.verify rdb with
