@@ -128,7 +128,7 @@ and constrain rows child matches =
           (fun m -> not (Xidpath.is_prefix row.c_path m.c_path))
       in
       (* Tag tests carry the path of the element itself; word tests carry
-         the path of the enclosing element (see Vnode.occurrence). *)
+         the path of the enclosing element (see Vnode.iter_occurrences). *)
       let m_start, m_stop, child_depth =
         match (child.Pattern.test, child.Pattern.axis) with
         | Pattern.Word _, Pattern.Child -> (start, eq_stop, None)

@@ -357,17 +357,20 @@ let set_dtime_count_for_tests t ~seconds count =
    live mutators, crash recovery's final walk, and shipped-record replay all
    maintain the FTI, delta-FTI and CreTime index through these three
    functions, so the index state after replaying a record sequence is the
-   index state the sequence built live.  [new_tree] is lazy: only the
-   version index needs the materialized tree. *)
+   index state the sequence built live.  The trees are lazy: only the
+   version index needs them materialized, and it indexes a commit from its
+   delta against the previous version's tree. *)
 
 let index_insert t ~doc ~version d ts tree =
   Option.iter (fun fti -> Fti.index_version fti ~doc ~version tree) t.fti;
   Option.iter (fun dfti -> Delta_fti.index_initial dfti ~doc ~version tree) t.dfti;
   record_created_tree t d ts tree
 
-let index_commit t ~doc ~version ~ts delta new_tree =
+let index_commit t ~doc ~version ~ts ~old_tree delta new_tree =
   Option.iter
-    (fun fti -> Fti.index_version fti ~doc ~version (Lazy.force new_tree))
+    (fun fti ->
+      Fti.index_version fti ~change:(Lazy.force old_tree, delta) ~doc ~version
+        (Lazy.force new_tree))
     t.fti;
   Option.iter (fun dfti -> Delta_fti.index_delta dfti ~doc ~version delta) t.dfti;
   match t.cretime with
@@ -545,12 +548,14 @@ let update_document t ~url ?ts xml =
         Some (fun blob -> defer_free t !ticket blob ~cluster:doc_id)
       else None
     in
+    let old_tree = Docstore.current d in
     let delta, new_tree =
       Docstore.commit ~on_durable ?free d ~ts ~snapshot:(snapshot_due t version)
         ?doc_time xml
     in
     record_doc_time t ~doc:doc_id ~version doc_time;
-    index_commit t ~doc:doc_id ~version ~ts delta (lazy new_tree);
+    index_commit t ~doc:doc_id ~version ~ts ~old_tree:(Lazy.from_val old_tree)
+      delta (Lazy.from_val new_tree);
     t.stats.commits <- t.stats.commits + 1;
     Log.debug (fun m ->
         m "update %s -> version %d at %s (%d ops)" url version
@@ -1171,7 +1176,8 @@ let apply_record t src record =
        | Shipped contents ->
          let c0 = List.hd contents in
          let delta = decode "delta" Delta.decode c0 in
-         let map = Txq_vxml.Xidmap.of_vnode (Docstore.current d) in
+         let old_tree = Docstore.current d in
+         let map = Txq_vxml.Xidmap.of_vnode old_tree in
          Delta.apply_forward map delta;
          let tree = Txq_vxml.Xidmap.to_vnode map in
          let enc = Txq_vxml.Codec.encode tree in
@@ -1188,17 +1194,18 @@ let apply_record t src record =
                        r_snapshot = Option.map blob_ref snapshot_blob;
                        r_freed =
                          Txq_store.Blob_store.page_ids (Docstore.current_blob d) });
-         (Some (tree, delta), delta_blob, current_blob, snapshot_blob)
+         (Some (old_tree, tree, delta), delta_blob, current_blob, snapshot_blob)
      in
      Docstore.append d ~ts ?doc_time ~delta_blob ~snapshot_blob
-       ?current:(Option.map fst shipped) ~current_blob
+       ?current:(Option.map (fun (_, tree, _) -> tree) shipped) ~current_blob
        ~free:(release_blob t src ~cluster:doc) ();
      Option.iter
-       (fun (tree, delta) ->
+       (fun (old_tree, tree, delta) ->
          Docstore.mark_used d (Delta.inserted_xids delta);
          Docstore.mark_used d (Delta.deleted_xids delta);
          record_doc_time t ~doc ~version doc_time;
-         index_commit t ~doc ~version ~ts delta (lazy tree))
+         index_commit t ~doc ~version ~ts ~old_tree:(Lazy.from_val old_tree)
+           delta (Lazy.from_val tree))
        shipped;
      t.stats.commits <- t.stats.commits + 1
    | Journal_record.Delete { r_doc = doc; r_ts } ->
@@ -1279,14 +1286,19 @@ let rebuild_doc t id d =
   if t.fti <> None || t.dfti <> None || t.cretime <> None then begin
     let map = Txq_vxml.Xidmap.of_vnode current in
     List.iter (Delta.apply_backward map) (List.rev deltas);
-    index_insert t ~doc:id ~version:b0 d (Docstore.ts_of_version d b0)
-      (Txq_vxml.Xidmap.to_vnode map);
+    let base = Txq_vxml.Xidmap.to_vnode map in
+    index_insert t ~doc:id ~version:b0 d (Docstore.ts_of_version d b0) base;
+    (* [index_commit] forces a version's tree before the map moves on, or
+       never: each tree is the next commit's old tree. *)
+    let old_tree = ref (Lazy.from_val base) in
     List.iteri
       (fun i delta ->
         let v = b0 + 1 + i in
         Delta.apply_forward map delta;
-        index_commit t ~doc:id ~version:v ~ts:(Docstore.ts_of_version d v) delta
-          (lazy (Txq_vxml.Xidmap.to_vnode map)))
+        let tree = lazy (Txq_vxml.Xidmap.to_vnode map) in
+        index_commit t ~doc:id ~version:v ~ts:(Docstore.ts_of_version d v)
+          ~old_tree:!old_tree delta tree;
+        old_tree := tree)
       deltas;
     Option.iter
       (fun dts -> index_delete t ~doc:id ~version:n ~ts:dts current)

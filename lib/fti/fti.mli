@@ -34,11 +34,26 @@ val freeze : t -> unit
     watermark.  No-op on an empty tail. *)
 
 val index_version :
-  t -> doc:Txq_vxml.Eid.doc_id -> version:int -> Txq_vxml.Vnode.t -> unit
+  t ->
+  ?change:Txq_vxml.Vnode.t * Txq_vxml.Delta.t ->
+  doc:Txq_vxml.Eid.doc_id ->
+  version:int ->
+  Txq_vxml.Vnode.t ->
+  unit
 (** Incremental maintenance on commit of [version] (0-based) of [doc]:
     occurrences present in the previous version but absent from this one are
     closed at [version]; new occurrences open at [version].  Versions of a
-    document must be indexed in increasing order. *)
+    document must be indexed in increasing order.
+
+    [change = (old_tree, delta)] names the previous version and the
+    completed delta from it to this one; [version] must then follow the
+    last indexed version directly.  Only the occurrences of the elements
+    the delta marks are probed (those it names, the parents of the texts
+    it updates, and every element below a node it inserts, deletes or
+    moves), in both trees, with the same postings as a walk of the whole
+    version.  Raises [Invalid_argument]
+    when [old_tree] holds an occurrence the index has no open posting
+    for. *)
 
 val delete_document : t -> doc:Txq_vxml.Eid.doc_id -> version:int -> unit
 (** Closes every open posting of the document: the delete "version" bound.

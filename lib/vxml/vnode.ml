@@ -149,52 +149,63 @@ type occurrence_kind =
   | Tag
   | Word
 
-type occurrence = {
-  occ_word : string;
-  occ_kind : occurrence_kind;
-  occ_path : Xid.t array;
-}
+type mark =
+  | Unmarked
+  | Marked
+  | Marked_subtree
 
-(* One path array per element, shared by its Tag occurrence and the Word
-   occurrences of its attributes and text children. *)
 let rec iter_words f path = function
   | [] -> ()
   | w :: rest ->
     f w Word path;
     iter_words f path rest
 
-let rec iter_occ f path = function
-  | Text { content; _ } -> iter_words f path (Txq_xml.Xml.split_words content)
-  | Elem e ->
-    let depth = Array.length path in
-    let here = Array.make (depth + 1) e.xid in
-    Array.blit path 0 here 0 depth;
-    f e.tag Tag here;
-    iter_attrs f here e.attrs;
-    iter_children f here e.children
+(* One pre-order walk keeps the XIDs from the root down on a stack and
+   copies them into a path array only for a marked element; that array is
+   shared by the element's Tag occurrence and the Word occurrences of its
+   attributes and text children.  Text children are visited in their place
+   among the element children, so with every element marked the
+   occurrences come in document order. *)
+let iter_marked_occurrences mark f root =
+  let stack = ref [||] in
+  let rec elem depth below (e : elem) =
+    if depth = Array.length !stack then begin
+      let bigger = Array.make (Stdlib.max 16 (2 * depth)) e.xid in
+      Array.blit !stack 0 bigger 0 depth;
+      stack := bigger
+    end;
+    Array.unsafe_set !stack depth e.xid;
+    let m = if below then Marked_subtree else mark e in
+    if m == Unmarked then iter_children depth false [||] e.children
+    else begin
+      let here = Array.sub !stack 0 (depth + 1) in
+      f e.tag Tag here;
+      iter_attrs here e.attrs;
+      iter_children depth (m == Marked_subtree) here e.children
+    end
+  and iter_attrs here = function
+    | [] -> ()
+    | (n, v) :: rest ->
+      f n Word here;
+      iter_words f here (Txq_xml.Xml.split_words v);
+      iter_attrs here rest
+  (* [here] is the enclosing element's path, [||] when it is unmarked *)
+  and iter_children depth below here = function
+    | [] -> ()
+    | Text { content; _ } :: rest ->
+      if Array.length here > 0 then
+        iter_words f here (Txq_xml.Xml.split_words content);
+      iter_children depth below here rest
+    | Elem c :: rest ->
+      elem (depth + 1) below c;
+      iter_children depth below here rest
+  in
+  match root with
+  | Text { content; _ } -> iter_words f [||] (Txq_xml.Xml.split_words content)
+  | Elem e -> elem 0 false e
 
-and iter_attrs f here = function
-  | [] -> ()
-  | (n, v) :: rest ->
-    f n Word here;
-    iter_words f here (Txq_xml.Xml.split_words v);
-    iter_attrs f here rest
-
-and iter_children f here = function
-  | [] -> ()
-  | c :: rest ->
-    iter_occ f here c;
-    iter_children f here rest
-
-let iter_occurrences f root = iter_occ f [||] root
-
-let occurrences root =
-  let acc = ref [] in
-  iter_occurrences
-    (fun occ_word occ_kind occ_path ->
-      acc := { occ_word; occ_kind; occ_path } :: !acc)
-    root;
-  List.rev !acc
+let iter_occurrences f root =
+  iter_marked_occurrences (fun _ -> Marked_subtree) f root
 
 let rec pp ppf = function
   | Text { xid; content } -> Format.fprintf ppf "%a%S" Xid.pp xid content

@@ -67,30 +67,38 @@ type occurrence_kind =
   | Tag  (** an element name *)
   | Word  (** a word from text content, an attribute name or value *)
 
-type occurrence = {
-  occ_word : string;
-  occ_kind : occurrence_kind;
-  occ_path : Xid.t array;
-      (** XIDs from the root to the occurrence's element: for a [Tag]
-          occurrence the path ends with the element's own XID; a [Word]
-          occurrence carries the path of its enclosing element.  Parent and
-          ancestor tests in the pattern-scan join are prefix tests on these
-          paths (Section 7.2's "information that can be used to determine
-          hierarchical relationships"). *)
-}
-
 val iter_occurrences :
   (string -> occurrence_kind -> Xid.t array -> unit) -> t -> unit
 (** [iter_occurrences f tree] calls [f word kind path] for every occurrence
     in the tree, in document order, duplicates included: each element's
     name as a [Tag], then its attribute names and the
     {!Txq_xml.Xml.split_words} tokens of their values, then the tokens of
-    its text children, as [Word]s.  One path array is allocated per
-    element and shared by all of that element's occurrences; [f] must not
-    mutate it. *)
+    its text children, as [Word]s.  [path] holds the XIDs from the root to
+    the occurrence's element: a [Tag] path ends with the element's own
+    XID, and a [Word] carries the path of its enclosing element (a bare
+    text root's words carry the empty path).  Parent and ancestor tests in
+    the pattern-scan join are prefix tests on these paths (Section 7.2's
+    "information that can be used to determine hierarchical
+    relationships").  One path array is allocated per element and shared
+    by all of that element's occurrences; [f] must not mutate it. *)
 
-val occurrences : t -> occurrence list
-(** All occurrences in the tree, as {!iter_occurrences} visits them. *)
+(** Which elements {!iter_marked_occurrences} enumerates. *)
+type mark =
+  | Unmarked  (** skip the element's own occurrences *)
+  | Marked  (** enumerate the element's own occurrences *)
+  | Marked_subtree  (** enumerate the element and everything below it *)
+
+val iter_marked_occurrences :
+  (elem -> mark) -> (string -> occurrence_kind -> Xid.t array -> unit) ->
+  t -> unit
+(** [iter_marked_occurrences mark f tree] is {!iter_occurrences} restricted
+    to the elements [mark] selects: an element's own occurrences (its name,
+    its attributes, the words of its text children) are enumerated when
+    [mark] gives [Marked] or [Marked_subtree] for it, or [Marked_subtree]
+    for an ancestor; [mark] is not asked below a [Marked_subtree].  A path
+    array is allocated only for enumerated elements.  The words of a bare
+    text root are always enumerated.  [iter_occurrences] is this walk with
+    every element marked. *)
 
 val pp : Format.formatter -> t -> unit
 (** Debug form showing XIDs. *)

@@ -395,6 +395,9 @@ let canon ps =
          | c -> c)
        ps)
 
+(* XID-identified versions of one document, as the commit path builds
+   them, each with its change from the previous version: the previous
+   tree and the diff's delta ([None] for the first version). *)
 let identified_versions (doc0, versions) =
   let gen = Xid.Gen.create () in
   let v0 = Vnode.of_xml gen (Txq_xml.Xml.normalize doc0) in
@@ -402,12 +405,12 @@ let identified_versions (doc0, versions) =
     (snd
        (List.fold_left
           (fun (prev, acc) xml ->
-            let _, next =
+            let delta, next =
               Txq_vxml.Diff.diff ~gen ~old_tree:prev
                 ~new_tree:(Txq_xml.Xml.normalize xml)
             in
-            (next, next :: acc))
-          (v0, [ v0 ]) versions))
+            (next, (next, Some (prev, delta)) :: acc))
+          (v0, [ (v0, None) ]) versions))
 
 (* The commits of documents 0 and 1 as (doc, version, tree), alternating
    while both have versions left. *)
@@ -428,8 +431,8 @@ let prop_frozen_equals_naive =
         (Txq_test_support.Gen_xml.arb_history ~max_versions:4)
         (pair small_nat small_nat))
     (fun (hist0, hist1, (mask, del)) ->
-      let vs0 = identified_versions hist0 in
-      let vs1 = identified_versions hist1 in
+      let vs0 = List.map fst (identified_versions hist0) in
+      let vs1 = List.map fst (identified_versions hist1) in
       let subject = Fti.create ~segment_postings:3 () in
       let oracle = Fti.create ~segment_postings:max_int () in
       (* interleave the two documents' commits; after step i, freeze the
@@ -485,31 +488,45 @@ let shape p =
 
 let shapes ps = List.map shape ps
 
-(* Every read the index offers, on [subject] and on [oracle]: lookups in
-   the order returned, the sorted fetch, counters and stats. *)
-let check_same ~ctx subject oracle =
-  let check_list what a b =
-    Alcotest.(check (list string)) (ctx ^ ": " ^ what) (shapes b) (shapes a)
+(* Every read the index offers, on each subject and on [oracle]: lookups
+   in the order returned, the sorted fetch, counters and stats.  Each of
+   the oracle's answers is computed once for all the subjects; stats come
+   first, since reads compact segment stacks. *)
+let check_same ~ctx subjects oracle =
+  let each what check subject_read =
+    List.iter
+      (fun (name, subject) ->
+        check (Printf.sprintf "%s, %s: %s" ctx name what) (subject_read subject))
+      subjects
   in
-  let check_int what a b = Alcotest.(check int) (ctx ^ ": " ^ what) b a in
+  let same_list what oracle_read subject_read =
+    let expected = shapes (oracle_read oracle) in
+    each what
+      (fun msg got -> Alcotest.(check (list string)) msg expected (shapes got))
+      subject_read
+  in
+  let same_int what oracle_read subject_read =
+    let expected = oracle_read oracle in
+    each what (fun msg got -> Alcotest.(check int) msg expected got) subject_read
+  in
+  let stats = Oracle.stats oracle in
+  each "stats" (fun msg got -> Alcotest.(check bool) msg true (got = stats)) Fti.stats;
   let vocabulary = List.sort String.compare (Oracle.vocabulary oracle) in
-  Alcotest.(check (list string)) (ctx ^ ": vocabulary") vocabulary
-    (List.sort String.compare (Fti.vocabulary subject));
-  check_int "posting_count" (Fti.posting_count subject)
-    (Oracle.posting_count oracle);
-  Alcotest.(check bool) (ctx ^ ": stats") true
-    (Fti.stats subject = Oracle.stats oracle);
+  each "vocabulary"
+    (fun msg got -> Alcotest.(check (list string)) msg vocabulary got)
+    (fun fti -> List.sort String.compare (Fti.vocabulary fti));
+  same_int "posting_count" Oracle.posting_count Fti.posting_count;
   List.iter
     (fun w ->
-      check_list ("lookup " ^ w) (Fti.lookup subject w) (Oracle.lookup oracle w);
-      check_list ("lookup_h " ^ w) (Fti.lookup_h subject w)
-        (Oracle.lookup_h oracle w);
+      same_list ("lookup " ^ w) (fun o -> Oracle.lookup o w) (fun f -> Fti.lookup f w);
+      same_list ("lookup_h " ^ w) (fun o -> Oracle.lookup_h o w)
+        (fun f -> Fti.lookup_h f w);
       List.iter
         (fun doc ->
-          check_list
+          same_list
             (Printf.sprintf "lookup_h_doc %s %d" w doc)
-            (Fti.lookup_h_doc subject w ~doc)
-            (Oracle.lookup_h_doc oracle w ~doc))
+            (fun o -> Oracle.lookup_h_doc o w ~doc)
+            (fun f -> Fti.lookup_h_doc f w ~doc))
         [ 0; 1; 2 ];
       List.iter
         (fun v ->
@@ -517,64 +534,78 @@ let check_same ~ctx subject oracle =
           let version_at doc =
             if doc <> 1 then Some v else if v < 2 then None else Some (v - 2)
           in
-          check_list
+          same_list
             (Printf.sprintf "lookup_t %s %d" w v)
-            (Fti.lookup_t subject w ~version_at)
-            (Oracle.lookup_t oracle w ~version_at))
+            (fun o -> Oracle.lookup_t o w ~version_at)
+            (fun f -> Fti.lookup_t f w ~version_at))
         [ 0; 1; 2; 3; 4; 5; 6 ];
       List.iter
         (fun kind ->
           let k = match kind with Vnode.Tag -> "tag" | Vnode.Word -> "word" in
-          check_list
+          same_list
             (Printf.sprintf "sorted_postings %s %s" w k)
-            (Array.to_list (Fti.sorted_postings subject w ~kind))
-            (Array.to_list (Oracle.sorted_postings oracle w ~kind));
-          check_int
+            (fun o -> Array.to_list (Oracle.sorted_postings o w ~kind))
+            (fun f -> Array.to_list (Fti.sorted_postings f w ~kind));
+          same_int
             (Printf.sprintf "word_postings %s %s" w k)
-            (Fti.word_postings subject w ~kind)
-            (Oracle.word_postings oracle w ~kind);
-          check_int
+            (fun o -> Oracle.word_postings o w ~kind)
+            (fun f -> Fti.word_postings f w ~kind);
+          same_int
             (Printf.sprintf "word_open_postings %s %s" w k)
-            (Fti.word_open_postings subject w ~kind)
-            (Oracle.word_open_postings oracle w ~kind);
+            (fun o -> Oracle.word_open_postings o w ~kind)
+            (fun f -> Fti.word_open_postings f w ~kind);
           List.iter
             (fun doc ->
-              check_int
+              same_int
                 (Printf.sprintf "doc_word_postings %s %s %d" w k doc)
-                (Fti.doc_word_postings subject w ~kind ~doc)
-                (Oracle.doc_word_postings oracle w ~kind ~doc))
+                (fun o -> Oracle.doc_word_postings o w ~kind ~doc)
+                (fun f -> Fti.doc_word_postings f w ~kind ~doc))
             [ 0; 1 ])
         [ Vnode.Tag; Vnode.Word ])
     vocabulary
 
-(* One maintenance step, applied to both indexes. *)
+(* One maintenance step, applied to every index. *)
 type step =
-  | Index of int * int * Vnode.t  (** doc, version, tree *)
+  | Index of int * int * Vnode.t * (Vnode.t * Txq_vxml.Delta.t) option
+      (** doc, version, tree, change from the previous version *)
   | Freeze
   | Delete of int * int  (** doc, next version *)
   | Vacuum of (int * [ `Drop | `Squash of int ]) list
 
+(* Three indexes side by side: one indexing each version from its change
+   where the step has one, one walking every version whole, and the
+   oracle.  Both [Fti]s must answer every read like the oracle after
+   every step. *)
 let run_steps ~segment_postings steps =
-  let subject = Fti.create ~segment_postings () in
+  let narrowed = Fti.create ~segment_postings () in
+  let full = Fti.create ~segment_postings () in
   let oracle = Oracle.create ~segment_postings () in
   List.iteri
     (fun i step ->
       (match step with
-       | Index (doc, version, tree) ->
-         Fti.index_version subject ~doc ~version tree;
+       | Index (doc, version, tree, change) ->
+         Fti.index_version narrowed ?change ~doc ~version tree;
+         Fti.index_version full ~doc ~version tree;
          Oracle.index_version oracle ~doc ~version tree
        | Freeze ->
-         Fti.freeze subject;
+         Fti.freeze narrowed;
+         Fti.freeze full;
          Oracle.freeze oracle
        | Delete (doc, version) ->
-         Fti.delete_document subject ~doc ~version;
+         Fti.delete_document narrowed ~doc ~version;
+         Fti.delete_document full ~doc ~version;
          Oracle.delete_document oracle ~doc ~version
        | Vacuum affected ->
-         Alcotest.(check int)
-           (Printf.sprintf "step %d: postings vacuumed" i)
-           (Oracle.vacuum oracle ~affected)
-           (Fti.vacuum subject ~affected));
-      check_same ~ctx:(Printf.sprintf "step %d" i) subject oracle)
+         let expected = Oracle.vacuum oracle ~affected in
+         List.iter
+           (fun (what, fti) ->
+             Alcotest.(check int)
+               (Printf.sprintf "step %d: postings vacuumed (%s)" i what)
+               expected (Fti.vacuum fti ~affected))
+           [ ("from the delta", narrowed); ("whole walk", full) ]);
+      check_same ~ctx:(Printf.sprintf "step %d" i)
+        [ ("from the delta", narrowed); ("whole walk", full) ]
+        oracle)
     steps
 
 (* Two documents' histories interleaved, with freezes after the steps
@@ -587,7 +618,7 @@ let interleaved_steps (vs0, vs1) ~freezes ~plan =
   let steps =
     List.concat
       (List.mapi
-         (fun i (doc, v, tree) ->
+         (fun i (doc, v, (tree, change)) ->
            last.(doc) <- v;
            let squash =
              if i + 1 <> squash_at then []
@@ -597,7 +628,7 @@ let interleaved_steps (vs0, vs1) ~freezes ~plan =
                else [ Vacuum [ (d, `Squash ((plan / 3) mod (last.(d) + 1))) ] ]
            in
            let freeze = if (freezes lsr i) land 1 = 1 then [ Freeze ] else [] in
-           (Index (doc, v, tree) :: squash) @ freeze)
+           (Index (doc, v, tree, change) :: squash) @ freeze)
          commits)
   in
   let n0 = List.length vs0 in
@@ -607,18 +638,49 @@ let interleaved_steps (vs0, vs1) ~freezes ~plan =
        :: (if (plan / 13) land 1 = 1 then [ Vacuum [ (0, `Drop) ] ] else [])
      else [])
 
-let prop_maintenance_matches_oracle =
-  QCheck.Test.make ~count:40 ~name:"fti maintenance ≡ occurrence-set oracle"
+let differential ~count ~name histories =
+  QCheck.Test.make ~count ~name
     QCheck.(
-      quad
-        (Txq_test_support.Gen_xml.arb_history ~max_versions:5)
-        (Txq_test_support.Gen_xml.arb_history ~max_versions:5)
+      quad histories histories
         (pair int (int_bound 100_000))
         (oneofl [ 3; 16; max_int ]))
     (fun (hist0, hist1, (freezes, plan), segment_postings) ->
       let vs = (identified_versions hist0, identified_versions hist1) in
       run_steps ~segment_postings (interleaved_steps vs ~freezes ~plan);
       true)
+
+let prop_maintenance_matches_oracle =
+  differential ~count:40 ~name:"fti maintenance ≡ occurrence-set oracle"
+    (Txq_test_support.Gen_xml.arb_history ~max_versions:5)
+
+let print_history (d, vs) =
+  String.concat "\n---\n" (List.map Txq_xml.Print.to_string (d :: vs))
+
+(* Successors of a markup-heavy document: a subtree moved or copied in
+   it, or a new markup-heavy document altogether. *)
+let arb_raw_history =
+  let module G = Txq_test_support.Gen_xml in
+  QCheck.make ~print:print_history
+    QCheck.Gen.(
+      G.gen_raw_doc >>= fun doc ->
+      int_range 1 4 >>= fun n st ->
+      let rec build acc prev k =
+        if k = 0 then List.rev acc
+        else
+          let next = if int_bound 2 st = 0 then G.gen_raw_doc st else G.transplant prev st in
+          build (next :: acc) next (k - 1)
+      in
+      (doc, build [] doc n))
+
+let prop_moves_match_oracle =
+  differential ~count:30
+    ~name:"from delta ≡ oracle (moved subtrees)"
+    (Txq_test_support.Gen_xml.arb_transplant_history ~max_versions:5)
+
+let prop_markup_matches_oracle =
+  differential ~count:20
+    ~name:"from delta ≡ oracle (markup-heavy)"
+    arb_raw_history
 
 (* Versions of one document from XML texts, XIDs carried by the diff. *)
 let versions_of texts =
@@ -627,15 +689,17 @@ let versions_of texts =
      | first :: rest -> (first, rest)
      | [] -> invalid_arg "versions_of")
 
-let check_shape_against_oracle texts () =
-  let vs = versions_of texts in
-  let steps = List.mapi (fun v tree -> Index (0, v, tree)) vs in
+let check_versions_against_oracle vs =
+  let steps = List.mapi (fun v (tree, change) -> Index (0, v, tree, change)) vs in
   List.iter
     (fun segment_postings ->
       run_steps ~segment_postings steps;
       run_steps ~segment_postings
         (steps @ [ Freeze; Delete (0, List.length vs); Vacuum [ (0, `Drop) ] ]))
     [ 1; max_int ]
+
+let check_shape_against_oracle texts () =
+  check_versions_against_oracle (versions_of texts)
 
 let test_oracle_repeated_word () =
   check_shape_against_oracle
@@ -673,6 +737,115 @@ let test_oracle_renamed_element () =
     [ "<r><a n=\"1\">t</a></r>"; "<r><b n=\"1\">t</b></r>";
       "<r><a n=\"1\">t</a></r>" ]
     ()
+
+(* --- indexing from the delta ---------------------------------------------- *)
+
+module Delta = Txq_vxml.Delta
+
+let x = Xid.of_int
+
+(* Versions from an initial document (XIDs 1, 2, … in document order) and,
+   per later version, the delta operations that make it from the one
+   before, so each case exercises exactly the operation kinds it names.
+   Inserted trees take XIDs from 100 on. *)
+let versions_of_ops text steps =
+  let v0 = vnode text in
+  let rec go prev acc = function
+    | [] -> List.rev acc
+    | ops :: rest ->
+      let delta = Delta.make ~from_version:0 ~to_version:1 ops in
+      let map = Txq_vxml.Xidmap.of_vnode prev in
+      Delta.apply_forward map delta;
+      let next = Txq_vxml.Xidmap.to_vnode map in
+      go next ((next, Some (prev, delta)) :: acc) rest
+  in
+  go v0 [ (v0, None) ] steps
+
+let inserted s =
+  let gen = Xid.Gen.create () in
+  Xid.Gen.mark_used gen (x 99);
+  Vnode.of_xml gen (Txq_xml.Parse.parse_exn s)
+
+let update xid old_text new_text = Delta.Update { xid = x xid; old_text; new_text }
+
+let move xid (old_parent, old_after) (new_parent, new_after) =
+  Delta.Move
+    { xid = x xid; old_parent = x old_parent; old_after = Option.map x old_after;
+      new_parent = x new_parent; new_after = Option.map x new_after }
+
+let test_change_attr_word_in_updated_text () =
+  (* r1 a2 t3: "x" stays at a through the attribute value *)
+  check_versions_against_oracle
+    (versions_of_ops "<r><a k=\"x y\">x z</a></r>"
+       [ [ update 3 "x z" "z w" ];
+         [ update 3 "z w" "x" ];
+         [ Delta.Set_attr { xid = x 2; name = "k"; old_value = Some "x y";
+                            new_value = None } ];
+         [ update 3 "x" "y" ] ]);
+  check_shape_against_oracle
+    [ "<a k=\"x\">x y</a>"; "<a k=\"x\">y</a>"; "<a k=\"y\">x</a>" ] ()
+
+let test_change_repeated_word () =
+  (* r1 a2 t3 b4 t5: "x" in two texts of a; one changes, then the other;
+     then both texts drop the word they share *)
+  check_versions_against_oracle
+    (versions_of_ops "<r><a>x<b/>x</a></r>"
+       [ [ update 5 "x" "y" ];
+         [ update 3 "x" "y" ];
+         [ update 3 "y" "p"; update 5 "y" "q" ] ]);
+  (* and across two elements *)
+  check_shape_against_oracle
+    [ "<r><a>x</a><b>x</b></r>"; "<r><a>x</a><b>y</b></r>";
+      "<r><a>y</a><b>y</b></r>" ] ()
+
+let test_change_text_moved () =
+  (* r1 a2 t3 i4 b5 t6: the text "x y" moves from a to b and back *)
+  check_versions_against_oracle
+    (versions_of_ops "<r><a>x y<i/></a><b>z</b></r>"
+       [ [ move 3 (2, None) (5, Some 6) ];
+         [ move 3 (5, Some 6) (2, None) ];
+         [ move 3 (2, None) (5, None); update 3 "x y" "z" ] ])
+
+let test_change_rename_in_inserted () =
+  (* r1 a2; the inserted c100 d101 t102 has d renamed after the insert *)
+  check_versions_against_oracle
+    (versions_of_ops "<r><a/></r>"
+       [ [ Delta.Insert { parent = x 1; after = Some (x 2);
+                          tree = inserted "<c><d>w</d></c>" };
+           Delta.Rename { xid = x 101; old_tag = "d"; new_tag = "e" } ];
+         [ Delta.Rename { xid = x 100; old_tag = "c"; new_tag = "a" } ] ])
+
+let test_change_update_in_moved () =
+  (* r1 a2 m3 n4 t5 o6 t7 b8: m moves under b while a text below it
+     changes; o, which no operation names, changes path with m *)
+  check_versions_against_oracle
+    (versions_of_ops "<r><a><m><n>p q</n><o>z</o></m></a><b/></r>"
+       [ [ move 3 (2, None) (8, None); update 5 "p q" "q s" ];
+         [ move 4 (3, None) (1, Some 2) ] ])
+
+let test_change_text_emptied () =
+  (* r1 a2 t3 *)
+  check_versions_against_oracle
+    (versions_of_ops "<r><a>x y</a></r>"
+       [ [ update 3 "x y" "" ]; [ update 3 "" "y" ] ]);
+  check_shape_against_oracle [ "<r><a>x y</a></r>"; "<r><a/></r>"; "<r><a>y</a></r>" ] ()
+
+let test_change_must_follow () =
+  let fti = Fti.create () in
+  let v0 = vnode "<a>x</a>" in
+  Fti.index_version fti ~doc:0 ~version:0 v0;
+  let change = (v0, Delta.make ~from_version:0 ~to_version:2 []) in
+  Alcotest.check_raises "a change skips no version"
+    (Invalid_argument
+       "Fti.index_version: a change to version 2 of doc 0 must follow version 1")
+    (fun () -> Fti.index_version fti ~change ~doc:0 ~version:2 v0);
+  Alcotest.check_raises "the old tree is the indexed version"
+    (Invalid_argument "Fti.index_version: the old tree of doc 0 is not version 0")
+    (fun () ->
+      Fti.index_version fti
+        ~change:(vnode "<b>x</b>", Delta.make ~from_version:0 ~to_version:1
+                   [ Delta.Rename { xid = x 1; old_tag = "b"; new_tag = "a" } ])
+        ~doc:0 ~version:1 v0)
 
 let test_freeze_stats () =
   let fti = Fti.create ~segment_postings:2 () in
@@ -731,6 +904,23 @@ let () =
           Alcotest.test_case "renamed element" `Quick
             test_oracle_renamed_element;
           QCheck_alcotest.to_alcotest prop_maintenance_matches_oracle;
+        ] );
+      ( "from the delta",
+        [
+          Alcotest.test_case "attribute word in an updated text" `Quick
+            test_change_attr_word_in_updated_text;
+          Alcotest.test_case "repeated word, one text changes" `Quick
+            test_change_repeated_word;
+          Alcotest.test_case "text moved between elements" `Quick
+            test_change_text_moved;
+          Alcotest.test_case "rename inside an inserted subtree" `Quick
+            test_change_rename_in_inserted;
+          Alcotest.test_case "update inside a moved subtree" `Quick
+            test_change_update_in_moved;
+          Alcotest.test_case "text emptied" `Quick test_change_text_emptied;
+          Alcotest.test_case "change must follow" `Quick test_change_must_follow;
+          QCheck_alcotest.to_alcotest prop_moves_match_oracle;
+          QCheck_alcotest.to_alcotest prop_markup_matches_oracle;
         ] );
       ( "delta_fti",
         [

@@ -432,10 +432,13 @@ let test_kill_across_vacuum () =
 
 (* Recovery and replay build the derived indexes by different routes:
    replay maintains them record by record, recovery rebuilds them from the
-   finished chains.  Four stores must agree on the document-time index and
-   on the raw CreTime rows of every element of every retained version: the
-   primary, its recovery, a caught-up replica, and the replica's recovery.
-   The workload vacuums half-way. *)
+   finished chains, and the FTI indexes each commit from its delta against
+   trees the diff, [Xidmap] application and the rebuild build each their
+   own way.  Four stores must agree on the document-time index, on the raw
+   CreTime rows of every element of every retained version and on every
+   FTI posting: the primary, its recovery, a caught-up replica, and the
+   replica's recovery.  The workload vacuums half-way and moves an
+   element. *)
 let test_recover_equals_replay_indexes () =
   let config =
     Config.durable
@@ -471,6 +474,24 @@ let test_recover_equals_replay_indexes () =
   upd "n3" "06/05/2001" [ "p"; "q" ];
   ins "n2" "07/05/2001" [ "z" ];
   upd "n1" "07/05/2001" [ "f" ];
+  (* a box moves from the body into the meta element *)
+  let box =
+    "<box><name>Napoli Ristorante</name><price>15</price><addr>Via Roma 1</addr></box>"
+  in
+  let n3 meta body =
+    Db.update_document primary ~url:"n3" ~ts:(at ())
+      (parse
+         (Printf.sprintf
+            "<article><meta><published>08/05/2001</published>%s</meta>\
+             <body><item>p</item>%s</body></article>"
+            meta body))
+  in
+  ignore (n3 "" box : Txq_vxml.Delta.t);
+  let moved = n3 box "" in
+  Alcotest.(check bool) "the workload moves an element" true
+    (List.exists
+       (function Txq_vxml.Delta.Move _ -> true | _ -> false)
+       moved.Txq_vxml.Delta.ops);
   catch_up primary r;
   let replica = Db.Replay.db r in
   let render db =
@@ -496,6 +517,20 @@ let test_recover_equals_replay_indexes () =
             (Vnode.xids (Db.reconstruct db id v))
         done)
       (Db.doc_ids db);
+    let fti = Db.fti db in
+    List.iter
+      (fun w ->
+        List.iter
+          (fun kind ->
+            Array.iter
+              (fun p ->
+                add "fti %s %s\n" w
+                  (Format.asprintf "%s%a"
+                     (match kind with Vnode.Tag -> "T" | Vnode.Word -> "W")
+                     Txq_fti.Posting.pp p))
+              (Txq_fti.Fti.sorted_postings fti w ~kind))
+          [ Vnode.Tag; Vnode.Word ])
+      (List.sort String.compare (Txq_fti.Fti.vocabulary fti));
     Buffer.contents buf
   in
   let expected = render primary in

@@ -67,20 +67,22 @@ let test_attr_order_insignificant () =
 
 let test_occurrences () =
   let v = vnode_of_string guide_v0 in
-  let occs = Vnode.occurrences v in
+  let occs = Txq_test_support.Occurrences.of_vnode v in
   let find word =
-    List.find_opt (fun o -> String.equal o.Vnode.occ_word word) occs
+    List.find_opt
+      (fun o -> String.equal o.Txq_test_support.Occurrences.occ_word word)
+      occs
   in
   (match find "guide" with
    | Some o ->
-     Alcotest.(check bool) "tag kind" true (o.Vnode.occ_kind = Vnode.Tag);
-     Alcotest.(check int) "root path length" 1 (Array.length o.Vnode.occ_path)
+     Alcotest.(check bool) "tag kind" true (o.occ_kind = Vnode.Tag);
+     Alcotest.(check int) "root path length" 1 (Array.length o.occ_path)
    | None -> Alcotest.fail "guide occurrence missing");
   (match find "Napoli" with
    | Some o ->
-     Alcotest.(check bool) "word kind" true (o.Vnode.occ_kind = Vnode.Word);
+     Alcotest.(check bool) "word kind" true (o.occ_kind = Vnode.Word);
      (* word path = enclosing element (name): guide/restaurant/name *)
-     Alcotest.(check int) "word path depth" 3 (Array.length o.Vnode.occ_path)
+     Alcotest.(check int) "word path depth" 3 (Array.length o.occ_path)
    | None -> Alcotest.fail "Napoli occurrence missing")
 
 (* --- Xidpath ---------------------------------------------------------- *)
