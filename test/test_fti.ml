@@ -905,7 +905,7 @@ let () =
             test_oracle_renamed_element;
           QCheck_alcotest.to_alcotest prop_maintenance_matches_oracle;
         ] );
-      ( "from the delta",
+      ( "by delta",
         [
           Alcotest.test_case "attribute word in an updated text" `Quick
             test_change_attr_word_in_updated_text;
