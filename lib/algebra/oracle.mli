@@ -13,11 +13,6 @@
     [render (eval …) = render (Algebra.eval …)] — identical rows and
     identical interval sets. *)
 
-val tuples_at :
-  ?domains:int ->
-  Txq_db.Db.t -> Timeline.t -> Algebra.t -> int -> Relation.tuple list
-(** The plain relation at one instant index (sorted, distinct tuples). *)
-
 val eval : ?domains:int -> Txq_db.Db.t -> Timeline.t -> Algebra.t -> Relation.t
 (** Sweep all instants and re-coalesce.  Raises [Invalid_argument] on a
     node {!Algebra.validate} rejects. *)

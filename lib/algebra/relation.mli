@@ -23,7 +23,6 @@ type row = { tuple : tuple; valid : Txq_core.Vrange.t }
 type t = row list
 (** Normalized; build with {!normalize}. *)
 
-val field_to_string : field -> string
 val tuple_key : tuple -> string
 (** Canonical rendering of a tuple; equal tuples have equal keys. *)
 

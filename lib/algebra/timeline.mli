@@ -24,10 +24,6 @@ val of_db : Txq_db.Db.t -> t
 val length : t -> int
 val instant : t -> int -> Txq_temporal.Timestamp.t
 
-val index_from : t -> Txq_temporal.Timestamp.t -> int
-(** First index whose instant is [>= ts]; [length t] when every instant is
-    earlier. *)
-
 val of_intervals : t -> Txq_temporal.Interval.t list -> Txq_core.Vrange.t
 (** Timestamp intervals to an instant-index range set ([+inf] maps to an
     open range). *)

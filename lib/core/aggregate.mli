@@ -15,10 +15,6 @@ val count_versions : Txq_db.Db.t -> Scan.binding list -> int
     open-ended validity ranges (a match valid "until now" spans every
     version up to the head, not one). *)
 
-val numeric_value : Txq_db.Db.t -> Txq_vxml.Eid.Temporal.t -> float option
-(** The element's text content at that time, parsed as a number
-    (reconstructs). *)
-
 val sum : Txq_db.Db.t -> Txq_vxml.Eid.Temporal.t list -> float
 (** Sum of numeric values over TEIDs; non-numeric and unresolvable elements
     contribute nothing. *)

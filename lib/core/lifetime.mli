@@ -25,8 +25,6 @@ type bound =
           fell in a vacuumed epoch.  The carried instant is the timestamp
           of the document's first retained version. *)
 
-val bound_ts : bound -> Txq_temporal.Timestamp.t
-
 val cre_time_bound :
   Txq_db.Db.t -> ?strategy:strategy -> Txq_vxml.Eid.Temporal.t ->
   bound option

@@ -468,133 +468,184 @@ let group_barrier t = function
           : unit option)
 
 let seconds ts = Timestamp.to_seconds ts
+let free_blob t ~cluster blob = Txq_store.Blob_store.free t.blobs ~cluster blob
 
-let insert_document t ~url ?ts xml =
-  read_only_guard t "insert_document";
-  let ticket = ref None in
-  let doc_id =
-    Txq_store.Rwlock.with_write t.lock @@ fun () ->
-    drain_deferred t;
-  (match find_live t url with
-   | Some _ ->
-     invalid_arg (Printf.sprintf "Db.insert_document: %s already exists" url)
-   | None -> ());
-  let ts = commit_ts t ts in
-  let doc_id = t.next_doc_id in
-  let doc_time = extract_doc_time t xml in
-  let d =
-    Docstore.create ~blobs:t.blobs ~doc_id ~url ~ts
-      ~snapshot:(snapshot_due t 0) ?doc_time xml
-  in
-  (* Commit point: the version-0 blobs are on disk, nothing registered yet. *)
-  ticket :=
+(* --- the commit step --------------------------------------------------- *)
+
+(* The checks a record of each kind meets before anything changes, whoever
+   applies it: a live mutator, shipped replay or crash recovery.  [err]
+   wraps a message in the caller's exception. *)
+
+let check_insert ~err t ~doc ~url =
+  if doc < t.next_doc_id then
+    raise (err (Printf.sprintf "document id %d is already taken" doc));
+  if find_live t url <> None then raise (err (url ^ " already exists"))
+
+(* A deletion advances the document's transaction time like a commit does,
+   so its versions never hold an empty interval and a reader tells its own
+   view from a later deletion by instant alone. *)
+let check_live ~err d ~ts =
+  if not (Docstore.is_alive d) then
+    raise (err (Printf.sprintf "document %d is deleted" (Docstore.doc_id d)));
+  let n = Docstore.version_count d in
+  if Timestamp.(ts <= Docstore.ts_of_version d (n - 1)) then
+    raise (err "timestamp does not advance")
+
+let check_commit ~err d ~version ~ts =
+  let n = Docstore.version_count d in
+  if version <> n then
+    raise
+      (err
+         (Printf.sprintf "version %d of document %d is not next (%d is)"
+            version (Docstore.doc_id d) n));
+  check_live ~err d ~ts
+
+let add_document t d =
+  let doc = Docstore.doc_id d in
+  Hashtbl.replace t.docs doc d;
+  let bucket = url_bucket t (Docstore.url d) in
+  bucket := doc :: !bucket;
+  t.next_doc_id <- doc + 1
+
+(* One function per record kind, shared by the live mutators and shipped
+   replay: write the version's blobs, journal the record over them — the
+   commit point: up to here the previous state is intact on disk —, append
+   to the chain, record the document time, maintain the derived indexes
+   and count the commit.  The callers differ only in where the tree, the
+   delta and their bytes come from, and in [snapshot]: [snapshot_due] on a
+   live commit, the shipped record's own snapshot on replay.  Each returns
+   the group-commit ticket, if one was issued. *)
+
+let commit_insert t ~doc ~url ~ts ~doc_time ~snapshot ~tree ~bytes =
+  let put () = Txq_store.Blob_store.put t.blobs ~cluster:doc bytes in
+  let current_blob = put () in
+  let snapshot_blob = if snapshot then Some (put ()) else None in
+  let ticket =
     journal_append t
       (Journal_record.Insert
-         {
-           r_doc = doc_id;
-           r_url = url;
-           r_ts = seconds ts;
+         { r_doc = doc; r_url = url; r_ts = seconds ts;
            r_doc_time = Option.map seconds doc_time;
-           r_current = blob_ref (Docstore.current_blob d);
-           r_snapshot = Option.map blob_ref (Docstore.snapshot_blob d 0);
-         });
-  t.next_doc_id <- doc_id + 1;
-  record_doc_time t ~doc:doc_id ~version:0 doc_time;
-  Hashtbl.replace t.docs doc_id d;
-  let bucket = url_bucket t url in
-  bucket := doc_id :: !bucket;
-  let tree = Docstore.current d in
-  index_insert t ~doc:doc_id ~version:0 d ts tree;
-  t.stats.commits <- t.stats.commits + 1;
-  Log.debug (fun m ->
-      m "insert %s as doc %d at %s (%d nodes)" url doc_id
-        (Timestamp.to_string ts) (Vnode.size tree));
-  doc_id
+           r_current = blob_ref current_blob;
+           r_snapshot = Option.map blob_ref snapshot_blob })
   in
-  group_barrier t !ticket;
-  doc_id
+  let d =
+    Docstore.restore ~blobs:t.blobs ~doc_id:doc ~url ~ts ?doc_time
+      ~current:tree ~current_blob ~snapshot_blob ()
+  in
+  add_document t d;
+  record_doc_time t ~doc ~version:0 doc_time;
+  index_insert t ~doc ~version:0 d ts tree;
+  t.stats.commits <- t.stats.commits + 1;
+  ticket
 
-let update_document t ~url ?ts xml =
-  read_only_guard t "update_document";
-  let ticket = ref None in
-  let result =
+let commit_version t d ~ts ~doc_time ~snapshot ~delta ~delta_bytes ~tree
+    ~tree_bytes =
+  let doc = Docstore.doc_id d and version = Docstore.version_count d in
+  (* blobs in a fixed order (delta, current, snapshot), so a replica built
+     from scratch allocates the same shapes as its primary *)
+  let put bytes = Txq_store.Blob_store.put t.blobs ~cluster:doc bytes in
+  let delta_blob = put delta_bytes in
+  let current_blob = put tree_bytes in
+  let snapshot_blob = if snapshot then Some (put tree_bytes) else None in
+  let ticket =
+    journal_append t
+      (Journal_record.Commit
+         { r_doc = doc; r_version = version; r_ts = seconds ts;
+           r_doc_time = Option.map seconds doc_time;
+           r_delta = blob_ref delta_blob; r_current = blob_ref current_blob;
+           r_snapshot = Option.map blob_ref snapshot_blob })
+  in
+  (* Group commit defers the superseded current blob's free until the
+     record is durable: recovery onto a prefix without this commit still
+     needs those pages intact. *)
+  let free =
+    if t.config.Config.group_commit then fun blob ->
+      defer_free t ticket blob ~cluster:doc
+    else free_blob t ~cluster:doc
+  in
+  let old_tree = Docstore.current d in
+  Docstore.append d ~ts ?doc_time ~delta_blob ~snapshot_blob ~current:tree
+    ~current_blob ~free ();
+  record_doc_time t ~doc ~version doc_time;
+  index_commit t ~doc ~version ~ts ~old_tree:(Lazy.from_val old_tree) delta
+    (Lazy.from_val tree);
+  t.stats.commits <- t.stats.commits + 1;
+  ticket
+
+(* A deletion is a commit like any other: it journals a record and changes
+   what every later snapshot reads, so it counts — otherwise two distinct
+   states would share one snapshot watermark. *)
+let commit_delete t d ~ts =
+  let doc = Docstore.doc_id d in
+  let ticket =
+    journal_append t (Journal_record.Delete { r_doc = doc; r_ts = seconds ts })
+  in
+  Docstore.mark_deleted d ~ts;
+  index_delete t ~doc ~version:(Docstore.version_count d) ~ts
+    (Docstore.current d);
+  (* Defensive eviction: entries for a deleted document stay correct
+     (versions are immutable) but will never be asked for again. *)
+  Vcache.evict_doc t.vcache doc;
+  t.stats.commits <- t.stats.commits + 1;
+  ticket
+
+(* A live mutation: validate and commit under the write lock, then wait for
+   the commit's group flush outside it. *)
+let mutate t what f =
+  read_only_guard t what;
+  let result, ticket =
     Txq_store.Rwlock.with_write t.lock @@ fun () ->
     drain_deferred t;
-  match find_live t url with
-  | None ->
-    invalid_arg (Printf.sprintf "Db.update_document: no live document at %s" url)
-  | Some d ->
-    let ts = commit_ts t ts in
-    let version = Docstore.version_count d in
-    let doc_time = extract_doc_time t xml in
-    let doc_id = Docstore.doc_id d in
-    let on_durable cb =
-      ticket :=
-        journal_append t
-          (Journal_record.Commit
-             {
-               r_doc = doc_id;
-               r_version = version;
-               r_ts = seconds ts;
-               r_doc_time = Option.map seconds doc_time;
-               r_delta = blob_ref cb.Docstore.cb_delta;
-               r_current = blob_ref cb.Docstore.cb_current;
-               r_snapshot = Option.map blob_ref cb.Docstore.cb_snapshot;
-               r_freed = cb.Docstore.cb_freed;
-             })
-    in
-    let free =
-      if t.config.Config.group_commit then
-        Some (fun blob -> defer_free t !ticket blob ~cluster:doc_id)
-      else None
-    in
-    let old_tree = Docstore.current d in
-    let delta, new_tree =
-      Docstore.commit ~on_durable ?free d ~ts ~snapshot:(snapshot_due t version)
-        ?doc_time xml
-    in
-    record_doc_time t ~doc:doc_id ~version doc_time;
-    index_commit t ~doc:doc_id ~version ~ts ~old_tree:(Lazy.from_val old_tree)
-      delta (Lazy.from_val new_tree);
-    t.stats.commits <- t.stats.commits + 1;
-    Log.debug (fun m ->
-        m "update %s -> version %d at %s (%d ops)" url version
-          (Timestamp.to_string ts) (Delta.op_count delta));
-    delta
+    f (fun msg -> Invalid_argument (Printf.sprintf "Db.%s: %s" what msg))
   in
-  group_barrier t !ticket;
+  group_barrier t ticket;
   result
 
-let delete_document t ~url ?ts () =
-  read_only_guard t "delete_document";
-  let ticket = ref None in
-  Txq_store.Rwlock.with_write t.lock (fun () ->
-  drain_deferred t;
+let insert_document t ~url ?ts xml =
+  mutate t "insert_document" @@ fun err ->
+  let doc = t.next_doc_id in
+  check_insert ~err t ~doc ~url;
+  let ts = commit_ts t ts in
+  let doc_time = extract_doc_time t xml in
+  let tree = Docstore.ingest xml in
+  let ticket =
+    commit_insert t ~doc ~url ~ts ~doc_time ~snapshot:(snapshot_due t 0) ~tree
+      ~bytes:(Txq_vxml.Codec.encode tree)
+  in
+  Log.debug (fun m ->
+      m "insert %s as doc %d at %s (%d nodes)" url doc (Timestamp.to_string ts)
+        (Vnode.size tree));
+  (doc, ticket)
+
+let live_at ~err t url =
   match find_live t url with
-  | None ->
-    invalid_arg (Printf.sprintf "Db.delete_document: no live document at %s" url)
-  | Some d ->
-    let ts = commit_ts t ts in
-    let doc_id = Docstore.doc_id d in
-    let version = Docstore.version_count d in
-    (* A deletion advances the document's transaction time like a commit
-       does, so its versions never hold an empty interval and a reader
-       tells its own view from a later deletion by instant alone. *)
-    if Timestamp.(ts <= Docstore.ts_of_version d (version - 1)) then
-      invalid_arg "Db.delete_document: timestamp does not advance";
-    ticket :=
-      journal_append t (Journal_record.Delete { r_doc = doc_id; r_ts = seconds ts });
-    Docstore.mark_deleted d ~ts;
-    index_delete t ~doc:doc_id ~version ~ts (Docstore.current d);
-    (* Defensive eviction: entries for a deleted document stay correct
-       (versions are immutable) but will never be asked for again. *)
-    Vcache.evict_doc t.vcache doc_id;
-    (* A deletion is a commit like any other: it journals a record and
-       changes what every later snapshot reads.  Not counting it left two
-       distinct states sharing one snapshot watermark, so a watermark no
-       longer identified a unique operation prefix. *)
-    t.stats.commits <- t.stats.commits + 1);
-  group_barrier t !ticket
+  | Some d -> d
+  | None -> raise (err ("no live document at " ^ url))
+
+let update_document t ~url ?ts xml =
+  mutate t "update_document" @@ fun err ->
+  let d = live_at ~err t url in
+  let ts = commit_ts t ts in
+  let version = Docstore.version_count d in
+  check_commit ~err d ~version ~ts;
+  let doc_time = extract_doc_time t xml in
+  let delta, tree = Docstore.diff d xml in
+  let ticket =
+    commit_version t d ~ts ~doc_time ~snapshot:(snapshot_due t version) ~delta
+      ~delta_bytes:(Delta.encode delta) ~tree
+      ~tree_bytes:(Txq_vxml.Codec.encode tree)
+  in
+  Log.debug (fun m ->
+      m "update %s -> version %d at %s (%d ops)" url version
+        (Timestamp.to_string ts) (Delta.op_count delta));
+  (delta, ticket)
+
+let delete_document t ~url ?ts () =
+  mutate t "delete_document" @@ fun err ->
+  let d = live_at ~err t url in
+  let ts = commit_ts t ts in
+  check_live ~err d ~ts;
+  ((), commit_delete t d ~ts)
 
 (* --- reconstruction --------------------------------------------------- *)
 
@@ -777,8 +828,6 @@ let empty_vacuum_report =
 type vacuum_plan =
   | Plan_drop of { pd_doc : Eid.doc_id; pd_freed : int list; pd_wm : int }
   | Plan_squash of { ps_doc : Eid.doc_id; ps_rebase : Docstore.rebase; ps_wm : int }
-
-let free_blob t ~cluster blob = Txq_store.Blob_store.free t.blobs ~cluster blob
 
 (* The vacuum's chain step, shared by the live vacuum and every journal
    replay: truncate or drop each planned chain, handing each released blob
@@ -1062,25 +1111,14 @@ exception Replay_error of string
    written or journaled, and a released blob only has its pages attributed
    to their cluster (the table maps page -> doc) for the allocator rebuild
    after the last record.  [Shipped contents]: a replica or an as-of
-   restore — the record's logical blob contents are written as fresh local
-   blobs and the record is journaled again with the local refs. *)
+   restore — the record goes through the live writer's commit step, over
+   the tree and delta its logical blob contents decode to. *)
 type source = Local of (int, int) Hashtbl.t | Shipped of string list
 
-let release_blob t src ~cluster blob =
-  match src with
-  | Local freed ->
-    List.iter
-      (fun p -> Hashtbl.replace freed p cluster)
-      (Txq_store.Blob_store.page_ids blob)
-  | Shipped _ -> free_blob t ~cluster blob
-
-let replay_fail src fmt =
-  Printf.ksprintf
-    (fun s ->
-      match src with
-      | Local _ -> failwith ("Db.recover: journal " ^ s)
-      | Shipped _ -> raise (Replay_error ("shipped " ^ s)))
-    fmt
+let attribute freed ~cluster blob =
+  List.iter
+    (fun p -> Hashtbl.replace freed p cluster)
+    (Txq_store.Blob_store.page_ids blob)
 
 let record_seconds = function
   | Journal_record.Insert { r_ts; _ }
@@ -1094,142 +1132,91 @@ let restore_blob r =
 
 (* The one journal-record interpreter.  A restart, a replica and an as-of
    restore all rebuild the state after a prefix of commits, by applying
-   the prefix here record by record.  Each record is checked against the
-   chains before anything changes.  A [Shipped] record also maintains the
-   derived indexes and advances the XID generator as it goes; recovery
-   does both once, after the last record ([rebuild_doc]).  The clock
-   follows the newest timestamp, so a detached replica or a restored store
-   never stamps a new commit at or before replayed history.  Caller holds
-   the write lock (recovery holds the only reference). *)
+   the prefix here record by record.  Each record meets the live writer's
+   checks before anything changes.  A [Shipped] record then takes the live
+   writer's commit step; a [Local] one only updates the chains, and
+   recovery maintains the derived indexes and advances the XID generators
+   once, after the last record ([rebuild_doc]).  The clock follows the
+   newest timestamp, so a detached replica or a restored store never
+   stamps a new commit at or before replayed history.  Caller holds the
+   write lock (recovery holds the only reference). *)
 let apply_record t src record =
-  let fail fmt = replay_fail src fmt in
+  let err msg =
+    let say = Format.asprintf "%a: %s" Journal_record.pp record msg in
+    match src with
+    | Local _ -> Failure ("Db.recover: journal record " ^ say)
+    | Shipped _ -> Replay_error ("shipped record " ^ say)
+  in
+  let fail fmt = Printf.ksprintf (fun s -> raise (err s)) fmt in
   let decode what f c =
     match f c with Ok v -> v | Error msg -> fail "%s does not decode: %s" what msg
   in
-  let find what doc =
+  let find doc =
     match Hashtbl.find_opt t.docs doc with
     | Some d -> d
-    | None -> fail "%s names unknown document %d" what doc
+    | None -> fail "names unknown document %d" doc
   in
-  let live what doc =
-    let d = find what doc in
-    if Docstore.deleted_at d <> None then
-      fail "%s targets deleted document %d" what doc;
-    d
-  in
-  let put doc c = Txq_store.Blob_store.put t.blobs ~cluster:doc c in
-  let rejournal r = ignore (journal_append t r : int option) in
   let of_seconds = Timestamp.of_seconds in
   (match record with
    | Journal_record.Insert r ->
-     let doc = r.r_doc in
-     if doc < t.next_doc_id then fail "insert re-uses document id %d" doc;
-     let current, current_blob, snapshot_blob =
-       match src with
-       | Local _ ->
-         (None, restore_blob r.r_current, Option.map restore_blob r.r_snapshot)
-       | Shipped contents ->
-         let c0 = List.hd contents in
-         let tree = decode "version-0 tree" Txq_vxml.Codec.decode c0 in
-         let current_blob = put doc c0 in
-         let snapshot_blob = Option.map (fun _ -> put doc c0) r.r_snapshot in
-         rejournal
-           (Journal_record.Insert
-              { r with r_current = blob_ref current_blob;
-                       r_snapshot = Option.map blob_ref snapshot_blob });
-         (Some tree, current_blob, snapshot_blob)
-     in
-     let ts = of_seconds r.r_ts in
+     let doc = r.r_doc and url = r.r_url and ts = of_seconds r.r_ts in
      let doc_time = Option.map of_seconds r.r_doc_time in
-     let d =
-       Docstore.restore ~blobs:t.blobs ~doc_id:doc ~url:r.r_url ~ts ?doc_time
-         ?current ~current_blob ~snapshot_blob ()
-     in
-     Hashtbl.replace t.docs doc d;
-     let bucket = url_bucket t r.r_url in
-     bucket := doc :: !bucket;
-     t.next_doc_id <- doc + 1;
-     Option.iter
-       (fun tree ->
-         record_doc_time t ~doc ~version:0 doc_time;
-         index_insert t ~doc ~version:0 d ts tree)
-       current;
-     t.stats.commits <- t.stats.commits + 1
-   | Journal_record.Commit r ->
-     let doc = r.r_doc and version = r.r_version in
-     let d = live "commit" doc in
-     let n = Docstore.version_count d in
-     if version <> n then
-       fail "commit creates version %d of document %d but %d is next" version
-         doc n;
-     let ts = of_seconds r.r_ts in
-     if Timestamp.(ts <= Docstore.ts_of_version d (n - 1)) then
-       fail "commit timestamp does not advance (document %d)" doc;
-     let doc_time = Option.map of_seconds r.r_doc_time in
-     let shipped, delta_blob, current_blob, snapshot_blob =
-       match src with
-       | Local _ ->
-         ( None,
-           restore_blob r.r_delta,
-           restore_blob r.r_current,
-           Option.map restore_blob r.r_snapshot )
-       | Shipped contents ->
-         let c0 = List.hd contents in
-         let delta = decode "delta" Delta.decode c0 in
-         let old_tree = Docstore.current d in
-         let map = Txq_vxml.Xidmap.of_vnode old_tree in
-         Delta.apply_forward map delta;
-         let tree = Txq_vxml.Xidmap.to_vnode map in
-         let enc = Txq_vxml.Codec.encode tree in
-         (* Blobs in the order the primary wrote them (delta, current,
-            snapshot), so a replica built from scratch allocates the same
-            shapes. *)
-         let delta_blob = put doc c0 in
-         let current_blob = put doc enc in
-         let snapshot_blob = Option.map (fun _ -> put doc enc) r.r_snapshot in
-         rejournal
-           (Journal_record.Commit
-              { r with r_delta = blob_ref delta_blob;
-                       r_current = blob_ref current_blob;
-                       r_snapshot = Option.map blob_ref snapshot_blob;
-                       r_freed =
-                         Txq_store.Blob_store.page_ids (Docstore.current_blob d) });
-         (Some (old_tree, tree, delta), delta_blob, current_blob, snapshot_blob)
-     in
-     Docstore.append d ~ts ?doc_time ~delta_blob ~snapshot_blob
-       ?current:(Option.map (fun (_, tree, _) -> tree) shipped) ~current_blob
-       ~free:(release_blob t src ~cluster:doc) ();
-     Option.iter
-       (fun (old_tree, tree, delta) ->
-         Docstore.mark_used d (Delta.inserted_xids delta);
-         Docstore.mark_used d (Delta.deleted_xids delta);
-         record_doc_time t ~doc ~version doc_time;
-         index_commit t ~doc ~version ~ts ~old_tree:(Lazy.from_val old_tree)
-           delta (Lazy.from_val tree))
-       shipped;
-     t.stats.commits <- t.stats.commits + 1
-   | Journal_record.Delete { r_doc = doc; r_ts } ->
-     let d = live "delete" doc in
-     let ts = of_seconds r_ts in
+     check_insert ~err t ~doc ~url;
      (match src with
-      | Local _ -> Docstore.mark_deleted d ~ts
-      | Shipped _ ->
-        rejournal record;
+      | Local _ ->
+        add_document t
+          (Docstore.restore ~blobs:t.blobs ~doc_id:doc ~url ~ts ?doc_time
+             ~current_blob:(restore_blob r.r_current)
+             ~snapshot_blob:(Option.map restore_blob r.r_snapshot) ());
+        t.stats.commits <- t.stats.commits + 1
+      | Shipped contents ->
+        let bytes = List.hd contents in
+        let tree = decode "version-0 tree" Txq_vxml.Codec.decode bytes in
+        ignore
+          (commit_insert t ~doc ~url ~ts ~doc_time
+             ~snapshot:(r.r_snapshot <> None) ~tree ~bytes
+            : int option))
+   | Journal_record.Commit r ->
+     let d = find r.r_doc and ts = of_seconds r.r_ts in
+     let doc_time = Option.map of_seconds r.r_doc_time in
+     check_commit ~err d ~version:r.r_version ~ts;
+     (match src with
+      | Local freed ->
+        Docstore.append d ~ts ?doc_time ~delta_blob:(restore_blob r.r_delta)
+          ~snapshot_blob:(Option.map restore_blob r.r_snapshot)
+          ~current_blob:(restore_blob r.r_current)
+          ~free:(attribute freed ~cluster:r.r_doc) ();
+        t.stats.commits <- t.stats.commits + 1
+      | Shipped contents ->
+        let delta_bytes = List.hd contents in
+        let delta = decode "delta" Delta.decode delta_bytes in
+        let map = Txq_vxml.Xidmap.of_vnode (Docstore.current d) in
+        Delta.apply_forward map delta;
+        let tree = Txq_vxml.Xidmap.to_vnode map in
+        Docstore.mark_used d (Delta.inserted_xids delta);
+        Docstore.mark_used d (Delta.deleted_xids delta);
+        ignore
+          (commit_version t d ~ts ~doc_time ~snapshot:(r.r_snapshot <> None)
+             ~delta ~delta_bytes ~tree ~tree_bytes:(Txq_vxml.Codec.encode tree)
+            : int option))
+   | Journal_record.Delete r ->
+     let d = find r.r_doc and ts = of_seconds r.r_ts in
+     check_live ~err d ~ts;
+     (match src with
+      | Local _ ->
         Docstore.mark_deleted d ~ts;
-        index_delete t ~doc ~version:(Docstore.version_count d) ~ts
-          (Docstore.current d);
-        Vcache.evict_doc t.vcache doc);
-     t.stats.commits <- t.stats.commits + 1
+        t.stats.commits <- t.stats.commits + 1
+      | Shipped _ -> ignore (commit_delete t d ~ts : int option))
    | Journal_record.Vacuum { r_ts; r_docs } ->
      List.iter
        (fun vd ->
-         let d = find "vacuum" vd.Journal_record.vd_doc in
+         let d = find vd.Journal_record.vd_doc in
          let base = vd.Journal_record.vd_base in
          if
            (not vd.Journal_record.vd_drop)
            && (base <= Docstore.first_version d || base >= Docstore.version_count d)
          then
-           fail "vacuum base %d outside document %d's chain" base
+           fail "base %d outside document %d's chain" base
              vd.Journal_record.vd_doc)
        r_docs;
      (* A replica's chains mirror the primary's, so [prepare_rebase] makes
@@ -1238,7 +1225,7 @@ let apply_record t src record =
        List.map
          (fun { Journal_record.vd_doc = doc; vd_base = base; vd_drop;
                 vd_snapshot; vd_freed; vd_xid_watermark } ->
-           let d = find "vacuum" doc in
+           let d = find doc in
            let wm = Stdlib.max (Docstore.xid_watermark d) vd_xid_watermark in
            if vd_drop then
              Plan_drop { pd_doc = doc; pd_freed = Docstore.all_blob_pages d; pd_wm = wm }
@@ -1256,7 +1243,7 @@ let apply_record t src record =
          r_docs
      in
      (match src with
-      | Local _ -> vacuum_apply t ~free:(release_blob t src) plans
+      | Local freed -> vacuum_apply t ~free:(attribute freed) plans
       | Shipped _ ->
         if plans <> [] then
           ignore (vacuum_commit t ~ts:(of_seconds r_ts) plans : vacuum_report)));

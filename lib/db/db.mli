@@ -280,9 +280,11 @@ val ship :
 
 exception Replay_error of string
 (** A shipment that cannot be applied: out-of-order index, undecodable
-    payload or contents, or a record inconsistent with the replica's state
-    (all symptoms of feeding a replica from the wrong primary or a
-    corrupted stream). *)
+    payload or contents, or a record that fails the checks a live write
+    meets against the replica's state — an insert at a live URL, a commit
+    or deletion of a deleted document, a version that is not the next one,
+    a timestamp that does not advance (all symptoms of feeding a replica
+    from the wrong primary or a corrupted stream). *)
 
 (** A replica: a live database advancing record-by-record under shipped
     journal records.  Reads go through the ordinary query surface of

@@ -44,13 +44,6 @@ type reconstruct_cost = {
   direction : [ `Backward | `Forward | `None ];
 }
 
-type committed_blobs = {
-  cb_delta : Blob_store.blob;
-  cb_current : Blob_store.blob;
-  cb_snapshot : Blob_store.blob option;
-  cb_freed : int list;
-}
-
 let doc_id t = t.doc_id
 let url t = t.url
 
@@ -90,15 +83,9 @@ let restore ~blobs ~doc_id ~url ~ts ?doc_time ?current ~current_blob
     { ve_ts = ts; ve_delta = None; ve_snapshot = snapshot_blob; ve_doc_time = doc_time };
   t
 
-let create ~blobs ~doc_id ~url ~ts ~snapshot ?doc_time xml =
+let ingest xml =
   check_ingest xml;
-  let current = Vnode.of_xml (Txq_vxml.Xid.Gen.create ()) (Xml.normalize xml) in
-  (* encode once: a snapshot blob holds the same bytes as the current one *)
-  let encoded = Codec.encode current in
-  let put () = Blob_store.put blobs ~cluster:doc_id encoded in
-  let current_blob = put () in
-  let snapshot_blob = if snapshot then Some (put ()) else None in
-  restore ~blobs ~doc_id ~url ~ts ?doc_time ~current ~current_blob ~snapshot_blob ()
+  Vnode.of_xml (Txq_vxml.Xid.Gen.create ()) (Xml.normalize xml)
 
 let load_current t =
   let current = Codec.decode_exn (Blob_store.get t.blobs t.current_blob) in
@@ -144,21 +131,9 @@ let entry t v =
 let ts_of_version t v = (entry t v).ve_ts
 let snapshot_blob t v = (entry t v).ve_snapshot
 
-let check_append t what ts =
-  read_only_guard t what;
-  (match t.deleted with
-   | Some _ ->
-     invalid_arg
-       (Printf.sprintf "Docstore.%s: document %s is deleted" what t.url)
-   | None -> ());
-  match Vec.last t.entries with
-  | Some last when Timestamp.(ts <= last.ve_ts) ->
-    invalid_arg (Printf.sprintf "Docstore.%s: timestamp does not advance" what)
-  | Some _ | None -> ()
-
 let append t ~ts ?doc_time ~delta_blob ~snapshot_blob ?current ~current_blob
     ~free () =
-  check_append t "append" ts;
+  read_only_guard t "append";
   free t.current_blob;
   Option.iter (fun c -> t.current <- c) current;
   t.current_blob <- current_blob;
@@ -166,49 +141,17 @@ let append t ~ts ?doc_time ~delta_blob ~snapshot_blob ?current ~current_blob
     { ve_ts = ts; ve_delta = Some delta_blob; ve_snapshot = snapshot_blob;
       ve_doc_time = doc_time }
 
-let commit ?on_durable ?free t ~ts ~snapshot ?doc_time xml =
-  Trace.with_span "docstore.commit" @@ fun () ->
-  check_append t "commit" ts;
+let diff t xml =
+  Trace.with_span "docstore.diff" @@ fun () ->
+  read_only_guard t "diff";
   check_ingest xml;
   let v = version_count t in
   let delta, new_current =
     Diff.diff ~gen:t.gen ~old_tree:t.current ~new_tree:(Xml.normalize xml)
   in
-  let delta = Delta.make ~from_version:(v - 1) ~to_version:v delta.Delta.ops in
   Trace.add_count "version" v;
   Trace.add_count "ops" (List.length delta.Delta.ops);
-  (* Write every blob of this commit before touching the delta index or the
-     free list: up to the commit point below, the previous version — and in
-     particular its still-allocated current blob — remains fully intact, so
-     an interrupted commit leaves only unreachable pages behind. *)
-  let delta_blob = Blob_store.put t.blobs ~cluster:t.doc_id (Delta.encode delta) in
-  let encoded = Codec.encode new_current in
-  let put () = Blob_store.put t.blobs ~cluster:t.doc_id encoded in
-  let new_current_blob = put () in
-  let ve_snapshot = if snapshot then Some (put ()) else None in
-  (* Commit point: all blobs durable.  The journal hook runs here; if it
-     raises (a crash), no in-memory structure has changed yet. *)
-  (match on_durable with
-   | Some f ->
-     f
-       {
-         cb_delta = delta_blob;
-         cb_current = new_current_blob;
-         cb_snapshot = ve_snapshot;
-         cb_freed = Blob_store.page_ids t.current_blob;
-       }
-   | None -> ());
-  (* Group commit defers this free until the journal record is durable:
-     recovery to a prefix without this commit still needs the superseded
-     current blob's pages intact. *)
-  let free =
-    match free with
-    | Some f -> f
-    | None -> Blob_store.free t.blobs ~cluster:t.doc_id
-  in
-  append t ~ts ?doc_time ~delta_blob ~snapshot_blob:ve_snapshot
-    ~current:new_current ~current_blob:new_current_blob ~free ();
-  (delta, new_current)
+  (Delta.make ~from_version:(v - 1) ~to_version:v delta.Delta.ops, new_current)
 
 let mark_deleted t ~ts =
   read_only_guard t "mark_deleted";

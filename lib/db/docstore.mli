@@ -1,11 +1,18 @@
-(** Per-document version storage (Section 7.1).
+(** Per-document version storage (Section 7.1): chain bookkeeping and
+    reconstruction.
 
     A stored document consists of one complete current version plus a chain
     of completed deltas, each persisted as a separate XML document in the
     blob store.  The {e delta index} — the in-memory array mapping version
     numbers to timestamps and delta blobs — is exactly the structure the
     paper describes; optional intermediate snapshots bound reconstruction
-    cost (Section 7.3.3). *)
+    cost (Section 7.3.3).
+
+    This module does not write a commit's blobs.  The database's commit
+    step writes them and journals the record, then hands the written blobs
+    to {!restore} (version 0) or {!append} (every later version); {!diff}
+    computes what a live update commits.  Vacuum's base snapshot is the one
+    blob written here ({!prepare_rebase}). *)
 
 type t
 
@@ -17,29 +24,11 @@ type reconstruct_cost = {
   direction : [ `Backward | `Forward | `None ];
 }
 
-type committed_blobs = {
-  cb_delta : Txq_store.Blob_store.blob;  (** the completed delta *)
-  cb_current : Txq_store.Blob_store.blob;  (** the new current version *)
-  cb_snapshot : Txq_store.Blob_store.blob option;
-  cb_freed : int list;
-      (** pages of the superseded current version — still intact when the
-          commit hook runs, released immediately after *)
-}
-(** What a commit wrote, handed to the [on_durable] hook of {!commit} at the
-    commit point (all blobs written, nothing in memory changed yet).  The
-    database's journal serializes this into its commit record. *)
-
-val create :
-  blobs:Txq_store.Blob_store.t ->
-  doc_id:Txq_vxml.Eid.doc_id ->
-  url:string ->
-  ts:Txq_temporal.Timestamp.t ->
-  snapshot:bool ->
-  ?doc_time:Txq_temporal.Timestamp.t ->
-  Txq_xml.Xml.t ->
-  t
-(** Ingests version 0 (the input is normalized first).  [doc_time] is the
-    content-embedded document time extracted by the caller (Section 3.1). *)
+val ingest : Txq_xml.Xml.t -> Txq_vxml.Vnode.t
+(** Version 0 of a document: the input normalized and numbered from a
+    fresh XID generator ({!restore} advances the document's generator past
+    its ids).  Raises [Invalid_argument] on input using the stored
+    format's reserved names. *)
 
 val doc_id : t -> Txq_vxml.Eid.doc_id
 val url : t -> string
@@ -47,31 +36,13 @@ val mark_used : t -> Txq_vxml.Xid.t list -> unit
 (** Advances the document's XID generator past the given ids, so later
     commits never reuse one (Section 3.2). *)
 
-val commit :
-  ?on_durable:(committed_blobs -> unit) ->
-  ?free:(Txq_store.Blob_store.blob -> unit) ->
-  t ->
-  ts:Txq_temporal.Timestamp.t ->
-  snapshot:bool ->
-  ?doc_time:Txq_temporal.Timestamp.t ->
-  Txq_xml.Xml.t ->
-  Txq_vxml.Delta.t * Txq_vxml.Vnode.t
-(** Diffs the incoming revision against the current version, stores the
-    completed delta, replaces the stored current version, and appends to the
-    delta index.  [snapshot] additionally persists the full new version.
-    Returns the delta (renumbered) and the new current tree.  Raises
-    [Invalid_argument] if the document was deleted or [ts] does not advance.
-
-    Write ordering: {e every} blob is written before any in-memory
-    structure (delta index, free list, current pointer) changes.
-    [on_durable] runs exactly at that boundary; if it raises, the document
-    is left as if the commit never started (modulo unreachable pages).
-
-    [free] overrides the release of the superseded current version's blob:
-    instead of freeing it through the blob store at the commit point, the
-    blob is handed to [free].  Group commit uses this to defer the free
-    until the buffered journal record is durable — recovery onto a prefix
-    without this commit still needs those pages intact. *)
+val diff : t -> Txq_xml.Xml.t -> Txq_vxml.Delta.t * Txq_vxml.Vnode.t
+(** Diffs an incoming revision (normalized first) against the current
+    version, numbering new nodes from the document's XID generator.
+    Returns the completed delta, renumbered to lead from the current
+    version to the next, and the new tree.  Changes nothing but the
+    generator: the caller stores both and {!append}s the version.  Raises
+    [Invalid_argument] as {!ingest}, and on a read-only view. *)
 
 val mark_deleted : t -> ts:Txq_temporal.Timestamp.t -> unit
 val deleted_at : t -> Txq_temporal.Timestamp.t option
@@ -91,7 +62,7 @@ val bounded : t -> t
     The view shares the (append-only) delta index with the live store but
     captures [current], [first_version] and the deletion mark, so a writer
     committing new versions or marking the document deleted never changes
-    what the view reads.  Mutators ([commit], [mark_deleted], vacuum
+    what the view reads.  Mutators ([diff], [append], [mark_deleted], vacuum
     operations) raise [Invalid_argument] on a view.  The view stays valid
     only while no vacuum truncates versions below its pin — the database's
     snapshot registry holds vacuum back.  [bounded] on a view returns it
@@ -126,8 +97,6 @@ val versions_overlapping :
 
 val doc_time_of_version : t -> int -> Txq_temporal.Timestamp.t option
 (** The document time recorded with the version, if any. *)
-
-val snapshot_versions : t -> int list
 
 val check_delta : t -> int -> unit
 (** Raises [Invalid_argument] unless a delta leading to the given version
@@ -205,11 +174,10 @@ val apply_drop : t -> free:(Txq_store.Blob_store.blob -> unit) -> unit
 (** Hands every blob of the document to [free].  The docstore is defunct
     afterwards and must be unlinked from the database's tables. *)
 
-(** {1 Journal replay}
+(** {1 Chain bookkeeping}
 
-    Rebuilding a document record by record from the commit journal, over
-    blobs the caller has already written (a replica) or found on disk
-    (crash recovery). *)
+    Registering versions whose blobs the caller has already written (a
+    live commit, a replica) or found on disk (crash recovery). *)
 
 val restore :
   blobs:Txq_store.Blob_store.t ->
@@ -223,7 +191,7 @@ val restore :
   unit ->
   t
 (** Version 0 of a document, over its written blobs.  [current] is the
-    decoded version-0 tree; the generator advances past its XIDs.  Without
+    version-0 tree; the generator advances past its XIDs.  Without
     it the document has no current tree until {!load_current} — crash
     recovery reads no blob before the last journal record is applied, and
     reconstructs nothing before then (the current tree anchors
@@ -242,17 +210,15 @@ val append :
   unit
 (** Appends one version whose blobs are written, hands the superseded
     current blob to [free] and installs the new one ([current] as in
-    {!restore}).  The caller advances the XID generator past the delta's
-    ids ({!mark_used}).  Raises [Invalid_argument] on a deleted document,
-    a non-advancing timestamp, or a read-only view. *)
+    {!restore}).  Unless the delta came from {!diff}, the caller advances
+    the XID generator past its ids ({!mark_used}).  The caller has checked
+    that the document is live and that [ts] advances past its newest
+    version.  Raises [Invalid_argument] on a read-only view. *)
 
 val load_current : t -> Txq_vxml.Vnode.t
 (** Decodes the current version from its blob, installs it as the current
     tree and advances the generator past its XIDs.  Raises [Failure] if the
     blob does not decode. *)
-
-val delta_pages : t -> int
-(** Pages holding delta blobs (storage accounting). *)
 
 val total_pages : t -> int
 (** Pages holding the current version, deltas and snapshots. *)

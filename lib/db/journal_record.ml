@@ -17,7 +17,6 @@ type t =
       r_delta : blob_ref;
       r_current : blob_ref;
       r_snapshot : blob_ref option;
-      r_freed : int list;
     }
   | Delete of { r_doc : int; r_ts : int }
   | Vacuum of { r_ts : int; r_docs : vacuum_doc list }
@@ -66,8 +65,7 @@ let encode r =
      add_blob_ref buf r_current;
      add_opt add_blob_ref buf r_snapshot
    | Commit
-       { r_doc; r_version; r_ts; r_doc_time; r_delta; r_current; r_snapshot;
-         r_freed } ->
+       { r_doc; r_version; r_ts; r_doc_time; r_delta; r_current; r_snapshot } ->
      Buffer.add_char buf 'C';
      add_int buf r_doc;
      add_int buf r_version;
@@ -75,8 +73,7 @@ let encode r =
      add_opt add_int buf r_doc_time;
      add_blob_ref buf r_delta;
      add_blob_ref buf r_current;
-     add_opt add_blob_ref buf r_snapshot;
-     add_int_list buf r_freed
+     add_opt add_blob_ref buf r_snapshot
    | Delete { r_doc; r_ts } ->
      Buffer.add_char buf 'D';
      add_int buf r_doc;
@@ -165,10 +162,8 @@ let decode s =
         let r_delta = get_blob_ref "delta" in
         let r_current = get_blob_ref "current" in
         let r_snapshot = get_opt get_blob_ref "snapshot" in
-        let r_freed = get_int_list "freed" in
         Commit
-          { r_doc; r_version; r_ts; r_doc_time; r_delta; r_current;
-            r_snapshot; r_freed }
+          { r_doc; r_version; r_ts; r_doc_time; r_delta; r_current; r_snapshot }
       | 'D' ->
         let r_doc = get_int "doc" in
         let r_ts = get_int "ts" in
@@ -283,15 +278,12 @@ let pp ppf = function
       pp_blob_ref r_current
       (pp_opt pp_blob_ref) r_snapshot
   | Commit
-      { r_doc; r_version; r_ts; r_doc_time; r_delta; r_current; r_snapshot;
-        r_freed } ->
-    Format.fprintf ppf
-      "Commit(doc=%d v=%d ts=%d dt=%a delta=%a cur=%a snap=%a freed=[%s])"
+      { r_doc; r_version; r_ts; r_doc_time; r_delta; r_current; r_snapshot } ->
+    Format.fprintf ppf "Commit(doc=%d v=%d ts=%d dt=%a delta=%a cur=%a snap=%a)"
       r_doc r_version r_ts
       (pp_opt Format.pp_print_int) r_doc_time
       pp_blob_ref r_delta pp_blob_ref r_current
       (pp_opt pp_blob_ref) r_snapshot
-      (String.concat "," (List.map string_of_int r_freed))
   | Delete { r_doc; r_ts } -> Format.fprintf ppf "Delete(doc=%d ts=%d)" r_doc r_ts
   | Vacuum { r_ts; r_docs } ->
     Format.fprintf ppf "Vacuum(ts=%d docs=[%s])" r_ts

@@ -5,11 +5,7 @@
     carries everything recovery needs that is not derivable from the blobs
     themselves: document identity, timestamps, and the {e page directories}
     of the blobs the operation wrote (the blob directory is otherwise
-    in-memory only, like the paper's delta index of Section 7.1).
-
-    [Commit] additionally lists the pages the operation released (the
-    superseded current version), so recovery can attribute free pages to
-    the right placement cluster. *)
+    in-memory only, like the paper's delta index of Section 7.1). *)
 
 type blob_ref = { br_pages : int list; br_length : int }
 
@@ -30,7 +26,6 @@ type t =
       r_delta : blob_ref;  (** completed delta v-1 → v *)
       r_current : blob_ref;  (** new current version *)
       r_snapshot : blob_ref option;
-      r_freed : int list;  (** pages of the superseded current version *)
     }
   | Delete of { r_doc : int; r_ts : int }
   | Vacuum of { r_ts : int; r_docs : vacuum_doc list }
@@ -45,8 +40,9 @@ and vacuum_doc = {
   vd_base : int;  (** new first retained version *)
   vd_drop : bool;  (** whole document dropped (deleted before the horizon) *)
   vd_snapshot : blob_ref option;  (** freshly written base snapshot *)
-  vd_freed : int list;  (** pages the vacuum released, for cluster
-                            attribution like [Commit.r_freed] *)
+  vd_freed : int list;
+      (** pages the vacuum released; crash recovery attributes them to
+          the document's placement cluster *)
   vd_xid_watermark : int;
       (** XID generator high-water mark, covering ids that only ever
           appeared in vacuumed deltas *)

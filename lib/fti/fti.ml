@@ -440,9 +440,13 @@ let traced name word scanned result =
         Txq_obs.Trace.add_count "postings" (List.length r);
         r)
 
-(* Shared filter shape: frozen slice first (already in total order), then
-   the tail oldest-first — a deterministic order whatever freeze history
-   produced the split. *)
+(* Shared filter shape: the frozen slice (already in total order) merged
+   with the sorted tail, so every lookup answers in [Posting.compare_total]
+   order — the same list whatever freeze history or opening order produced
+   the split, as for a store and its recovery. *)
+let merge_tail frozen tail =
+  List.merge Posting.compare_total frozen (List.sort Posting.compare_total tail)
+
 let filtered st pred =
   let out = ref [] in
   (match frozen_of st with
@@ -452,8 +456,7 @@ let filtered st pred =
      for i = Array.length arr - 1 downto 0 do
        if pred arr.(i) then out := arr.(i) :: !out
      done);
-  let tail_old_first = List.rev st.tail in
-  !out @ List.filter pred tail_old_first
+  merge_tail !out (List.filter pred st.tail)
 
 let scanned_of t word () =
   match Hashtbl.find_opt t.words word with
@@ -506,10 +509,7 @@ let lookup_h_doc t word ~doc =
              for i = stop - 1 downto start do
                out := arr.(i) :: !out
              done);
-          !out
-          @ List.filter
-              (fun p -> p.Posting.doc = doc)
-              (List.rev st.tail)))
+          merge_tail !out (List.filter (fun p -> p.Posting.doc = doc) st.tail)))
 
 (* --- sorted fetch for the pattern-scan join ----------------------------- *)
 

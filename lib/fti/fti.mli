@@ -9,7 +9,9 @@
     The three lookups of Section 7.2 are provided:
     [lookup] (current snapshot), [lookup_t] (snapshot at a time, resolved to
     per-document version numbers by the caller), and [lookup_h] (whole
-    history).
+    history).  Every lookup answers in {!Posting.compare_total} order, so
+    two indexes holding the same postings answer alike whatever order
+    they were built in.
 
     The index is two-tier: postings open into a small mutable {e tail}
     per word; once the tail grows past a watermark (checked at commit

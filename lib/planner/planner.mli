@@ -33,10 +33,6 @@ type mode = Current | At | Every
 (** Temporal mode of the operator being costed: current-version scan,
     scan as of one instant, or whole-history scan. *)
 
-val traverse_cutoff : int
-(** Chain depth at or below which CreTime/DelTime walk deltas instead of
-    descending the time index. *)
-
 val order_pattern : t -> mode -> Txq_core.Pattern.t -> Txq_core.Pattern.t
 (** Reorders every pattern node's children by ascending estimated
     subtree selectivity (stable: ties keep the written order).  The
@@ -63,8 +59,6 @@ val lifetime_strategy : t -> doc:Txq_vxml.Eid.doc_id ->
 (** Per-document CreTime/DelTime strategy from estimated chain depth;
     [None] (use the default) on snapshot handles, where [`Traverse] is
     forced for correctness. *)
-
-val est_leaf : t -> Txq_algebra.Algebra.leaf -> int
 
 val est_algebra : t -> Txq_algebra.Algebra.t -> int
 (** Estimated rows of an algebra node, composed bottom-up from leaf

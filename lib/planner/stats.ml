@@ -58,7 +58,6 @@ let create db =
 
 let db t = t.db
 let has_a1 t = t.has_a1
-let has_a2 t = t.has_a2
 
 let chain_len_of d = Docstore.version_count d - Docstore.first_version d
 

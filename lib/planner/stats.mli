@@ -21,9 +21,6 @@ val db : t -> Txq_db.Db.t
 val has_a1 : t -> bool
 (** The configuration maintains the version-content index (A1). *)
 
-val has_a2 : t -> bool
-(** The configuration maintains the delta-operation index (A2). *)
-
 type corpus = {
   docs_total : int;  (** incarnations known to the store *)
   docs_live : int;

@@ -84,7 +84,6 @@ type query = {
   where : cond option;
 }
 
-val is_aggregate : expr -> bool
 val has_aggregates : query -> bool
 
 val resolve_time :
@@ -116,7 +115,4 @@ type statement =
 
 val statement_to_string : statement -> string
 
-val expr_to_string : expr -> string
-val ordered_to_string : ordered -> string
-val cmp_to_string : cmp -> string
 val to_string : query -> string

@@ -92,10 +92,6 @@ val explain : Txq_db.Db.t -> Ast.query -> string
     index cardinalities with the chosen route (A1 vs A2), and the planned
     domain fan-out.  Purely informational; computing it runs nothing. *)
 
-val explain_algebra : Txq_db.Db.t -> Txq_algebra.Algebra.t -> string
-(** The algebra node tree with span names and arities, plus the size of
-    the global timeline its leaves map onto. *)
-
 val explain_statement : Txq_db.Db.t -> Ast.statement -> string
 
 val explain_string : Txq_db.Db.t -> string -> (string, error) result

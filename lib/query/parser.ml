@@ -488,8 +488,3 @@ let parse_exn input =
   | Error msg -> invalid_arg ("Parser.parse_exn: " ^ msg)
 
 let parse_statement input = with_tokens input parse_statement_tokens
-
-let parse_statement_exn input =
-  match parse_statement input with
-  | Ok s -> s
-  | Error msg -> invalid_arg ("Parser.parse_statement_exn: " ^ msg)

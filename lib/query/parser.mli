@@ -28,5 +28,3 @@ val parse_statement : string -> (Ast.statement, string) result
     v}
     Set and join operators are left-associative, joins bind tighter, and
     a join without an [ON] clause defaults to [ON DOC]. *)
-
-val parse_statement_exn : string -> Ast.statement

@@ -48,8 +48,6 @@ val start : ?config:config -> Txq_db.Db.t -> t
 val port : t -> int
 (** The bound port (useful with [port = 0]). *)
 
-val active_connections : t -> int
-
 val stop : t -> int
 (** Graceful shutdown: stop accepting, answer in-flight requests with
     [E_shutting_down], wait up to [grace_s] for connections to drain,

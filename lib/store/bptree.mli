@@ -35,7 +35,3 @@ val height : t -> int
 val page_count : t -> int
 (** Pages owned by the tree (its storage footprint). *)
 
-val leaf_capacity : int
-val internal_capacity : int
-(** Entries per leaf / children per internal node, fixed by the page
-    size. *)

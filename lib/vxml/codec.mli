@@ -15,10 +15,6 @@
     Names beginning with [_] are therefore reserved; {!check_plain} rejects
     documents that use them, and the database applies it on ingestion. *)
 
-val reserved_xid_attr : string
-val reserved_text_attr : string
-val reserved_text_tag : string
-
 val check_plain : Txq_xml.Xml.t -> (unit, string) result
 (** Fails if the document uses a reserved tag or attribute name. *)
 

@@ -47,7 +47,6 @@ val approx_bytes : t -> int
 (** Rough in-memory footprint of the decoded delta, for cache budgeting
     (the counterpart of {!Vnode.approx_bytes}). *)
 
-val invert_op : op -> op
 val invert : t -> t
 
 val apply_op : Xidmap.t -> op -> unit

@@ -31,9 +31,6 @@ type mix = {
 }
 (** Relative weights; zero disables an operation class. *)
 
-val default_mix : mix
-(** Read-heavy: 55 query / 10 algebra / 10 insert / 20 update / 5 delete. *)
-
 val read_only_mix : mix
 
 type gen
@@ -43,9 +40,6 @@ val create :
 (** A per-client stream.  [spec] describes the seeded corpus the reads
     target (defaults to {!Load.default_spec}); [client] namespaces the
     write URLs. *)
-
-val url_for : client:int -> int -> string
-(** URL of the [i]-th document client [client] creates. *)
 
 val next_op : gen -> op
 (** The next operation.  Write operations are self-consistent: an update

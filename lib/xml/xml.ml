@@ -163,10 +163,6 @@ let words node =
   go node;
   List.rev !acc
 
-let rec map_text f = function
-  | Text s -> Text (f s)
-  | Element e -> Element { e with children = List.map (map_text f) e.children }
-
 let rec normalize = function
   | Text s -> Text s
   | Element e ->

@@ -23,7 +23,6 @@ val children : t -> t list
 val attr : t -> string -> string option
 (** Value of the named attribute, if the node is an element carrying it. *)
 
-val is_element : t -> bool
 val is_text : t -> bool
 
 val text_content : t -> string
@@ -73,8 +72,6 @@ val words : t -> string list
     attribute names, and the {!split_words} tokens of attribute values
     and text — "all
     words in the documents, including element names" (Section 7.2). *)
-
-val map_text : (string -> string) -> t -> t
 
 val normalize : t -> t
 (** DOM-style normalization: merges adjacent text children and drops empty

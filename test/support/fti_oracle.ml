@@ -381,9 +381,9 @@ let traced name word scanned result =
         Txq_obs.Trace.add_count "postings" (List.length r);
         r)
 
-(* Shared filter shape: frozen slice first (already in total order), then
-   the tail oldest-first — a deterministic order whatever freeze history
-   produced the split. *)
+(* Shared filter shape: frozen slice, then the tail, the whole answer
+   sorted into [Posting.compare_total] order — the order [Txq_fti.Fti]'s
+   lookups promise, whatever freeze history produced the split. *)
 let filtered st pred =
   let out = ref [] in
   (match frozen_of st with
@@ -393,8 +393,7 @@ let filtered st pred =
      for i = Array.length arr - 1 downto 0 do
        if pred arr.(i) then out := arr.(i) :: !out
      done);
-  let tail_old_first = List.rev st.tail in
-  !out @ List.filter pred tail_old_first
+  List.sort Posting.compare_total (!out @ List.filter pred st.tail)
 
 let scanned_of t word () =
   match Hashtbl.find_opt t.words word with
@@ -447,10 +446,8 @@ let lookup_h_doc t word ~doc =
              for i = stop - 1 downto start do
                out := arr.(i) :: !out
              done);
-          !out
-          @ List.filter
-              (fun p -> p.Posting.doc = doc)
-              (List.rev st.tail)))
+          List.sort Posting.compare_total
+            (!out @ List.filter (fun p -> p.Posting.doc = doc) st.tail)))
 
 (* --- sorted fetch for the pattern-scan join ----------------------------- *)
 

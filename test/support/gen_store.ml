@@ -68,11 +68,10 @@ let gen_record =
           gen_blob_ref >>= fun r_delta ->
           gen_blob_ref >>= fun r_current ->
           opt gen_blob_ref >>= fun r_snapshot ->
-          list_size (int_range 0 8) (int_range 0 100_000) >>= fun r_freed ->
           return
             (J.Commit
                { r_doc; r_version; r_ts; r_doc_time; r_delta; r_current;
-                 r_snapshot; r_freed }) );
+                 r_snapshot }) );
         ( 1,
           int_range 0 10_000 >>= fun r_doc ->
           gen_seconds >>= fun r_ts ->

@@ -188,12 +188,53 @@ let prop_shipment_codec_roundtrip =
              sh.Journal_record.sh_contents
       | Error _ -> false)
 
+(* Everything a store wrote, blob for blob: each document's current blob,
+   every retained version's delta and snapshot bytes, and every journal
+   record with its blob refs' page ids blanked (page numbers are local to
+   a disk; lengths and everything else must agree).  The workload ships
+   no Vacuum record, whose freed pages would need blanking too. *)
+let blob_image db =
+  let buf = Buffer.create 4096 in
+  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
+  let get = Txq_store.Blob_store.get (Db.blobs db) in
+  List.iter
+    (fun id ->
+      let d = Db.doc db id in
+      add "doc %d current %S\n" id (get (Docstore.current_blob d));
+      for v = Docstore.first_version d to Docstore.version_count d - 1 do
+        if v > Docstore.first_version d then
+          add "  v%d delta %S\n" v (Docstore.read_delta_bytes d v);
+        Option.iter
+          (fun b -> add "  v%d snapshot %S\n" v (get b))
+          (Docstore.snapshot_blob d v)
+      done)
+    (Db.doc_ids db);
+  let blank r = { r with Journal_record.br_pages = [] } in
+  let j = Option.get (Db.journal db) in
+  for i = 0 to Txq_store.Journal.record_count j - 1 do
+    let r =
+      match Journal_record.decode_exn (Txq_store.Journal.read j i) with
+      | Journal_record.Insert r ->
+        Journal_record.Insert
+          { r with r_current = blank r.r_current;
+                   r_snapshot = Option.map blank r.r_snapshot }
+      | Journal_record.Commit r ->
+        Journal_record.Commit
+          { r with r_delta = blank r.r_delta; r_current = blank r.r_current;
+                   r_snapshot = Option.map blank r.r_snapshot }
+      | (Journal_record.Delete _ | Journal_record.Vacuum _) as r -> r
+    in
+    add "record %d %s\n" i (Format.asprintf "%a" Journal_record.pp r)
+  done;
+  Buffer.contents buf
+
 (* --- basic replication --------------------------------------------------- *)
 
-(* Ship the whole workload to a fresh replica: full-surface equality, and
-   the replica's mutators refuse. *)
+(* Ship the whole workload to a fresh replica: full-surface equality, blob
+   for blob, and the replica's mutators refuse.  Every third version is
+   snapshotted, so the stream carries records with and without one. *)
 let test_replicate_full () =
-  let primary = loaded_primary () in
+  let primary = loaded_primary ~config:(Config.with_snapshots 3 durable) () in
   let r = Db.Replay.create ~config:(Db.config primary) () in
   catch_up primary r;
   let rdb = Db.Replay.db r in
@@ -203,6 +244,8 @@ let test_replicate_full () =
     (fingerprint primary) (fingerprint rdb);
   Alcotest.(check int) "commit counters agree" (Db.stats primary).Db.commits
     (Db.stats rdb).Db.commits;
+  Alcotest.(check string) "replica blobs and journal = primary's"
+    (blob_image primary) (blob_image rdb);
   Alcotest.(check bool) "replica flag" true (Db.is_replica rdb);
   (match Db.insert_document rdb ~url:"z" (parse "<a/>") with
    | (_ : Eid.doc_id) -> Alcotest.fail "replica accepted a write"
@@ -227,6 +270,44 @@ let test_apply_overlap_and_gap () =
   (match Db.Replay.apply r2 (List.nth all 3) with
    | () -> Alcotest.fail "expected Replay_error on a gap"
    | exception Db.Replay_error _ -> ())
+
+(* A shipped record meets the live writer's checks: a deletion stamped at
+   its document's newest version instant, and an insert at a URL that is
+   still live, are both refused, and the replica is left as it was. *)
+let test_replay_checks () =
+  let primary = loaded_primary () in
+  let r = Db.Replay.create ~config:(Db.config primary) () in
+  catch_up primary r;
+  let rdb = Db.Replay.db r in
+  let before = fingerprint rdb and applied = Db.Replay.applied r in
+  let refuse what record contents =
+    let sh =
+      { Journal_record.sh_index = applied;
+        sh_payload = Journal_record.encode record; sh_contents = contents }
+    in
+    (match Db.Replay.apply r sh with
+     | () -> Alcotest.failf "%s: replayed" what
+     | exception Db.Replay_error _ -> ());
+    Alcotest.(check int) (what ^ ": nothing applied") applied
+      (Db.Replay.applied r);
+    Alcotest.(check string) (what ^ ": state unchanged") before
+      (fingerprint rdb)
+  in
+  let c = Option.get (Db.find_live rdb "c") in
+  let newest = Docstore.version_count c - 1 in
+  refuse "delete at the newest version's instant"
+    (Journal_record.Delete
+       { r_doc = Docstore.doc_id c;
+         r_ts = Timestamp.to_seconds (Docstore.ts_of_version c newest) })
+    [];
+  let v0 = Txq_vxml.Codec.encode (Vnode.of_xml (Txq_vxml.Xid.Gen.create ()) (parse "<a/>")) in
+  refuse "insert at a live URL"
+    (Journal_record.Insert
+       { r_doc = 1 + List.fold_left max 0 (Db.doc_ids rdb); r_url = "c";
+         r_ts = Timestamp.to_seconds (op_ts 30); r_doc_time = None;
+         r_current = { Journal_record.br_pages = [ 0 ]; br_length = String.length v0 };
+         r_snapshot = None })
+    [ v0 ]
 
 (* Promotion: a detached replica is writable and its clock continues
    strictly after everything replicated. *)
@@ -518,18 +599,19 @@ let test_recover_equals_replay_indexes () =
         done)
       (Db.doc_ids db);
     let fti = Db.fti db in
+    let posting what w p =
+      add "%s %s %s\n" what w
+        (Format.asprintf "%s%a"
+           (match p.Txq_fti.Posting.kind with Vnode.Tag -> "T" | Vnode.Word -> "W")
+           Txq_fti.Posting.pp p)
+    in
     List.iter
       (fun w ->
         List.iter
           (fun kind ->
-            Array.iter
-              (fun p ->
-                add "fti %s %s\n" w
-                  (Format.asprintf "%s%a"
-                     (match kind with Vnode.Tag -> "T" | Vnode.Word -> "W")
-                     Txq_fti.Posting.pp p))
-              (Txq_fti.Fti.sorted_postings fti w ~kind))
-          [ Vnode.Tag; Vnode.Word ])
+            Array.iter (posting "fti" w) (Txq_fti.Fti.sorted_postings fti w ~kind))
+          [ Vnode.Tag; Vnode.Word ];
+        List.iter (posting "lookup_h" w) (Txq_fti.Fti.lookup_h fti w))
       (List.sort String.compare (Txq_fti.Fti.vocabulary fti));
     Buffer.contents buf
   in
@@ -631,6 +713,8 @@ let () =
             test_replicate_full;
           Alcotest.test_case "overlap skipped, gap refused" `Quick
             test_apply_overlap_and_gap;
+          Alcotest.test_case "replay meets the live checks" `Quick
+            test_replay_checks;
           Alcotest.test_case "detach promotes" `Quick test_detach_promotes;
         ] );
       ( "kill points",
