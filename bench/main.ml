@@ -10,6 +10,8 @@
      dune exec bench/main.exe -- e4 e5        # selected experiments
      dune exec bench/main.exe -- --bechamel   # also run microbenchmarks
      dune exec bench/main.exe -- e13 --smoke  # tiny workloads (CI)
+     dune exec bench/main.exe -- e4 --check-reconstruct
+                                              # fail unless a cold read walks from its nearest anchor
      dune exec bench/main.exe -- e14 --smoke --check-overhead
                                               # fail if tracing overhead regresses
      dune exec bench/main.exe -- e22 --smoke --check-codec
@@ -235,6 +237,12 @@ let e3 () =
 
 (* ------------------------------------------------------------------ E4 *)
 
+(* --check-reconstruct turns E4 into a pass/fail gate (CI): with the
+   version cache flushed, every read must apply exactly the deltas between
+   the version and its nearest stored anchor — the current version or a
+   snapshot (every multiple of k).  Exact counts, so no timing noise. *)
+let check_reconstruct = ref false
+
 let e4 () =
   section "E4  Reconstruct cost vs version age and snapshot spacing"
     "Paper anchor: Section 7.3.3 - \"With many deltas this can be very\n\
@@ -252,6 +260,17 @@ let e4 () =
   in
   (* probe ages off the snapshot grid so each variant's walk is visible *)
   let ages = [126; 100; 70; 33; 1] in
+  let anchor_distance config v =
+    let snapshots =
+      match config.Config.snapshot_every with
+      | Some k -> List.init (((versions - 1) / k) + 1) (fun i -> i * k)
+      | None -> []
+    in
+    List.fold_left
+      (fun acc a -> Stdlib.min acc (abs (v - a)))
+      max_int ((versions - 1) :: snapshots)
+  in
+  let failures = ref [] in
   let rows =
     List.concat_map
       (fun (label, config) ->
@@ -267,6 +286,14 @@ let e4 () =
                   Db.reconstruct db doc v)
             in
             let deltas = (Db.stats db).Db.deltas_read / 3 in
+            let expected = anchor_distance config v in
+            if deltas <> expected then
+              failures :=
+                Printf.sprintf
+                  "snapshots %s, version %d: %d deltas applied (nearest \
+                   anchor is %d away)"
+                  label v deltas expected
+                :: !failures;
             [label; string_of_int v; string_of_int deltas; fmt_us us])
           ages)
       variants
@@ -277,6 +304,13 @@ let e4 () =
          versions)
     ~columns:["snapshots"; "version"; "deltas applied"; "time (cold)"]
     rows;
+  if !check_reconstruct then begin
+    match List.rev !failures with
+    | [] -> Printf.printf "  reconstruction anchor check ok\n"
+    | fs ->
+      List.iter (fun f -> Printf.eprintf "E4 FAIL: %s\n" f) fs;
+      exit 1
+  end;
   let db = Load.load_db sp in
   let doc = List.hd (Db.doc_ids db) in
   register_bechamel
@@ -2307,6 +2341,7 @@ let () =
   let args = List.tl (Array.to_list Sys.argv) in
   let bechamel = List.mem "--bechamel" args in
   smoke := List.mem "--smoke" args;
+  check_reconstruct := List.mem "--check-reconstruct" args;
   check_overhead := List.mem "--check-overhead" args;
   check_scan := List.mem "--check-scan" args;
   check_vacuum := List.mem "--check-vacuum" args;

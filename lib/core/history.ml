@@ -11,32 +11,34 @@ type doc_version = {
   dv_interval : Interval.t;
 }
 
-let doc_history db doc_id ~t1 ~t2 =
+let clip_interval d ~t1 ~t2 v =
+  let window = Interval.make ~start:t1 ~stop:t2 in
+  match Interval.intersect (Docstore.version_interval d v) window with
+  | Some iv -> iv
+  | None -> assert false (* callers only clip overlapping versions *)
+
+(* The versions of [doc_id] overlapping [\[t1, t2)], as [f range
+   entry]: [range] is [Docstore.versions_overlapping]'s, [entry v] the
+   listing of version [v] — its root TEID and clipped validity. *)
+let overlapping db doc_id ~t1 ~t2 f =
   if Timestamp.(t2 <= t1) then []
   else
-    Txq_obs.Trace.with_span "history.doc_history" @@ fun () ->
     let d = Db.doc db doc_id in
-    let window = Interval.make ~start:t1 ~stop:t2 in
-    let n = Docstore.version_count d in
-    let rec collect v acc =
-      if v >= n then acc
-      else
-        let iv = Docstore.version_interval d v in
-        match Interval.intersect iv window with
-        | None -> collect (v + 1) acc
-        | Some clipped ->
-          let root_xid = Vnode.xid (Docstore.current d) in
-          let teid =
-            Eid.Temporal.make
-              (Eid.make ~doc:doc_id ~xid:root_xid)
-              (Interval.start clipped)
-          in
-          collect (v + 1)
-            ({ dv_teid = teid; dv_version = v; dv_interval = clipped } :: acc)
-    in
-    (* collected ascending then reversed: most recent first; versions below
-       the first retained one were vacuumed and cannot be listed *)
-    collect (Docstore.first_version d) []
+    match Docstore.versions_overlapping d ~t1 ~t2 with
+    | None -> []
+    | Some range ->
+      let root = Eid.make ~doc:doc_id ~xid:(Vnode.xid (Docstore.current d)) in
+      f range (fun v ->
+          let clipped = clip_interval d ~t1 ~t2 v in
+          { dv_teid = Eid.Temporal.make root (Interval.start clipped);
+            dv_version = v; dv_interval = clipped })
+
+let doc_history db doc_id ~t1 ~t2 =
+  Txq_obs.Trace.with_span "history.doc_history" @@ fun () ->
+  (* most recent first; versions below the first retained one were
+     vacuumed and cannot be listed *)
+  overlapping db doc_id ~t1 ~t2 @@ fun (v_lo, v_hi) entry ->
+  List.init (v_hi - v_lo + 1) (fun i -> entry (v_hi - i))
 
 module Xidmap = Txq_vxml.Xidmap
 module Delta = Txq_vxml.Delta
@@ -49,32 +51,11 @@ type element_version = {
 }
 
 let doc_history_trees db doc_id ~t1 ~t2 =
-  if Timestamp.(t2 <= t1) then []
-  else
-    Txq_obs.Trace.with_span "history.doc_history_trees" @@ fun () ->
-    let d = Db.doc db doc_id in
-    match Docstore.versions_overlapping d ~t1 ~t2 with
-    | None -> []
-    | Some (v_lo, v_hi) ->
-      let window = Interval.make ~start:t1 ~stop:t2 in
-      let root_xid = Vnode.xid (Docstore.current d) in
-      List.map
-        (fun (v, tree) ->
-          let clipped =
-            match Interval.intersect (Docstore.version_interval d v) window with
-            | Some iv -> iv
-            | None -> assert false (* v overlaps by construction *)
-          in
-          ( {
-              dv_teid =
-                Eid.Temporal.make
-                  (Eid.make ~doc:doc_id ~xid:root_xid)
-                  (Interval.start clipped);
-              dv_version = v;
-              dv_interval = clipped;
-            },
-            tree ))
-        (Db.reconstruct_range db doc_id ~lo:v_lo ~hi:v_hi)
+  Txq_obs.Trace.with_span "history.doc_history_trees" @@ fun () ->
+  overlapping db doc_id ~t1 ~t2 @@ fun (v_lo, v_hi) entry ->
+  List.map
+    (fun (v, tree) -> (entry v, tree))
+    (Db.reconstruct_range db doc_id ~lo:v_lo ~hi:v_hi)
 
 (* --- single-sweep element history --------------------------------------- *)
 
@@ -144,12 +125,6 @@ let sweep_runs db eid ~t1 ~t2 =
     (* emitted oldest-last while walking down; !out is oldest-first, return
        newest-first *)
     List.rev !out
-
-let clip_interval d ~t1 ~t2 v =
-  let window = Interval.make ~start:t1 ~stop:t2 in
-  match Interval.intersect (Docstore.version_interval d v) window with
-  | Some iv -> iv
-  | None -> assert false (* callers only clip overlapping versions *)
 
 let element_history_sweep db eid ~t1 ~t2 () =
   Txq_obs.Trace.with_span "history.element_history_sweep" @@ fun () ->

@@ -683,21 +683,6 @@ let cached_delta t doc_id d v =
     Vcache.put_delta t.vcache doc_id v delta;
     delta
 
-let reconstruct t doc_id version =
-  Trace.with_span "db.reconstruct" (fun () ->
-      match cache_find t doc_id version with
-      | Some tree -> tree
-      | None ->
-        let d = doc t doc_id in
-        let cached = Vcache.nearest t.vcache doc_id version in
-        let tree, cost =
-          Docstore.reconstruct ?cached ~read_delta:(cached_delta t doc_id d) d
-            version
-        in
-        count_reconstruction t ~versions:1 ~deltas:cost.Docstore.deltas_applied;
-        Vcache.put t.vcache doc_id version tree;
-        tree)
-
 let reconstruct_range t doc_id ~lo ~hi =
   if lo > hi then []
   else
@@ -734,6 +719,13 @@ let reconstruct_range t doc_id ~lo ~hi =
       in
       count_reconstruction t ~versions:(hi - lo + 1) ~deltas;
       List.sort (fun (a, _) (b, _) -> Int.compare b a) !out
+
+(* A single read is the one-version range: the same cache probe, anchor
+   choice and accounting. *)
+let reconstruct t doc_id version =
+  match reconstruct_range t doc_id ~lo:version ~hi:version with
+  | [ (_, tree) ] -> tree
+  | _ -> assert false
 
 let read_delta t doc_id v =
   let d = doc t doc_id in
@@ -826,17 +818,45 @@ let empty_vacuum_report =
    the horizon.  [`Squash]: truncate the chain prefix below [rb_base].
    [_wm]: the XID high-water mark the vacuum record persists. *)
 type vacuum_plan =
-  | Plan_drop of { pd_doc : Eid.doc_id; pd_freed : int list; pd_wm : int }
+  | Plan_drop of { pd_doc : Eid.doc_id; pd_wm : int }
   | Plan_squash of { ps_doc : Eid.doc_id; ps_rebase : Docstore.rebase; ps_wm : int }
+
+(* Tombstone the document-time rows of every version a vacuum removed
+   ([cutoff]: doc -> first retained version).  The tree is keyed by
+   document time, so matching rows are found by a full sweep and
+   tombstoned in place (doc = -1) — the B+-tree is upsert-only.  Returns
+   the rows tombstoned. *)
+let prune_doc_time t cutoff =
+  let victims = ref [] in
+  Txq_store.Bptree.iter t.dtime_index (fun key (doc, v) ->
+      if Int64.compare doc 0L >= 0 then
+        match Hashtbl.find_opt cutoff (Int64.to_int doc) with
+        | Some base when Int64.to_int v < base -> victims := key :: !victims
+        | _ -> ());
+  List.iter
+    (fun key -> Txq_store.Bptree.insert t.dtime_index ~key (-1L, 0L))
+    !victims;
+  List.length !victims
 
 (* The vacuum's chain step, shared by the live vacuum and every journal
    replay: truncate or drop each planned chain, handing each released blob
-   to [free], and unlink dropped documents from the URL directory. *)
+   to [free], unlink dropped documents from the URL directory and
+   tombstone the document-time rows of the removed versions.  Returns the
+   versions dropped, the pages released and the rows tombstoned, counted
+   as the chains are walked. *)
 let vacuum_apply t ~free plans =
+  let versions = ref 0 and pages = ref 0 in
+  let free ~cluster blob =
+    pages := !pages + Txq_store.Blob_store.pages_used blob;
+    free ~cluster blob
+  in
+  let cutoff = Hashtbl.create 8 in
   List.iter
     (function
       | Plan_drop { pd_doc; _ } ->
         let d = doc t pd_doc in
+        versions := !versions + Docstore.version_count d - Docstore.first_version d;
+        Hashtbl.replace cutoff pd_doc max_int;
         Docstore.apply_drop d ~free:(free ~cluster:pd_doc);
         Hashtbl.remove t.docs pd_doc;
         (match Hashtbl.find_opt t.urls (Docstore.url d) with
@@ -846,11 +866,14 @@ let vacuum_apply t ~free plans =
            if !bucket = [] then Hashtbl.remove t.urls (Docstore.url d));
         Vcache.evict_doc t.vcache pd_doc
       | Plan_squash { ps_doc; ps_rebase; ps_wm } ->
-        let d = doc t ps_doc in
+        let d = doc t ps_doc and base = ps_rebase.Docstore.rb_base in
+        versions := !versions + base - Docstore.first_version d;
+        Hashtbl.replace cutoff ps_doc base;
         Docstore.mark_used d [ Txq_vxml.Xid.of_int ps_wm ];
         Docstore.apply_rebase d ~free:(free ~cluster:ps_doc) ps_rebase;
-        Vcache.evict_before t.vcache ps_doc ps_rebase.Docstore.rb_base)
-    plans
+        Vcache.evict_before t.vcache ps_doc base)
+    plans;
+  (!versions, !pages, prune_doc_time t cutoff)
 
 (* Resolve the per-document target base under the retention policy: the
    horizon drops versions whose validity ended at or before it, keep-last-N
@@ -889,13 +912,12 @@ let vacuum_commit t ~ts plans =
          r_docs =
            List.map
              (function
-               | Plan_drop { pd_doc; pd_freed; pd_wm } ->
+               | Plan_drop { pd_doc; pd_wm } ->
                  {
                    Journal_record.vd_doc = pd_doc;
                    vd_base = 0;
                    vd_drop = true;
                    vd_snapshot = None;
-                   vd_freed = pd_freed;
                    vd_xid_watermark = pd_wm;
                  }
                | Plan_squash { ps_doc; ps_rebase; ps_wm } ->
@@ -904,31 +926,22 @@ let vacuum_commit t ~ts plans =
                    vd_base = ps_rebase.Docstore.rb_base;
                    vd_drop = false;
                    vd_snapshot = Option.map blob_ref ps_rebase.Docstore.rb_snapshot;
-                   vd_freed = ps_rebase.Docstore.rb_freed;
                    vd_xid_watermark = ps_wm;
                  })
              plans;
        });
-  let versions_dropped, pages_freed, docs_dropped =
-    List.fold_left
-      (fun (versions, pages, dropped) -> function
-        | Plan_drop { pd_doc; pd_freed; _ } ->
-          let d = doc t pd_doc in
-          ( versions + Docstore.version_count d - Docstore.first_version d,
-            pages + List.length pd_freed,
-            dropped + 1 )
-        | Plan_squash { ps_rebase = rb; _ } ->
-          ( versions + rb.Docstore.rb_versions_dropped,
-            pages + List.length rb.Docstore.rb_freed,
-            dropped ))
-      (0, 0, 0) plans
+  let docs_dropped =
+    List.length
+      (List.filter (function Plan_drop _ -> true | Plan_squash _ -> false) plans)
   in
   let docs_squashed = List.length plans - docs_dropped in
-  Trace.with_span "db.vacuum.squash" (fun () ->
-      vacuum_apply t ~free:(free_blob t) plans);
+  let versions_dropped, pages_freed, dtime_removed =
+    Trace.with_span "db.vacuum.squash" (fun () ->
+        vacuum_apply t ~free:(free_blob t) plans)
+  in
   (* Prune the derived indexes down to what a rebuild of the truncated
      chains would produce. *)
-  let postings, dfti_removed, cretime_removed, dtime_removed =
+  let postings, dfti_removed, cretime_removed =
     Trace.with_span "db.vacuum.prune" @@ fun () ->
     let affected squash =
       List.map
@@ -952,7 +965,7 @@ let vacuum_commit t ~ts plans =
         fst
           (Delta_fti.vacuum dfti
              ~affected:
-               (affected (fun d b -> `Squash (b, fst (Docstore.reconstruct d b)))))
+               (affected (fun d b -> `Squash (b, Docstore.reconstruct d b))))
     in
     let cretime_removed =
       match t.cretime with
@@ -961,26 +974,7 @@ let vacuum_commit t ~ts plans =
         Cretime_index.prune idx
           ~affected:(affected (fun d b -> `Before (Docstore.ts_of_version d b)))
     in
-    (* Document-time rows for vacuumed versions: the tree is keyed by
-       document time, so matching rows are found by a full sweep and
-       tombstoned in place (doc = -1) — the B+-tree is upsert-only. *)
-    let cutoff = Hashtbl.create 8 in
-    List.iter
-      (function
-        | Plan_drop { pd_doc; _ } -> Hashtbl.replace cutoff pd_doc max_int
-        | Plan_squash { ps_doc; ps_rebase; _ } ->
-          Hashtbl.replace cutoff ps_doc ps_rebase.Docstore.rb_base)
-      plans;
-    let victims = ref [] in
-    Txq_store.Bptree.iter t.dtime_index (fun key (doc, v) ->
-        if Int64.compare doc 0L >= 0 then
-          match Hashtbl.find_opt cutoff (Int64.to_int doc) with
-          | Some base when Int64.to_int v < base -> victims := key :: !victims
-          | _ -> ());
-    List.iter
-      (fun key -> Txq_store.Bptree.insert t.dtime_index ~key (-1L, 0L))
-      !victims;
-    (postings, dfti_removed, cretime_removed, List.length !victims)
+    (postings, dfti_removed, cretime_removed)
   in
   Txq_obs.Metrics.incr ~by:versions_dropped "db.vacuum.versions_dropped";
   Txq_obs.Metrics.incr ~by:pages_freed "db.vacuum.pages_freed";
@@ -1044,9 +1038,7 @@ let vacuum ?retention t =
             | _ -> false
           in
           if dropped_whole then
-            Some
-              (Plan_drop
-                 { pd_doc = id; pd_freed = Docstore.all_blob_pages d; pd_wm = wm })
+            Some (Plan_drop { pd_doc = id; pd_wm = wm })
           else
             let base = plan_base d r in
             if base <= Docstore.first_version d then None
@@ -1094,7 +1086,7 @@ let verify t =
          readback *)
       for v = b0 to n - 1 do
         match Docstore.reconstruct d v with
-        | _ -> incr checked
+        | (_ : Vnode.t) -> incr checked
         | exception e ->
           note "doc %d: version %d does not reconstruct: %s" id v
             (Printexc.to_string e)
@@ -1134,9 +1126,12 @@ let restore_blob r =
    restore all rebuild the state after a prefix of commits, by applying
    the prefix here record by record.  Each record meets the live writer's
    checks before anything changes.  A [Shipped] record then takes the live
-   writer's commit step; a [Local] one only updates the chains, and
-   recovery maintains the derived indexes and advances the XID generators
-   once, after the last record ([rebuild_doc]).  The clock follows the
+   writer's commit step; a [Local] one updates the chains and records the
+   document time as that step does, and recovery maintains the other
+   derived indexes and advances the XID generators once, after the last
+   record ([rebuild_doc]).  A vacuum takes the same chain step either way
+   ([vacuum_apply]), so the document-time rows a recovery holds are the
+   live writer's, tombstones included.  The clock follows the
    newest timestamp, so a detached replica or a restored store never
    stamps a new commit at or before replayed history.  Caller holds the
    write lock (recovery holds the only reference). *)
@@ -1168,6 +1163,7 @@ let apply_record t src record =
           (Docstore.restore ~blobs:t.blobs ~doc_id:doc ~url ~ts ?doc_time
              ~current_blob:(restore_blob r.r_current)
              ~snapshot_blob:(Option.map restore_blob r.r_snapshot) ());
+        record_doc_time t ~doc ~version:0 doc_time;
         t.stats.commits <- t.stats.commits + 1
       | Shipped contents ->
         let bytes = List.hd contents in
@@ -1186,6 +1182,7 @@ let apply_record t src record =
           ~snapshot_blob:(Option.map restore_blob r.r_snapshot)
           ~current_blob:(restore_blob r.r_current)
           ~free:(attribute freed ~cluster:r.r_doc) ();
+        record_doc_time t ~doc:r.r_doc ~version:r.r_version doc_time;
         t.stats.commits <- t.stats.commits + 1
       | Shipped contents ->
         let delta_bytes = List.hd contents in
@@ -1224,26 +1221,24 @@ let apply_record t src record =
      let plans =
        List.map
          (fun { Journal_record.vd_doc = doc; vd_base = base; vd_drop;
-                vd_snapshot; vd_freed; vd_xid_watermark } ->
+                vd_snapshot; vd_xid_watermark } ->
            let d = find doc in
            let wm = Stdlib.max (Docstore.xid_watermark d) vd_xid_watermark in
-           if vd_drop then
-             Plan_drop { pd_doc = doc; pd_freed = Docstore.all_blob_pages d; pd_wm = wm }
+           if vd_drop then Plan_drop { pd_doc = doc; pd_wm = wm }
            else
              let rebase =
                match src with
                | Local _ ->
                  { Docstore.rb_base = base;
-                   rb_snapshot = Option.map restore_blob vd_snapshot;
-                   rb_freed = vd_freed;
-                   rb_versions_dropped = base - Docstore.first_version d }
+                   rb_snapshot = Option.map restore_blob vd_snapshot }
                | Shipped _ -> Docstore.prepare_rebase d ~base
              in
              Plan_squash { ps_doc = doc; ps_rebase = rebase; ps_wm = wm })
          r_docs
      in
      (match src with
-      | Local freed -> vacuum_apply t ~free:(attribute freed) plans
+      | Local freed ->
+        ignore (vacuum_apply t ~free:(attribute freed) plans : int * int * int)
       | Shipped _ ->
         if plans <> [] then
           ignore (vacuum_commit t ~ts:(of_seconds r_ts) plans : vacuum_report)));
@@ -1392,23 +1387,6 @@ let recover disk config =
     ~live:!live_count ~free_global:!free_global
     ~free_clustered:
       (Hashtbl.fold (fun doc l acc -> (doc, !l) :: acc) free_clustered []);
-  (* Document-time rows in global record order (the tie-breaking sequence
-     follows commit order), vacuumed versions left out — exactly what
-     in-process pruning leaves behind. *)
-  let dtime_row doc version doc_time =
-    match Hashtbl.find_opt t.docs doc with
-    | Some d when version >= Docstore.first_version d ->
-      record_doc_time t ~doc ~version (Option.map Timestamp.of_seconds doc_time)
-    | Some _ | None -> ()
-  in
-  List.iter
-    (function
-      | Journal_record.Insert { r_doc; r_doc_time; _ } ->
-        dtime_row r_doc 0 r_doc_time
-      | Journal_record.Commit { r_doc; r_version; r_doc_time; _ } ->
-        dtime_row r_doc r_version r_doc_time
-      | Journal_record.Delete _ | Journal_record.Vacuum _ -> ())
-    records;
   List.iter (fun id -> rebuild_doc t id (doc t id)) (doc_ids t);
   Log.debug (fun m ->
       m "recovered %d documents from %d journal records" (Hashtbl.length t.docs)
@@ -1441,7 +1419,7 @@ let fabricate_contents t index record =
   | Journal_record.Insert { r_doc; _ } -> (
     match Hashtbl.find_opt t.docs r_doc with
     | Some d when Docstore.first_version d = 0 ->
-      [ Txq_vxml.Codec.encode (fst (Docstore.reconstruct d 0)) ]
+      [ Txq_vxml.Codec.encode (Docstore.reconstruct d 0) ]
     | Some _ | None -> raise (Ship_gap index))
   | Journal_record.Commit { r_doc; r_version; _ } -> (
     match Hashtbl.find_opt t.docs r_doc with

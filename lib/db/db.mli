@@ -126,12 +126,13 @@ val document_count : t -> int
 (** {1 Reconstruction} *)
 
 val reconstruct : t -> Txq_vxml.Eid.doc_id -> int -> Txq_vxml.Vnode.t
-(** Materializes one version.  Served from the version cache on a hit;
-    on a miss the nearest cached version competes with the stored current
-    version and snapshots as the reconstruction anchor, so only the deltas
-    between the nearest anchor and the target are applied, each served
-    from the delta residents of the cache when possible.  All blob reads
-    are IO-accounted; [stats] and [io_stats] count the deltas applied. *)
+(** Materializes one version: the one-version case of {!reconstruct_range}.
+    Served from the version cache on a hit; on a miss the nearest cached
+    version competes with the stored current version and snapshots as the
+    reconstruction anchor, so only the deltas between the nearest anchor
+    and the target are applied, each served from the delta residents of
+    the cache when possible.  All blob reads are IO-accounted; [stats] and
+    [io_stats] count the deltas applied. *)
 
 val reconstruct_range :
   t -> Txq_vxml.Eid.doc_id -> lo:int -> hi:int ->

@@ -38,12 +38,6 @@ type t = {
   bound : int option;
 }
 
-type reconstruct_cost = {
-  deltas_applied : int;
-  anchor : [ `Current | `Snapshot | `Cached ];
-  direction : [ `Backward | `Forward | `None ];
-}
-
 let doc_id t = t.doc_id
 let url t = t.url
 
@@ -273,61 +267,15 @@ let pick_anchor ?cached t ~lo ~hi =
         rest
   in
   match cached with
-  | Some (cv, ctree) when range_cost ~lo ~hi cv <= snd best ->
-    (cv, `Cached ctree)
+  | Some (cv, ctree) when range_cost ~lo ~hi cv <= snd best -> (cv, `Tree ctree)
   | _ -> fst best
 
 let anchor_tree t = function
-  | `Tree tree | `Cached tree -> tree
+  | `Tree tree -> tree
   | `Blob blob -> Codec.decode_exn (Blob_store.get t.blobs blob)
-
-let anchor_kind = function
-  | `Cached _ -> `Cached
-  | `Tree _ -> `Current
-  | `Blob _ -> `Snapshot
 
 (* The caller's delta source, or the blob store. *)
 let delta_reader t = function Some read -> read | None -> read_delta t
-
-let reconstruct ?cached ?read_delta t v =
-  let n = version_count t in
-  if v < t.base || v >= n then
-    invalid_arg (Printf.sprintf "Docstore.reconstruct: no version %d" v);
-  let read_delta = delta_reader t read_delta in
-  Trace.with_span "docstore.reconstruct" @@ fun () ->
-  let anchor_v, anchor = pick_anchor ?cached t ~lo:v ~hi:v in
-  let tree = anchor_tree t anchor in
-  let anchor = anchor_kind anchor in
-  Trace.add_attr "anchor"
-    (Txq_obs.Span.Str
-       (match anchor with
-       | `Current -> "current"
-       | `Snapshot -> "snapshot"
-       | `Cached -> "cached"));
-  if anchor_v = v then
-    (tree, { deltas_applied = 0; anchor; direction = `None })
-  else begin
-    let map = Xidmap.of_vnode tree in
-    let deltas_applied = ref 0 in
-    if anchor_v > v then
-      (* walk backward: most recent deltas first (Section 7.3.3) *)
-      for i = anchor_v downto v + 1 do
-        Delta.apply_backward map (read_delta i);
-        incr deltas_applied
-      done
-    else
-      for i = anchor_v + 1 to v do
-        Delta.apply_forward map (read_delta i);
-        incr deltas_applied
-      done;
-    Trace.add_count "deltas_applied" !deltas_applied;
-    ( Xidmap.to_vnode map,
-      {
-        deltas_applied = !deltas_applied;
-        anchor;
-        direction = (if anchor_v > v then `Backward else `Forward);
-      } )
-  end
 
 let reconstruct_range ?cached ?read_delta t ~lo ~hi ~f =
   let n = version_count t in
@@ -367,6 +315,12 @@ let reconstruct_range ?cached ?read_delta t ~lo ~hi ~f =
   Trace.add_count "deltas_applied" !deltas_applied;
   !deltas_applied
 
+let reconstruct t v =
+  let tree = ref None in
+  ignore
+    (reconstruct_range t ~lo:v ~hi:v ~f:(fun _ tr -> tree := Some tr) : int);
+  Option.get !tree
+
 let delta_pages t =
   Vec.fold_left
     (fun acc ve ->
@@ -377,12 +331,7 @@ let delta_pages t =
 
 (* --- vacuum ------------------------------------------------------------ *)
 
-type rebase = {
-  rb_base : int;
-  rb_snapshot : Blob_store.blob option;
-  rb_freed : int list;
-  rb_versions_dropped : int;
-}
+type rebase = { rb_base : int; rb_snapshot : Blob_store.blob option }
 
 let xid_watermark t = Txq_vxml.Xid.Gen.used t.gen
 
@@ -400,29 +349,9 @@ let prepare_rebase t ~base =
      snapshot or [base] is the current version itself. *)
   let rb_snapshot =
     if base = n - 1 || (entry t base).ve_snapshot <> None then None
-    else begin
-      let tree, _ = reconstruct t base in
-      Some (put_version_blob t tree)
-    end
+    else Some (put_version_blob t (reconstruct t base))
   in
-  let freed = ref [] in
-  let free_of = function
-    | Some blob -> freed := List.rev_append (Blob_store.page_ids blob) !freed
-    | None -> ()
-  in
-  for v = t.base to base - 1 do
-    let ve = entry t v in
-    free_of ve.ve_delta;
-    free_of ve.ve_snapshot
-  done;
-  (* the delta leading into the new base can never be applied again *)
-  free_of (entry t base).ve_delta;
-  {
-    rb_base = base;
-    rb_snapshot;
-    rb_freed = List.rev !freed;
-    rb_versions_dropped = base - t.base;
-  }
+  { rb_base = base; rb_snapshot }
 
 let apply_rebase t ~free rb =
   read_only_guard t "apply_rebase";
@@ -433,6 +362,7 @@ let apply_rebase t ~free rb =
     free_of ve.ve_delta;
     free_of ve.ve_snapshot
   done;
+  (* the delta leading into the new base can never be applied again *)
   free_of (entry t rb.rb_base).ve_delta;
   let retained = Vec.create () in
   let base_entry = entry t rb.rb_base in

@@ -16,14 +16,6 @@
 
 type t
 
-type reconstruct_cost = {
-  deltas_applied : int;
-  anchor : [ `Current | `Snapshot | `Cached ];
-      (** where the walk started: the in-memory current tree, a stored
-          snapshot, or a caller-supplied cached tree *)
-  direction : [ `Backward | `Forward | `None ];
-}
-
 val ingest : Txq_xml.Xml.t -> Txq_vxml.Vnode.t
 (** Version 0 of a document: the input normalized and numbered from a
     fresh XID generator ({!restore} advances the document's generator past
@@ -111,29 +103,27 @@ val read_delta_bytes : t -> int -> string
 (** The stored form of that delta, undecoded: the XML document
     {!Txq_vxml.Delta.encode} wrote (IO accounted). *)
 
-val reconstruct :
-  ?cached:int * Txq_vxml.Vnode.t -> ?read_delta:(int -> Txq_vxml.Delta.t) ->
-  t -> int -> Txq_vxml.Vnode.t * reconstruct_cost
-(** Materializes the given version, choosing the cheapest anchor among the
-    in-memory current tree ({!current}, no blob read), any stored
-    snapshots, and an optional already-materialized [cached] version
-    supplied by the caller, applying completed deltas backward or forward
-    (Section 7.3.3).  A cached anchor wins cost ties against a snapshot —
-    it needs no blob read.  Each delta comes from [read_delta] (the
-    database passes its delta cache; only versions inside the retained
-    chain are asked for), by default {!read_delta} on the blob store.  All
-    blob reads are accounted. *)
-
 val reconstruct_range :
   ?cached:int * Txq_vxml.Vnode.t -> ?read_delta:(int -> Txq_vxml.Delta.t) ->
   t -> lo:int -> hi:int -> f:(int -> Txq_vxml.Vnode.t -> unit) -> int
 (** Materializes {e every} version in [\[lo, hi\]] in a single sweep — one
     delta application per step instead of one full walk per version — and
     hands each to [f] (order unspecified; an interior anchor walks outward
-    both ways).  Anchor selection as in {!reconstruct}, minimizing total
-    applications: an anchor inside the range attains the [hi - lo] minimum.
-    Deltas come from [read_delta] as in {!reconstruct}.  Returns the number of deltas applied.  Raises [Invalid_argument] on an
+    both ways).  The walk starts from the anchor that minimizes total
+    applications among the in-memory current tree ({!current}, no blob
+    read), any stored snapshots, and an optional already-materialized
+    [cached] version supplied by the caller; an anchor inside the range
+    attains the [hi - lo] minimum, and a cached anchor wins cost ties
+    against a snapshot — it needs no blob read (Section 7.3.3).  Each delta
+    comes from [read_delta] (the database passes its delta cache; only
+    versions inside the retained chain are asked for), by default
+    {!read_delta} on the blob store.  All blob reads are accounted.
+    Returns the number of deltas applied.  Raises [Invalid_argument] on an
     empty or out-of-bounds range. *)
+
+val reconstruct : t -> int -> Txq_vxml.Vnode.t
+(** The one-version case of {!reconstruct_range}, from the stored anchors
+    and the blob store alone (no cache). *)
 
 (** {1 Vacuum} *)
 
@@ -141,25 +131,24 @@ type rebase = {
   rb_base : int;  (** new first retained version *)
   rb_snapshot : Txq_store.Blob_store.blob option;
       (** freshly written base snapshot, if one was needed *)
-  rb_freed : int list;  (** pages the rebase will release *)
-  rb_versions_dropped : int;
 }
 
 val prepare_rebase : t -> base:int -> rebase
 (** Plans the truncation of every version below [base]: writes a durable
     base snapshot when version [base] has neither a stored snapshot nor the
-    current blob as anchor, and lists the pages of the dropped delta and
-    snapshot blobs (including the delta leading {e into} [base], which can
-    never be applied again).  No in-memory state changes — on a crash before
+    current blob as anchor.  No in-memory state changes — on a crash before
     the vacuum journal record commits, the new snapshot is simply an
-    unreachable blob that recovery's liveness scan frees.  Raises
-    [Invalid_argument] unless [first_version t < base < version_count t]. *)
+    unreachable blob that recovery's liveness scan frees.  Which blobs the
+    rebase releases is left to {!apply_rebase}, the one walk over the
+    dropped prefix.  Raises [Invalid_argument] unless
+    [first_version t < base < version_count t]. *)
 
 val apply_rebase :
   t -> free:(Txq_store.Blob_store.blob -> unit) -> rebase -> unit
-(** Commits a rebase in memory: hands each dropped blob to [free],
-    installs the base snapshot, truncates the delta index and advances
-    [first_version]. *)
+(** Commits a rebase in memory: hands each dropped blob to [free] — every
+    delta and snapshot below [rb_base], and the delta leading {e into}
+    [rb_base], which can never be applied again —, installs the base
+    snapshot, truncates the delta index and advances [first_version]. *)
 
 val xid_watermark : t -> int
 (** Highest XID the document's generator has handed out — persisted in the

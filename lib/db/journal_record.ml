@@ -26,7 +26,6 @@ and vacuum_doc = {
   vd_base : int;
   vd_drop : bool;
   vd_snapshot : blob_ref option;
-  vd_freed : int list;
   vd_xid_watermark : int;
 }
 
@@ -83,13 +82,11 @@ let encode r =
      add_int buf r_ts;
      add_int buf (List.length r_docs);
      List.iter
-       (fun { vd_doc; vd_base; vd_drop; vd_snapshot; vd_freed;
-              vd_xid_watermark } ->
+       (fun { vd_doc; vd_base; vd_drop; vd_snapshot; vd_xid_watermark } ->
          add_int buf vd_doc;
          add_int buf vd_base;
          Buffer.add_char buf (if vd_drop then '\001' else '\000');
          add_opt add_blob_ref buf vd_snapshot;
-         add_int_list buf vd_freed;
          add_int buf vd_xid_watermark)
        r_docs);
   Buffer.contents buf
@@ -182,12 +179,10 @@ let decode s =
                 | c -> raise (Bad (Printf.sprintf "bad vacuum drop flag %C" c))
               in
               let vd_snapshot = get_opt get_blob_ref "vacuum snapshot" in
-              let vd_freed = get_int_list "vacuum freed" in
               let vd_xid_watermark = get_int "vacuum xid watermark" in
               if vd_base < 0 then
                 raise (Bad (Printf.sprintf "negative vacuum base %d" vd_base));
-              { vd_doc; vd_base; vd_drop; vd_snapshot; vd_freed;
-                vd_xid_watermark })
+              { vd_doc; vd_base; vd_drop; vd_snapshot; vd_xid_watermark })
         in
         Vacuum { r_ts; r_docs }
       | c -> raise (Bad (Printf.sprintf "unknown record tag %C" c))
@@ -290,10 +285,10 @@ let pp ppf = function
       (String.concat ";"
          (List.map
             (fun vd ->
-              Format.asprintf "doc=%d%s base=%d snap=%a freed=%d xid=%d"
+              Format.asprintf "doc=%d%s base=%d snap=%a xid=%d"
                 vd.vd_doc
                 (if vd.vd_drop then " drop" else "")
                 vd.vd_base
                 (pp_opt pp_blob_ref) vd.vd_snapshot
-                (List.length vd.vd_freed) vd.vd_xid_watermark)
+                vd.vd_xid_watermark)
             r_docs))

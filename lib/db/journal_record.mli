@@ -40,9 +40,6 @@ and vacuum_doc = {
   vd_base : int;  (** new first retained version *)
   vd_drop : bool;  (** whole document dropped (deleted before the horizon) *)
   vd_snapshot : blob_ref option;  (** freshly written base snapshot *)
-  vd_freed : int list;
-      (** pages the vacuum released; crash recovery attributes them to
-          the document's placement cluster *)
   vd_xid_watermark : int;
       (** XID generator high-water mark, covering ids that only ever
           appeared in vacuumed deltas *)

@@ -132,8 +132,6 @@ let best_anchor t doc ~lo ~hi =
           | _, Delta _ -> best)
         r.trees None
 
-let nearest t doc v = best_anchor t doc ~lo:v ~hi:v
-
 let remove_entry t e =
   unlink e;
   (match Hashtbl.find_opt t.by_doc e.e_doc with

@@ -49,16 +49,14 @@ val find_delta : t -> Txq_vxml.Eid.doc_id -> int -> Txq_vxml.Delta.t option
 (** Exact lookup of the decoded delta leading to the given version; counts
     a [delta_cache_*] hit or miss. *)
 
-val nearest : t -> Txq_vxml.Eid.doc_id -> int -> (int * Txq_vxml.Vnode.t) option
-(** The cached version of the document nearest to the target — an anchor
-    candidate, not an answer, so no hit/miss is counted. *)
-
 val best_anchor :
   t -> Txq_vxml.Eid.doc_id -> lo:int -> hi:int ->
   (int * Txq_vxml.Vnode.t) option
 (** The cached version minimizing the deltas needed to materialize every
     version in [\[lo, hi\]] (an anchor inside the range attains the
-    minimum, [hi - lo]). *)
+    minimum, [hi - lo]); with [lo = hi], the cached version nearest to the
+    target.  An anchor candidate, not an answer, so no hit/miss is
+    counted. *)
 
 val put : t -> Txq_vxml.Eid.doc_id -> int -> Txq_vxml.Vnode.t -> unit
 (** Inserts, evicting least-recently-used entries of either kind until

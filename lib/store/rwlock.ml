@@ -1,7 +1,11 @@
-(* A writer-preferring reader-writer lock over domains.
+(* A writer-preferring reader-writer lock over domains and their threads.
 
-   Readers are re-entrant (a domain already holding a read lock may take
-   it again), and a domain holding the write lock may take read locks
+   A holder is one systhread of one domain: the pair of their ids.  Two
+   threads of one domain are distinct holders, so one thread's read lock
+   never counts as another's.
+
+   Readers are re-entrant (a thread already holding a read lock may take
+   it again), and a thread holding the write lock may take read locks
    freely — operators compose, so a read path invoked from inside a
    mutator must not self-deadlock.  Upgrading (read -> write) is refused:
    two upgraders would deadlock each other, so the bug is surfaced
@@ -11,16 +15,19 @@
    behind it.  Re-entrant acquisitions are exempt — they cannot wait
    without deadlocking the reader the writer is itself waiting for. *)
 
+(* (domain id, thread id) *)
+type holder = int * int
+
 type t = {
   m : Mutex.t;
   can_read : Condition.t;
   can_write : Condition.t;
-  mutable readers : int;  (* domains holding a read lock (outermost only) *)
-  mutable writer : int option;  (* domain id holding the write lock *)
+  mutable readers : int;  (* holders of a read lock (outermost only) *)
+  mutable writer : holder option;  (* holder of the write lock *)
   mutable writer_depth : int;
   mutable writers_waiting : int;
-  (* per-domain read re-entry depth; absent = 0 *)
-  depths : (int, int) Hashtbl.t;
+  (* per-holder read re-entry depth; absent = 0 *)
+  depths : (holder, int) Hashtbl.t;
 }
 
 let create () =
@@ -35,7 +42,7 @@ let create () =
     depths = Hashtbl.create 8;
   }
 
-let self () = (Domain.self () :> int)
+let self () : holder = ((Domain.self () :> int), Thread.id (Thread.self ()))
 
 let depth_of t id =
   match Hashtbl.find_opt t.depths id with Some d -> d | None -> 0
@@ -45,7 +52,7 @@ let holds_write_locked t id = t.writer = Some id
 let read_lock t =
   let id = self () in
   Mutex.lock t.m;
-  (* write lock held by this domain: reads nest inside it for free *)
+  (* write lock held by this thread: reads nest inside it for free *)
   if holds_write_locked t id then Mutex.unlock t.m
   else begin
     let d = depth_of t id in
@@ -71,7 +78,7 @@ let read_unlock t =
     (match depth_of t id with
      | 0 ->
        Mutex.unlock t.m;
-       invalid_arg "Rwlock.read_unlock: lock not held by this domain"
+       invalid_arg "Rwlock.read_unlock: lock not held by this thread"
      | 1 ->
        Hashtbl.remove t.depths id;
        t.readers <- t.readers - 1;
@@ -109,7 +116,7 @@ let write_unlock t =
   Mutex.lock t.m;
   if not (holds_write_locked t id) then begin
     Mutex.unlock t.m;
-    invalid_arg "Rwlock.write_unlock: lock not held by this domain"
+    invalid_arg "Rwlock.write_unlock: lock not held by this thread"
   end
   else begin
     t.writer_depth <- t.writer_depth - 1;
@@ -122,7 +129,7 @@ let write_unlock t =
   end
 
 (* Non-blocking write acquisition.  Refuses (rather than raises) when
-   this domain holds a read lock, and defers to a queued writer even
+   this thread holds a read lock, and defers to a queued writer even
    when the lock is momentarily free — an opportunistic caller should
    never jump the writer queue. *)
 let try_write_lock t =

@@ -82,11 +82,9 @@ let gen_record =
             bool >>= fun vd_drop ->
             int_range 0 100_000 >>= fun vd_base ->
             opt gen_blob_ref >>= fun vd_snapshot ->
-            list_size (int_range 0 8) (int_range 0 100_000) >>= fun vd_freed ->
             int_range 0 1_000_000 >>= fun vd_xid_watermark ->
             return
-              { J.vd_doc; vd_base; vd_drop; vd_snapshot; vd_freed;
-                vd_xid_watermark }
+              { J.vd_doc; vd_base; vd_drop; vd_snapshot; vd_xid_watermark }
           in
           gen_seconds >>= fun r_ts ->
           list_size (int_range 0 6) gen_vacuum_doc >>= fun r_docs ->

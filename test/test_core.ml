@@ -367,7 +367,7 @@ let naive_element_history ?(same = Vnode.deep_equal) db eid ~t1 ~t2 ~distinct =
   let with_trees =
     List.filter_map
       (fun dv ->
-        let tree, _ = Docstore.reconstruct d dv.History.dv_version in
+        let tree = Docstore.reconstruct d dv.History.dv_version in
         match Vnode.find tree eid.Eid.xid with
         | Some subtree ->
           Some
@@ -484,6 +484,42 @@ let prop_sweep_equals_naive =
                (History.element_history db eid ~t1 ~t2 ~distinct:true ())
                (History.element_history_sweep db eid ~t1 ~t2 ()))
         all_xids)
+
+(* DocHistory's listing is its tree form's without the trees: over random
+   windows, on a live document, a deleted one, and both vacuumed. *)
+let prop_doc_history_is_trees_listing =
+  let arb_case =
+    QCheck.(
+      pair
+        (Txq_test_support.Gen_xml.arb_history ~max_versions:7)
+        (triple (int_range 0 3) (int_range 1 4)
+           (list_of_size Gen.(int_range 1 8)
+              (pair (int_range (-24) 240) (int_range (-24) 240)))))
+  in
+  QCheck.Test.make ~count:60 ~name:"doc_history ≡ doc_history_trees" arb_case
+    (fun ((doc0, versions), (mode, keep, windows)) ->
+      let db = Db.create () in
+      let base = Timestamp.of_date ~day:1 ~month:1 ~year:2001 in
+      let day i = Timestamp.add base (Txq_temporal.Duration.days i) in
+      let id = Db.insert_document db ~url:"u" ~ts:base doc0 in
+      List.iteri
+        (fun i v -> ignore (Db.update_document db ~url:"u" ~ts:(day (i + 1)) v))
+        versions;
+      if mode land 1 = 1 then
+        Db.delete_document db ~url:"u" ~ts:(day (List.length versions + 1)) ();
+      if mode >= 2 then
+        ignore
+          (Db.vacuum
+             ~retention:
+               { Config.no_retention with Config.keep_versions = Some keep }
+             db);
+      let hour h = Timestamp.of_seconds (Timestamp.to_seconds base + (h * 3600)) in
+      List.for_all
+        (fun (t1, t2) ->
+          History.doc_history db id ~t1 ~t2
+          = List.map fst (History.doc_history_trees db id ~t1 ~t2))
+        ((Timestamp.minus_infinity, Timestamp.plus_infinity)
+        :: List.map (fun (h1, h2) -> (hour h1, hour h2)) windows))
 
 let test_element_history_absent_element () =
   let db, id = fig1_db () in
@@ -1181,6 +1217,7 @@ let () =
             test_element_history_absent_element;
           Alcotest.test_case "sweep agrees on Figure 1" `Quick
             test_element_history_sweep_agrees;
+          QCheck_alcotest.to_alcotest prop_doc_history_is_trees_listing;
           QCheck_alcotest.to_alcotest prop_sweep_equals_naive;
           QCheck_alcotest.to_alcotest prop_sweep_exact_transplants;
           Alcotest.test_case "sweep: node moved out" `Quick

@@ -408,7 +408,7 @@ let prop_cache_differential =
       let check (db, id) =
         let d = Db.doc db id in
         let n = Docstore.version_count d in
-        let naive v = fst (Docstore.reconstruct d v) in
+        let naive v = Docstore.reconstruct d v in
         (* up then down: the second pass is served from cache entries and
            nearest-anchor incremental walks *)
         let ok_single =
@@ -452,7 +452,7 @@ let test_cache_invalidation () =
   for v = 0 to 2 do
     Alcotest.(check bool) (Printf.sprintf "after commit, v%d" v) true
       (Vnode.equal_with_xids
-         (fst (Docstore.reconstruct d v))
+         (Docstore.reconstruct d v)
          (Db.reconstruct db id v))
   done;
   (* recover from the disk image while the live cache is warm: the rebuilt
@@ -464,7 +464,7 @@ let test_cache_invalidation () =
   for v = 0 to 2 do
     Alcotest.(check bool) (Printf.sprintf "after recover, v%d" v) true
       (Vnode.equal_with_xids
-         (fst (Docstore.reconstruct d2 v))
+         (Docstore.reconstruct d2 v)
          (Db.reconstruct db2 id v))
   done;
   (* delete while warm: the document's entries are evicted, and history
@@ -475,7 +475,7 @@ let test_cache_invalidation () =
   for v = 0 to 2 do
     Alcotest.(check bool) (Printf.sprintf "after delete, v%d" v) true
       (Vnode.equal_with_xids
-         (fst (Docstore.reconstruct d v))
+         (Docstore.reconstruct d v)
          (Db.reconstruct db id v))
   done
 
@@ -681,7 +681,7 @@ let test_recovery_starts_cold () =
   Alcotest.(check int) "recovered store holds none" 0 (List.length (deltas db2));
   Alcotest.(check bool) "recovered chain reads back" true
     (Vnode.equal_with_xids
-       (fst (Docstore.reconstruct (Db.doc db id) 0))
+       (Docstore.reconstruct (Db.doc db id) 0)
        (Db.reconstruct db2 id 0))
 
 (* A snapshot-due commit encodes the new version once: the snapshot blob

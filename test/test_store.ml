@@ -363,6 +363,53 @@ let test_save_crash_sweep () =
   Alcotest.(check bool) "uncrashed retry round-trips" true
     (disks_equal d (Disk.load_from_dir target))
 
+(* --- rwlock ---------------------------------------------------------------- *)
+
+(* Two systhreads of one domain are two lock holders: thread A holds the
+   read lock, thread B of the same domain asks for the write lock.  B must
+   wait until A releases, then get it — not take A's read lock for its own
+   and refuse an upgrade. *)
+let test_rwlock_threads_of_one_domain () =
+  let l = Rwlock.create () in
+  let a_reading = Atomic.make false
+  and a_release = Atomic.make false
+  and a_released = Atomic.make false in
+  let a =
+    Thread.create
+      (fun () ->
+        Rwlock.with_read l (fun () ->
+            Atomic.set a_reading true;
+            while not (Atomic.get a_release) do Thread.yield () done;
+            Atomic.set a_released true))
+      ()
+  in
+  while not (Atomic.get a_reading) do Thread.yield () done;
+  let b_outcome = Atomic.make None in
+  let b =
+    Thread.create
+      (fun () ->
+        Atomic.set b_outcome
+          (Some
+             (match Rwlock.with_write l (fun () -> Atomic.get a_released) with
+              | after_a -> Ok after_a
+              | exception e -> Error (Printexc.to_string e))))
+      ()
+  in
+  Thread.delay 0.05;
+  let early = Atomic.get b_outcome in
+  Atomic.set a_release true;
+  Thread.join a;
+  Thread.join b;
+  (match early with
+   | None -> ()
+   | Some (Ok _) -> Alcotest.fail "B took the write lock while A was reading"
+   | Some (Error e) -> Alcotest.failf "B raised while A was reading: %s" e);
+  match Atomic.get b_outcome with
+  | Some (Ok true) -> ()
+  | Some (Ok false) -> Alcotest.fail "B wrote before A released"
+  | Some (Error e) -> Alcotest.failf "B raised: %s" e
+  | None -> Alcotest.fail "B never finished"
+
 let () =
   Alcotest.run "store"
     [
@@ -401,5 +448,10 @@ let () =
           Alcotest.test_case "basics" `Quick test_bptree_basic;
           Alcotest.test_case "splits at scale" `Quick test_bptree_splits;
           QCheck_alcotest.to_alcotest prop_bptree_vs_map;
+        ] );
+      ( "rwlock",
+        [
+          Alcotest.test_case "same-domain threads are two holders"
+            `Quick test_rwlock_threads_of_one_domain;
         ] );
     ]

@@ -76,6 +76,51 @@ let test_keep_versions_squash () =
   | Ok _ -> ()
   | Error errs -> Alcotest.failf "verify: %s" (String.concat "; " errs)
 
+(* Exact accounting of a squash and of a drop, pinned to the counts the
+   chain walk gives: with and without snapshots, unclustered and clustered.
+   Document "d" (3 versions) is deleted, then "s" gets 8 versions whose
+   bodies grow past one page, so some deltas span two; keep-last-3
+   squashes "s" alone (5 versions), then a horizon at "d"'s deletion drops
+   "d" alone (3 versions).  Every version carries a document time, so each
+   dropped version tombstones one row.  Snapshots (every 2nd version) add
+   the pages of those below the new base. *)
+let test_exact_accounting () =
+  let check label config ~squash_pages ~drop_pages =
+    let config = { config with Config.document_time_path = Some "//published" } in
+    let article v =
+      parse
+        (Printf.sprintf
+           "<article><published>%02d/05/2001</published><body>%s</body></article>"
+           (v + 1) (String.make (v * 700) 'x'))
+    in
+    let db = Db.create ~config () in
+    let commit url i v =
+      if v = 0 then ignore (Db.insert_document db ~url ~ts:(op_ts i) (article v))
+      else ignore (Db.update_document db ~url ~ts:(op_ts i) (article v))
+    in
+    List.iter (fun v -> commit "d" v v) [ 0; 1; 2 ];
+    Db.delete_document db ~url:"d" ~ts:(op_ts 3) ();
+    List.iter (fun v -> commit "s" (4 + v) v) (List.init 8 Fun.id);
+    let counts what expected r =
+      Alcotest.(check (triple int int int))
+        (Printf.sprintf "%s, %s: pages, versions, dtime rows" label what)
+        expected
+        (r.Db.vr_pages_freed, r.Db.vr_versions_dropped, r.Db.vr_dtime_pruned)
+    in
+    let squash = Db.vacuum ~retention:(keep_last 3) db in
+    counts "squash" (squash_pages, 5, 5) squash;
+    let drop = Db.vacuum ~retention:(horizon_only (op_ts 3)) db in
+    counts "drop" (drop_pages, 3, 3) drop;
+    Alcotest.(check int) (label ^ ": one doc each") 2
+      (squash.Db.vr_docs_squashed + drop.Db.vr_docs_dropped)
+  in
+  let clustered c = { c with Config.placement = `Clustered 4 } in
+  let k2 = Config.with_snapshots 2 Config.default in
+  check "none" Config.default ~squash_pages:7 ~drop_pages:3;
+  check "k=2" k2 ~squash_pages:10 ~drop_pages:5;
+  check "clustered" (clustered Config.default) ~squash_pages:7 ~drop_pages:3;
+  check "k=2 clustered" (clustered k2) ~squash_pages:10 ~drop_pages:5
+
 let test_horizon_drops_dead_doc () =
   let db = Db.create () in
   ignore (Db.insert_document db ~url:"dead" ~ts:(op_ts 0) (parse "<a>x</a>"));
@@ -641,6 +686,8 @@ let () =
             `Quick test_cretime_truncated_epoch;
           Alcotest.test_case "document-time rows pruned" `Quick
             test_document_time_pruned;
+          Alcotest.test_case "exact squash and drop accounting" `Quick
+            test_exact_accounting;
         ] );
       ( "differential",
         [ QCheck_alcotest.to_alcotest prop_vacuum_differential ] );
