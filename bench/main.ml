@@ -1254,7 +1254,6 @@ let e16 () =
               ("postings_pruned", Harness.Json.Int r.Db.vr_postings_pruned);
               ("dfti_pruned", Harness.Json.Int r.Db.vr_dfti_pruned);
               ("cretime_pruned", Harness.Json.Int r.Db.vr_cretime_pruned);
-              ("dtime_pruned", Harness.Json.Int r.Db.vr_dtime_pruned);
               ("vacuum_us", Harness.Json.Float vac_us);
               ("snapshot_query_before_us", Harness.Json.Float snap_before);
               ("snapshot_query_after_us", Harness.Json.Float snap_after);

@@ -342,9 +342,9 @@ let vacuum_cmd =
       Printf.printf "pages freed:        %d (%d KiB reclaimed)\n"
         r.Txq_db.Db.vr_pages_freed (r.Txq_db.Db.vr_bytes_reclaimed / 1024);
       Printf.printf "index rows pruned:  %d postings, %d delta entries, %d \
-                     cretime, %d doc-time\n"
+                     cretime\n"
         r.Txq_db.Db.vr_postings_pruned r.Txq_db.Db.vr_dfti_pruned
-        r.Txq_db.Db.vr_cretime_pruned r.Txq_db.Db.vr_dtime_pruned;
+        r.Txq_db.Db.vr_cretime_pruned;
       Printf.printf "live pages:         %d -> %d\n" pages_before
         (Txq_db.Db.live_pages db);
       (match Txq_db.Db.verify db with

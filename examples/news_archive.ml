@@ -3,8 +3,10 @@
    Articles are *crawled*: versions arrive at irregular instants, some
    intermediate revisions are missed entirely, and articles disappear when
    taken down.  Each article also embeds its own publication timestamp
-   (document time, after XMLNews-Meta).  This example shows the three kinds
-   of time side by side and runs change-oriented queries over the archive.
+   (document time, after XMLNews-Meta).  Document time is part of the
+   content, so queries reach it through content like any other value.
+   This example shows the three kinds of time side by side and runs
+   change-oriented queries over the archive.
 
    Run with: dune exec examples/news_archive.exe *)
 
@@ -19,12 +21,7 @@ let () =
   let rng = Workload.Rng.create ~seed:7 in
   let vocab = Workload.Vocab.create ~size:500 (Workload.Rng.split rng) in
   let gen = Workload.News.create ~vocab (Workload.Rng.split rng) in
-  (* index the XMLNews-Meta-style publication timestamps (document time) *)
-  let config =
-    { Txq_db.Config.default with
-      Txq_db.Config.document_time_path = Some "//meta/published" }
-  in
-  let db = Db.create ~config () in
+  let db = Db.create () in
   let base = Timestamp.of_date ~day:1 ~month:6 ~year:2001 in
 
   (* crawl three news feeds over a month; crawl instants are irregular and
@@ -88,8 +85,8 @@ let () =
     urls;
   print_endline "";
 
-  (* 2. document time: queryable two ways — through content like any
-     value, or through the document-time index (no reconstruction) *)
+  (* 2. document time: the publication timestamp each article carries in
+     its content, queried through that content like any other value *)
   print_endline "--- articles published before 02/06/2001 (document time) ---";
   let by_doc_time =
     Txq_query.Exec.run_string_exn db
@@ -98,16 +95,6 @@ let () =
         WHERE A/meta/published CONTAINS "01/06/2001"|}
   in
   print_string (show by_doc_time);
-  print_endline "";
-
-  print_endline "--- document-time index: versions published 01/06 - 03/06 ---";
-  List.iter
-    (fun (dt, doc, v) ->
-      Printf.printf "  published %s  -> doc %d version %d\n"
-        (Timestamp.to_string dt) doc v)
-    (Db.find_by_document_time db
-       ~t1:(Timestamp.of_string "01/06/2001")
-       ~t2:(Timestamp.of_string "03/06/2001"));
   print_endline "";
 
   (* 3. change queries: how often was each feed revised, and when did the

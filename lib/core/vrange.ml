@@ -56,18 +56,6 @@ let split_points ts =
   List.sort_uniq compare
     (List.concat_map (List.concat_map (fun (a, b) -> [ a; b ])) ts)
 
-let is_bounded t = List.for_all (fun (_, b) -> b <> max_int) t
-
-let clip ~limit t = inter t (singleton 0 limit)
-
-let spans t =
-  List.fold_left
-    (fun acc (a, b) ->
-      if b = max_int then
-        invalid_arg "Vrange.spans: unbounded range (clip to a version count first)"
-      else acc + (b - a))
-    0 t
-
 let to_list t = t
 
 let pp ppf t =

@@ -43,18 +43,5 @@ val split_points : t list -> int list
     aggregation ([max_int] appears as the final point when any input is
     unbounded). *)
 
-val is_bounded : t -> bool
-(** False iff the last range is open ([b = max_int]). *)
-
-val clip : limit:int -> t -> t
-(** Intersect with [\[0, limit)] — bounds open ranges to a document's
-    version count so they can be measured. *)
-
-val spans : t -> int
-(** Total number of versions covered.  The input must be bounded
-    ({!clip} first); raises [Invalid_argument] otherwise — unbounded
-    ranges have no finite span and the old [max_int] sentinel silently
-    corrupted sums. *)
-
 val to_list : t -> (int * int) list
 val pp : Format.formatter -> t -> unit

@@ -16,7 +16,6 @@ type t = {
   placement : Txq_store.Blob_store.policy;
   buffer_pool_pages : int;
   version_cache_bytes : int;
-  document_time_path : string option;
   durability : [ `None | `Journal ];
   tracing : bool;
   fti_segment_postings : int;
@@ -37,7 +36,6 @@ let default =
     placement = `Unclustered;
     buffer_pool_pages = 256;
     version_cache_bytes = 8 * 1024 * 1024;
-    document_time_path = None;
     durability = `None;
     tracing = false;
     fti_segment_postings = 4096;

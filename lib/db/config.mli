@@ -1,7 +1,9 @@
 (** Database configuration: the experimental knobs of Section 7.
 
     Every option corresponds to a design alternative the paper discusses;
-    the benchmark harness sweeps them. *)
+    the benchmark harness sweeps them.  Section 3.1's document time has no
+    knob: it is part of the content, and queries reach it through content
+    like any other value (e.g. [D/meta/published]). *)
 
 type fti_mode =
   | Fti_versions  (** alternative A1 (Section 7.2) — the paper's choice *)
@@ -43,12 +45,6 @@ type t = {
           incremental reconstruction, delta residents spare history reads
           the blob fetch and decode.  0 disables the cache entirely,
           reproducing uncached IO behavior exactly. *)
-  document_time_path : string option;
-      (** Location path of the {e document time} embedded in content —
-          Section 3.1's third kind of time, e.g. ["//meta/published"] for
-          XMLNews-Meta-style articles.  When set, each committed version's
-          document time is extracted and kept in the delta index, queryable
-          without reconstruction. *)
   durability : [ `None | `Journal ];
       (** [`Journal] appends one commit-journal record per mutating
           operation, after the operation's blobs are durably written and

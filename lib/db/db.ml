@@ -53,24 +53,13 @@ type t = {
   dfti : Delta_fti.t option;
   cretime : Cretime_index.t option;
   mutable next_doc_id : int;
-  (* Section 3.1 document-time index: a B+-tree keyed by (document time,
-     sequence number) so equal publication instants coexist; populated when
-     the configuration names a document-time path. *)
-  dtime_path : Txq_xml.Path.t option;
-  dtime_index : Txq_store.Bptree.t;
-  (* Per-second tie-breaking sequence for the document-time index: maps a
-     seconds value to the number of rows already keyed under it, so equal
-     publication instants stay distinct without ever overflowing into the
-     seconds bits (a single global counter wraps after 2^20 rows and
-     silently collides). *)
-  dtime_counts : (int, int) Hashtbl.t;
   stats : stats;
   vcache : Vcache.t;
   (* MVCC: the lock serializes the single writer against snapshot capture
      and the index reads that walk writer-mutated structures (FTI fetch,
-     CreTime, document-time B+-tree).  Reconstruction from a snapshot's
-     captured chains runs lock-free.  Shared (by the [{ t with ... }] copy)
-     between the live handle and its snapshots. *)
+     CreTime).  Reconstruction from a snapshot's captured chains runs
+     lock-free.  Shared (by the [{ t with ... }] copy) between the live
+     handle and its snapshots. *)
   lock : Txq_store.Rwlock.t;
   pins : pins;
   (* [Some _]: this handle is an immutable snapshot — its [docs] are
@@ -120,10 +109,6 @@ let make config ~clock ~disk ~pool journal =
          Some (Cretime_index.create_paged pool)
        else None);
     next_doc_id = 0;
-    dtime_path =
-      Option.map Txq_xml.Path.parse_exn config.Config.document_time_path;
-    dtime_index = Txq_store.Bptree.create pool;
-    dtime_counts = Hashtbl.create 64;
     stats =
       { commits = 0; deltas_read = 0; reconstructions = 0;
         reconstruct_cache_hits = 0 };
@@ -293,64 +278,6 @@ let record_created_tree t d ts tree =
           (Eid.make ~doc:(Docstore.doc_id d) ~xid) ts)
       (Vnode.xids tree)
 
-(* Extract the content-embedded document time, when configured. *)
-let extract_doc_time t xml =
-  match t.dtime_path with
-  | None -> None
-  | Some path -> (
-    match Txq_xml.Path.select_from_children path (Xml.normalize xml) with
-    | node :: _ ->
-      Timestamp.of_string_opt (String.trim (Xml.text_content node))
-    | [] -> None)
-
-(* Document-time keys: seconds in the high bits, a per-second sequence
-   number in the low 20, so identical publication instants stay distinct.
-   Instants beyond ±2^42 seconds (~139k years) cannot be packed; no real
-   document time is.  The sequence is per distinct seconds value (see
-   [dtime_counts]): a global counter would wrap past [dtime_seq_limit]
-   rows and collide with an earlier key — its low bits are masked, so the
-   collision silently replaces an unrelated row and dtime range reads lose
-   data.  At the (absurd) bound of 2^20 rows sharing one second the row is
-   skipped, counted and logged instead of corrupting the index. *)
-let dtime_key_bits = 20
-let dtime_seq_limit = 1 lsl dtime_key_bits
-
-let dtime_key seconds seq =
-  Int64.logor
-    (Int64.shift_left (Int64.of_int seconds) dtime_key_bits)
-    (Int64.of_int (seq land (dtime_seq_limit - 1)))
-
-let record_doc_time t ~doc ~version = function
-  | None -> ()
-  | Some dt ->
-    let seconds = Timestamp.to_seconds dt in
-    if abs seconds < 1 lsl 42 then begin
-      let seq =
-        match Hashtbl.find_opt t.dtime_counts seconds with
-        | Some n -> n
-        | None -> 0
-      in
-      if seq >= dtime_seq_limit then begin
-        Txq_obs.Metrics.incr "db.dtime.overflow_skipped";
-        Log.warn (fun m ->
-            m
-              "document-time index full at %d rows for instant %s; \
-               doc %d v%d not indexed"
-              dtime_seq_limit (Timestamp.to_string dt) doc version)
-      end
-      else begin
-        Txq_store.Bptree.insert t.dtime_index
-          ~key:(dtime_key seconds seq)
-          (Int64.of_int doc, Int64.of_int version);
-        Hashtbl.replace t.dtime_counts seconds (seq + 1)
-      end
-    end
-
-(* Test hook for the overflow boundary: forcing 2^20 real inserts through
-   the B+-tree would dominate the test suite's runtime. *)
-let set_dtime_count_for_tests t ~seconds count =
-  Hashtbl.replace t.dtime_counts seconds count
-
 (* --- derived-index maintenance ---------------------------------------- *)
 
 (* One committed version / one deletion, as seen by every replay path: the
@@ -510,13 +437,13 @@ let add_document t d =
 (* One function per record kind, shared by the live mutators and shipped
    replay: write the version's blobs, journal the record over them — the
    commit point: up to here the previous state is intact on disk —, append
-   to the chain, record the document time, maintain the derived indexes
-   and count the commit.  The callers differ only in where the tree, the
-   delta and their bytes come from, and in [snapshot]: [snapshot_due] on a
-   live commit, the shipped record's own snapshot on replay.  Each returns
-   the group-commit ticket, if one was issued. *)
+   to the chain, maintain the derived indexes and count the commit.  The
+   callers differ only in where the tree, the delta and their bytes come
+   from, and in [snapshot]: [snapshot_due] on a live commit, the shipped
+   record's own snapshot on replay.  Each returns the group-commit ticket,
+   if one was issued. *)
 
-let commit_insert t ~doc ~url ~ts ~doc_time ~snapshot ~tree ~bytes =
+let commit_insert t ~doc ~url ~ts ~snapshot ~tree ~bytes =
   let put () = Txq_store.Blob_store.put t.blobs ~cluster:doc bytes in
   let current_blob = put () in
   let snapshot_blob = if snapshot then Some (put ()) else None in
@@ -524,22 +451,19 @@ let commit_insert t ~doc ~url ~ts ~doc_time ~snapshot ~tree ~bytes =
     journal_append t
       (Journal_record.Insert
          { r_doc = doc; r_url = url; r_ts = seconds ts;
-           r_doc_time = Option.map seconds doc_time;
            r_current = blob_ref current_blob;
            r_snapshot = Option.map blob_ref snapshot_blob })
   in
   let d =
-    Docstore.restore ~blobs:t.blobs ~doc_id:doc ~url ~ts ?doc_time
-      ~current:tree ~current_blob ~snapshot_blob ()
+    Docstore.restore ~blobs:t.blobs ~doc_id:doc ~url ~ts ~current:tree
+      ~current_blob ~snapshot_blob ()
   in
   add_document t d;
-  record_doc_time t ~doc ~version:0 doc_time;
   index_insert t ~doc ~version:0 d ts tree;
   t.stats.commits <- t.stats.commits + 1;
   ticket
 
-let commit_version t d ~ts ~doc_time ~snapshot ~delta ~delta_bytes ~tree
-    ~tree_bytes =
+let commit_version t d ~ts ~snapshot ~delta ~delta_bytes ~tree ~tree_bytes =
   let doc = Docstore.doc_id d and version = Docstore.version_count d in
   (* blobs in a fixed order (delta, current, snapshot), so a replica built
      from scratch allocates the same shapes as its primary *)
@@ -551,7 +475,6 @@ let commit_version t d ~ts ~doc_time ~snapshot ~delta ~delta_bytes ~tree
     journal_append t
       (Journal_record.Commit
          { r_doc = doc; r_version = version; r_ts = seconds ts;
-           r_doc_time = Option.map seconds doc_time;
            r_delta = blob_ref delta_blob; r_current = blob_ref current_blob;
            r_snapshot = Option.map blob_ref snapshot_blob })
   in
@@ -564,9 +487,8 @@ let commit_version t d ~ts ~doc_time ~snapshot ~delta ~delta_bytes ~tree
     else free_blob t ~cluster:doc
   in
   let old_tree = Docstore.current d in
-  Docstore.append d ~ts ?doc_time ~delta_blob ~snapshot_blob ~current:tree
+  Docstore.append d ~ts ~delta_blob ~snapshot_blob ~current:tree
     ~current_blob ~free ();
-  record_doc_time t ~doc ~version doc_time;
   index_commit t ~doc ~version ~ts ~old_tree:(Lazy.from_val old_tree) delta
     (Lazy.from_val tree);
   t.stats.commits <- t.stats.commits + 1;
@@ -606,10 +528,9 @@ let insert_document t ~url ?ts xml =
   let doc = t.next_doc_id in
   check_insert ~err t ~doc ~url;
   let ts = commit_ts t ts in
-  let doc_time = extract_doc_time t xml in
   let tree = Docstore.ingest xml in
   let ticket =
-    commit_insert t ~doc ~url ~ts ~doc_time ~snapshot:(snapshot_due t 0) ~tree
+    commit_insert t ~doc ~url ~ts ~snapshot:(snapshot_due t 0) ~tree
       ~bytes:(Txq_vxml.Codec.encode tree)
   in
   Log.debug (fun m ->
@@ -628,10 +549,9 @@ let update_document t ~url ?ts xml =
   let ts = commit_ts t ts in
   let version = Docstore.version_count d in
   check_commit ~err d ~version ~ts;
-  let doc_time = extract_doc_time t xml in
   let delta, tree = Docstore.diff d xml in
   let ticket =
-    commit_version t d ~ts ~doc_time ~snapshot:(snapshot_due t version) ~delta
+    commit_version t d ~ts ~snapshot:(snapshot_due t version) ~delta
       ~delta_bytes:(Delta.encode delta) ~tree
       ~tree_bytes:(Txq_vxml.Codec.encode tree)
   in
@@ -755,38 +675,6 @@ let delta_fti t =
 
 let cretime t = t.cretime
 
-let document_time t doc_id v = Docstore.doc_time_of_version (doc t doc_id) v
-
-let find_by_document_time t ~t1 ~t2 =
-  (* The document-time B+-tree is shared with the live writer, which
-     rebalances nodes on insert: walk it only with the writer excluded. *)
-  with_read t @@ fun () ->
-  let clamp ts = Stdlib.max (-(1 lsl 42)) (Stdlib.min (1 lsl 42) (Timestamp.to_seconds ts)) in
-  let lo = dtime_key (clamp t1) 0 in
-  let hi = dtime_key (clamp t2) 0 in
-  (* On a snapshot, rows committed past the watermark name documents or
-     versions the pinned views cannot see: clip them out. *)
-  let visible doc v =
-    match t.view with
-    | None -> true
-    | Some _ -> (
-      match doc_opt t doc with
-      | None -> false
-      | Some d -> v < Docstore.version_count d)
-  in
-  List.filter_map
-    (fun (key, (doc, v)) ->
-      (* rows for vacuumed versions are tombstoned with doc = -1 (the
-         B+-tree is upsert-only) *)
-      if Int64.compare doc 0L < 0 then None
-      else
-        let doc = Int64.to_int doc and v = Int64.to_int v in
-        if not (visible doc v) then None
-        else
-          let seconds = Int64.to_int (Int64.shift_right key dtime_key_bits) in
-          Some (Timestamp.of_seconds seconds, doc, v))
-    (Txq_store.Bptree.range t.dtime_index ~lo ~hi)
-
 (* --- vacuum ------------------------------------------------------------ *)
 
 type vacuum_report = {
@@ -798,7 +686,6 @@ type vacuum_report = {
   vr_postings_pruned : int;
   vr_dfti_pruned : int;
   vr_cretime_pruned : int;
-  vr_dtime_pruned : int;
 }
 
 let empty_vacuum_report =
@@ -811,7 +698,6 @@ let empty_vacuum_report =
     vr_postings_pruned = 0;
     vr_dfti_pruned = 0;
     vr_cretime_pruned = 0;
-    vr_dtime_pruned = 0;
   }
 
 (* One document's planned action.  [`Drop]: the whole lifetime ended before
@@ -821,42 +707,22 @@ type vacuum_plan =
   | Plan_drop of { pd_doc : Eid.doc_id; pd_wm : int }
   | Plan_squash of { ps_doc : Eid.doc_id; ps_rebase : Docstore.rebase; ps_wm : int }
 
-(* Tombstone the document-time rows of every version a vacuum removed
-   ([cutoff]: doc -> first retained version).  The tree is keyed by
-   document time, so matching rows are found by a full sweep and
-   tombstoned in place (doc = -1) — the B+-tree is upsert-only.  Returns
-   the rows tombstoned. *)
-let prune_doc_time t cutoff =
-  let victims = ref [] in
-  Txq_store.Bptree.iter t.dtime_index (fun key (doc, v) ->
-      if Int64.compare doc 0L >= 0 then
-        match Hashtbl.find_opt cutoff (Int64.to_int doc) with
-        | Some base when Int64.to_int v < base -> victims := key :: !victims
-        | _ -> ());
-  List.iter
-    (fun key -> Txq_store.Bptree.insert t.dtime_index ~key (-1L, 0L))
-    !victims;
-  List.length !victims
-
 (* The vacuum's chain step, shared by the live vacuum and every journal
    replay: truncate or drop each planned chain, handing each released blob
-   to [free], unlink dropped documents from the URL directory and
-   tombstone the document-time rows of the removed versions.  Returns the
-   versions dropped, the pages released and the rows tombstoned, counted
-   as the chains are walked. *)
+   to [free], and unlink dropped documents from the URL directory.  Returns
+   the versions dropped and the pages released, counted as the chains are
+   walked. *)
 let vacuum_apply t ~free plans =
   let versions = ref 0 and pages = ref 0 in
   let free ~cluster blob =
     pages := !pages + Txq_store.Blob_store.pages_used blob;
     free ~cluster blob
   in
-  let cutoff = Hashtbl.create 8 in
   List.iter
     (function
       | Plan_drop { pd_doc; _ } ->
         let d = doc t pd_doc in
         versions := !versions + Docstore.version_count d - Docstore.first_version d;
-        Hashtbl.replace cutoff pd_doc max_int;
         Docstore.apply_drop d ~free:(free ~cluster:pd_doc);
         Hashtbl.remove t.docs pd_doc;
         (match Hashtbl.find_opt t.urls (Docstore.url d) with
@@ -868,12 +734,11 @@ let vacuum_apply t ~free plans =
       | Plan_squash { ps_doc; ps_rebase; ps_wm } ->
         let d = doc t ps_doc and base = ps_rebase.Docstore.rb_base in
         versions := !versions + base - Docstore.first_version d;
-        Hashtbl.replace cutoff ps_doc base;
         Docstore.mark_used d [ Txq_vxml.Xid.of_int ps_wm ];
         Docstore.apply_rebase d ~free:(free ~cluster:ps_doc) ps_rebase;
         Vcache.evict_before t.vcache ps_doc base)
     plans;
-  (!versions, !pages, prune_doc_time t cutoff)
+  (!versions, !pages)
 
 (* Resolve the per-document target base under the retention policy: the
    horizon drops versions whose validity ended at or before it, keep-last-N
@@ -935,7 +800,7 @@ let vacuum_commit t ~ts plans =
       (List.filter (function Plan_drop _ -> true | Plan_squash _ -> false) plans)
   in
   let docs_squashed = List.length plans - docs_dropped in
-  let versions_dropped, pages_freed, dtime_removed =
+  let versions_dropped, pages_freed =
     Trace.with_span "db.vacuum.squash" (fun () ->
         vacuum_apply t ~free:(free_blob t) plans)
   in
@@ -993,7 +858,6 @@ let vacuum_commit t ~ts plans =
     vr_postings_pruned = postings;
     vr_dfti_pruned = dfti_removed;
     vr_cretime_pruned = cretime_removed;
-    vr_dtime_pruned = dtime_removed;
   }
 
 let vacuum ?retention t =
@@ -1126,15 +990,13 @@ let restore_blob r =
    restore all rebuild the state after a prefix of commits, by applying
    the prefix here record by record.  Each record meets the live writer's
    checks before anything changes.  A [Shipped] record then takes the live
-   writer's commit step; a [Local] one updates the chains and records the
-   document time as that step does, and recovery maintains the other
-   derived indexes and advances the XID generators once, after the last
-   record ([rebuild_doc]).  A vacuum takes the same chain step either way
-   ([vacuum_apply]), so the document-time rows a recovery holds are the
-   live writer's, tombstones included.  The clock follows the
-   newest timestamp, so a detached replica or a restored store never
-   stamps a new commit at or before replayed history.  Caller holds the
-   write lock (recovery holds the only reference). *)
+   writer's commit step; a [Local] one updates the chains, and recovery
+   maintains the derived indexes and advances the XID generators once,
+   after the last record ([rebuild_doc]).  A vacuum takes the same chain
+   step either way ([vacuum_apply]).  The clock follows the newest
+   timestamp, so a detached replica or a restored store never stamps a new
+   commit at or before replayed history.  Caller holds the write lock
+   (recovery holds the only reference). *)
 let apply_record t src record =
   let err msg =
     let say = Format.asprintf "%a: %s" Journal_record.pp record msg in
@@ -1155,34 +1017,30 @@ let apply_record t src record =
   (match record with
    | Journal_record.Insert r ->
      let doc = r.r_doc and url = r.r_url and ts = of_seconds r.r_ts in
-     let doc_time = Option.map of_seconds r.r_doc_time in
      check_insert ~err t ~doc ~url;
      (match src with
       | Local _ ->
         add_document t
-          (Docstore.restore ~blobs:t.blobs ~doc_id:doc ~url ~ts ?doc_time
+          (Docstore.restore ~blobs:t.blobs ~doc_id:doc ~url ~ts
              ~current_blob:(restore_blob r.r_current)
              ~snapshot_blob:(Option.map restore_blob r.r_snapshot) ());
-        record_doc_time t ~doc ~version:0 doc_time;
         t.stats.commits <- t.stats.commits + 1
       | Shipped contents ->
         let bytes = List.hd contents in
         let tree = decode "version-0 tree" Txq_vxml.Codec.decode bytes in
         ignore
-          (commit_insert t ~doc ~url ~ts ~doc_time
-             ~snapshot:(r.r_snapshot <> None) ~tree ~bytes
+          (commit_insert t ~doc ~url ~ts ~snapshot:(r.r_snapshot <> None)
+             ~tree ~bytes
             : int option))
    | Journal_record.Commit r ->
      let d = find r.r_doc and ts = of_seconds r.r_ts in
-     let doc_time = Option.map of_seconds r.r_doc_time in
      check_commit ~err d ~version:r.r_version ~ts;
      (match src with
       | Local freed ->
-        Docstore.append d ~ts ?doc_time ~delta_blob:(restore_blob r.r_delta)
+        Docstore.append d ~ts ~delta_blob:(restore_blob r.r_delta)
           ~snapshot_blob:(Option.map restore_blob r.r_snapshot)
           ~current_blob:(restore_blob r.r_current)
           ~free:(attribute freed ~cluster:r.r_doc) ();
-        record_doc_time t ~doc:r.r_doc ~version:r.r_version doc_time;
         t.stats.commits <- t.stats.commits + 1
       | Shipped contents ->
         let delta_bytes = List.hd contents in
@@ -1193,7 +1051,7 @@ let apply_record t src record =
         Docstore.mark_used d (Delta.inserted_xids delta);
         Docstore.mark_used d (Delta.deleted_xids delta);
         ignore
-          (commit_version t d ~ts ~doc_time ~snapshot:(r.r_snapshot <> None)
+          (commit_version t d ~ts ~snapshot:(r.r_snapshot <> None)
              ~delta ~delta_bytes ~tree ~tree_bytes:(Txq_vxml.Codec.encode tree)
             : int option))
    | Journal_record.Delete r ->
@@ -1238,7 +1096,7 @@ let apply_record t src record =
      in
      (match src with
       | Local freed ->
-        ignore (vacuum_apply t ~free:(attribute freed) plans : int * int * int)
+        ignore (vacuum_apply t ~free:(attribute freed) plans : int * int)
       | Shipped _ ->
         if plans <> [] then
           ignore (vacuum_commit t ~ts:(of_seconds r_ts) plans : vacuum_report)));
@@ -1526,19 +1384,6 @@ module Replay = struct
           r.applied <- r.applied + 1)
     end
 end
-
-let apply_stream r pull =
-  let n = ref 0 in
-  let rec loop () =
-    match pull () with
-    | None -> ()
-    | Some sh ->
-      Replay.apply r sh;
-      incr n;
-      loop ()
-  in
-  loop ();
-  !n
 
 (* Clone this store as of [as_of] (transaction time, {e inclusive} — a
    commit stamped exactly [as_of] is part of the restored state, matching

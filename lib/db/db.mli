@@ -165,21 +165,6 @@ val delta_fti : t -> Txq_fti.Delta_fti.t
 
 val cretime : t -> Cretime_index.t option
 
-val document_time :
-  t -> Txq_vxml.Eid.doc_id -> int -> Txq_temporal.Timestamp.t option
-(** The content-embedded document time of a version (Section 3.1), when the
-    configuration names a [document_time_path] and the version carried
-    one. *)
-
-val find_by_document_time :
-  t ->
-  t1:Txq_temporal.Timestamp.t ->
-  t2:Txq_temporal.Timestamp.t ->
-  (Txq_temporal.Timestamp.t * Txq_vxml.Eid.doc_id * int) list
-(** Versions whose document time falls in [\[t1, t2)], ordered by document
-    time — the "indexed and queried based on this document time" capability
-    of Section 3.1.  No reconstruction involved. *)
-
 val version_at : t -> Txq_vxml.Eid.doc_id -> Txq_temporal.Timestamp.t -> int option
 
 (** {1 Vacuum}
@@ -201,7 +186,6 @@ type vacuum_report = {
   vr_postings_pruned : int;  (** version-content index postings removed *)
   vr_dfti_pruned : int;  (** delta-operation index entries removed *)
   vr_cretime_pruned : int;
-  vr_dtime_pruned : int;  (** document-time rows tombstoned *)
 }
 
 val empty_vacuum_report : vacuum_report
@@ -233,7 +217,7 @@ val recover : Txq_store.Disk.t -> Config.t -> t
 (** Rebuilds a database from the disk image alone, as after a crash: scans
     for the commit journal, discards any record a crash left incomplete,
     and replays the committed ones — document chains, blob directory and
-    free lists, URL directory, full-text/CreTime/document-time indexes —
+    free lists, URL directory, full-text and CreTime indexes —
     to a state equivalent to the last committed operation.  A tail of
     records that do not decode is dropped from replay and truncated from
     the journal before anything appends behind it; an undecodable record
@@ -328,11 +312,6 @@ module Replay : sig
       after everything replicated. *)
 end
 
-val apply_stream : Replay.r -> (unit -> Journal_record.shipment option) -> int
-(** Pulls shipments until the source returns [None], applying each;
-    returns how many were applied.  The building block for a poll loop:
-    [apply_stream r (next (ship primary ~from:(Replay.applied r) ()))]. *)
-
 val restore_as_of : t -> as_of:Txq_temporal.Timestamp.t -> t
 (** Point-in-time restore: a fresh store holding exactly the commits whose
     transaction time is at or before [as_of] ({e inclusive}, matching
@@ -360,11 +339,6 @@ val disk : t -> Txq_store.Disk.t
     to notice). *)
 
 (**/**)
-
-val set_dtime_count_for_tests : t -> seconds:int -> int -> unit
-(** Pre-loads the document-time index's per-second row counter, so the
-    2^20-rows-per-second overflow boundary is testable without a million
-    B+-tree inserts.  Tests only. *)
 
 val version_cache_for_tests : t -> Vcache.t
 (** The version cache shared by the handle and its snapshots, so tests can

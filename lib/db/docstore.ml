@@ -14,7 +14,6 @@ type version_entry = {
   ve_ts : Timestamp.t;
   ve_delta : Blob_store.blob option; (* None for version 0 *)
   mutable ve_snapshot : Blob_store.blob option;
-  ve_doc_time : Timestamp.t option; (* Section 3.1 document time *)
 }
 
 type t = {
@@ -56,8 +55,7 @@ let mark_used t xids = List.iter (Txq_vxml.Xid.Gen.mark_used t.gen) xids
    real tree with [load_current]. *)
 let unloaded = Vnode.Text { xid = Txq_vxml.Xid.of_int 0; content = "" }
 
-let restore ~blobs ~doc_id ~url ~ts ?doc_time ?current ~current_blob
-    ~snapshot_blob () =
+let restore ~blobs ~doc_id ~url ~ts ?current ~current_blob ~snapshot_blob () =
   let t =
     {
       blobs;
@@ -74,7 +72,7 @@ let restore ~blobs ~doc_id ~url ~ts ?doc_time ?current ~current_blob
   in
   Option.iter (fun c -> mark_used t (Vnode.xids c)) current;
   Vec.push t.entries
-    { ve_ts = ts; ve_delta = None; ve_snapshot = snapshot_blob; ve_doc_time = doc_time };
+    { ve_ts = ts; ve_delta = None; ve_snapshot = snapshot_blob };
   t
 
 let ingest xml =
@@ -125,15 +123,14 @@ let entry t v =
 let ts_of_version t v = (entry t v).ve_ts
 let snapshot_blob t v = (entry t v).ve_snapshot
 
-let append t ~ts ?doc_time ~delta_blob ~snapshot_blob ?current ~current_blob
+let append t ~ts ~delta_blob ~snapshot_blob ?current ~current_blob
     ~free () =
   read_only_guard t "append";
   free t.current_blob;
   Option.iter (fun c -> t.current <- c) current;
   t.current_blob <- current_blob;
   Vec.push t.entries
-    { ve_ts = ts; ve_delta = Some delta_blob; ve_snapshot = snapshot_blob;
-      ve_doc_time = doc_time }
+    { ve_ts = ts; ve_delta = Some delta_blob; ve_snapshot = snapshot_blob }
 
 let diff t xml =
   Trace.with_span "docstore.diff" @@ fun () ->
@@ -210,8 +207,6 @@ let versions_overlapping t ~t1 ~t2 =
       in
       if (not alive) || v_lo > v_hi then None else Some (v_lo, v_hi)
   end
-
-let doc_time_of_version t v = (entry t v).ve_doc_time
 
 let snapshot_versions t =
   let out = ref [] in

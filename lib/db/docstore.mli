@@ -87,9 +87,6 @@ val versions_overlapping :
 (** [(v_lo, v_hi)]: the inclusive range of versions whose validity overlaps
     [\[t1, t2)]; [None] when no version does. *)
 
-val doc_time_of_version : t -> int -> Txq_temporal.Timestamp.t option
-(** The document time recorded with the version, if any. *)
-
 val check_delta : t -> int -> unit
 (** Raises [Invalid_argument] unless a delta leading to the given version
     is retained and visible through this handle: the version lies above
@@ -173,7 +170,6 @@ val restore :
   doc_id:Txq_vxml.Eid.doc_id ->
   url:string ->
   ts:Txq_temporal.Timestamp.t ->
-  ?doc_time:Txq_temporal.Timestamp.t ->
   ?current:Txq_vxml.Vnode.t ->
   current_blob:Txq_store.Blob_store.blob ->
   snapshot_blob:Txq_store.Blob_store.blob option ->
@@ -189,7 +185,6 @@ val restore :
 val append :
   t ->
   ts:Txq_temporal.Timestamp.t ->
-  ?doc_time:Txq_temporal.Timestamp.t ->
   delta_blob:Txq_store.Blob_store.blob ->
   snapshot_blob:Txq_store.Blob_store.blob option ->
   ?current:Txq_vxml.Vnode.t ->

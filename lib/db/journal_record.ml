@@ -5,7 +5,6 @@ type t =
       r_doc : int;
       r_url : string;
       r_ts : int;
-      r_doc_time : int option;
       r_current : blob_ref;
       r_snapshot : blob_ref option;
     }
@@ -13,7 +12,6 @@ type t =
       r_doc : int;
       r_version : int;
       r_ts : int;
-      r_doc_time : int option;
       r_delta : blob_ref;
       r_current : blob_ref;
       r_snapshot : blob_ref option;
@@ -55,21 +53,18 @@ let add_blob_ref buf { br_pages; br_length } =
 let encode r =
   let buf = Buffer.create 128 in
   (match r with
-   | Insert { r_doc; r_url; r_ts; r_doc_time; r_current; r_snapshot } ->
+   | Insert { r_doc; r_url; r_ts; r_current; r_snapshot } ->
      Buffer.add_char buf 'I';
      add_int buf r_doc;
      add_string buf r_url;
      add_int buf r_ts;
-     add_opt add_int buf r_doc_time;
      add_blob_ref buf r_current;
      add_opt add_blob_ref buf r_snapshot
-   | Commit
-       { r_doc; r_version; r_ts; r_doc_time; r_delta; r_current; r_snapshot } ->
+   | Commit { r_doc; r_version; r_ts; r_delta; r_current; r_snapshot } ->
      Buffer.add_char buf 'C';
      add_int buf r_doc;
      add_int buf r_version;
      add_int buf r_ts;
-     add_opt add_int buf r_doc_time;
      add_blob_ref buf r_delta;
      add_blob_ref buf r_current;
      add_opt add_blob_ref buf r_snapshot
@@ -147,20 +142,17 @@ let decode s =
         let r_doc = get_int "doc" in
         let r_url = get_string "url" in
         let r_ts = get_int "ts" in
-        let r_doc_time = get_opt get_int "doc_time" in
         let r_current = get_blob_ref "current" in
         let r_snapshot = get_opt get_blob_ref "snapshot" in
-        Insert { r_doc; r_url; r_ts; r_doc_time; r_current; r_snapshot }
+        Insert { r_doc; r_url; r_ts; r_current; r_snapshot }
       | 'C' ->
         let r_doc = get_int "doc" in
         let r_version = get_int "version" in
         let r_ts = get_int "ts" in
-        let r_doc_time = get_opt get_int "doc_time" in
         let r_delta = get_blob_ref "delta" in
         let r_current = get_blob_ref "current" in
         let r_snapshot = get_opt get_blob_ref "snapshot" in
-        Commit
-          { r_doc; r_version; r_ts; r_doc_time; r_delta; r_current; r_snapshot }
+        Commit { r_doc; r_version; r_ts; r_delta; r_current; r_snapshot }
       | 'D' ->
         let r_doc = get_int "doc" in
         let r_ts = get_int "ts" in
@@ -266,17 +258,12 @@ let pp_opt pp ppf = function
   | Some v -> pp ppf v
 
 let pp ppf = function
-  | Insert { r_doc; r_url; r_ts; r_doc_time; r_current; r_snapshot } ->
-    Format.fprintf ppf "Insert(doc=%d url=%S ts=%d dt=%a cur=%a snap=%a)"
-      r_doc r_url r_ts
-      (pp_opt Format.pp_print_int) r_doc_time
-      pp_blob_ref r_current
-      (pp_opt pp_blob_ref) r_snapshot
-  | Commit
-      { r_doc; r_version; r_ts; r_doc_time; r_delta; r_current; r_snapshot } ->
-    Format.fprintf ppf "Commit(doc=%d v=%d ts=%d dt=%a delta=%a cur=%a snap=%a)"
+  | Insert { r_doc; r_url; r_ts; r_current; r_snapshot } ->
+    Format.fprintf ppf "Insert(doc=%d url=%S ts=%d cur=%a snap=%a)"
+      r_doc r_url r_ts pp_blob_ref r_current (pp_opt pp_blob_ref) r_snapshot
+  | Commit { r_doc; r_version; r_ts; r_delta; r_current; r_snapshot } ->
+    Format.fprintf ppf "Commit(doc=%d v=%d ts=%d delta=%a cur=%a snap=%a)"
       r_doc r_version r_ts
-      (pp_opt Format.pp_print_int) r_doc_time
       pp_blob_ref r_delta pp_blob_ref r_current
       (pp_opt pp_blob_ref) r_snapshot
   | Delete { r_doc; r_ts } -> Format.fprintf ppf "Delete(doc=%d ts=%d)" r_doc r_ts

@@ -14,7 +14,6 @@ type t =
       r_doc : int;
       r_url : string;
       r_ts : int;  (** timestamp, seconds *)
-      r_doc_time : int option;
       r_current : blob_ref;  (** version-0 tree *)
       r_snapshot : blob_ref option;
     }
@@ -22,7 +21,6 @@ type t =
       r_doc : int;
       r_version : int;  (** the version this commit creates *)
       r_ts : int;
-      r_doc_time : int option;
       r_delta : blob_ref;  (** completed delta v-1 → v *)
       r_current : blob_ref;  (** new current version *)
       r_snapshot : blob_ref option;

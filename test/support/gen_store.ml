@@ -55,23 +55,20 @@ let gen_record =
           gen_url >>= fun r_url ->
           int_range 0 10_000 >>= fun r_doc ->
           gen_seconds >>= fun r_ts ->
-          opt gen_seconds >>= fun r_doc_time ->
           gen_blob_ref >>= fun r_current ->
           opt gen_blob_ref >>= fun r_snapshot ->
-          return (J.Insert { r_doc; r_url; r_ts; r_doc_time; r_current; r_snapshot })
+          return (J.Insert { r_doc; r_url; r_ts; r_current; r_snapshot })
         );
         ( 4,
           int_range 0 10_000 >>= fun r_doc ->
           int_range 1 100_000 >>= fun r_version ->
           gen_seconds >>= fun r_ts ->
-          opt gen_seconds >>= fun r_doc_time ->
           gen_blob_ref >>= fun r_delta ->
           gen_blob_ref >>= fun r_current ->
           opt gen_blob_ref >>= fun r_snapshot ->
           return
             (J.Commit
-               { r_doc; r_version; r_ts; r_doc_time; r_delta; r_current;
-                 r_snapshot }) );
+               { r_doc; r_version; r_ts; r_delta; r_current; r_snapshot }) );
         ( 1,
           int_range 0 10_000 >>= fun r_doc ->
           gen_seconds >>= fun r_ts ->

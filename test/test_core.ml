@@ -61,8 +61,7 @@ let test_vrange () =
     [(2, 3); (7, 8)]
     (to_list (inter (of_list [(0, 3); (7, 9)]) (of_list [(2, 8)])));
   Alcotest.(check bool) "mem" true (mem 7 (of_list [(7, 9)]));
-  Alcotest.(check bool) "mem upper open" false (mem 9 (of_list [(7, 9)]));
-  Alcotest.(check int) "spans" 5 (spans (of_list [(0, 3); (7, 9)]))
+  Alcotest.(check bool) "mem upper open" false (mem 9 (of_list [(7, 9)]))
 
 let test_vrange_helpers () =
   let open Vrange in
@@ -205,7 +204,7 @@ let test_q2_count_no_reconstruction () =
   let db, _ = fig1_db () in
   Db.reset_io db;
   let bindings = Scan.tpattern_scan db restaurant_pattern (ts "26/01/2001") in
-  Alcotest.(check int) "count" 2 (Aggregate.count bindings);
+  Alcotest.(check int) "count" 2 (List.length bindings);
   Alcotest.(check int) "no deltas read" 0 (Db.stats db).Db.deltas_read;
   Alcotest.(check int) "no reconstructions" 0 (Db.stats db).Db.reconstructions
 
@@ -896,51 +895,6 @@ let test_identity () =
   Alcotest.(check bool) "same EID across versions" true
     (Equality.identical (napoli_eid v0) (napoli_eid v2))
 
-(* --- aggregates ----------------------------------------------------------------- *)
-
-let test_count_versions () =
-  let db, _ = fig1_db () in
-  (* bounded matches: version spans count; open-ended ones are clipped to
-     the document's version count (fig1 has 3 versions) *)
-  let bindings =
-    Scan.tpattern_scan_all db (Pattern.of_path_exn ~value:"15" "/guide/restaurant/price")
-  in
-  Alcotest.(check int) "15 spans two versions" 2
-    (Aggregate.count_versions db bindings);
-  let open_bindings = Scan.tpattern_scan_all db napoli_pattern in
-  Alcotest.(check int) "open match spans all three versions" 3
-    (Aggregate.count_versions db open_bindings)
-
-(* Hand-computed oracle over synthetic version ranges, including the
-   open-ended ([hi = max_int]) ones TPatternScanAll emits for matches
-   still alive in the current version.  Regression: these used to count
-   as a single version (the max_int sentinel collapsed to +1). *)
-let test_count_versions_oracle () =
-  let db, _ = fig1_db () in (* 3 versions *)
-  let base =
-    match Scan.tpattern_scan_all db napoli_pattern with
-    | b :: _ -> b
-    | [] -> Alcotest.fail "fig1 must bind Napoli"
-  in
-  let with_ranges rs = { base with Scan.b_versions = Vrange.of_list rs } in
-  let count cases = Aggregate.count_versions db (List.map with_ranges cases) in
-  (* bounded: plain span sums *)
-  Alcotest.(check int) "bounded singleton" 1 (count [ [ (1, 2) ] ]);
-  Alcotest.(check int) "bounded disjoint ranges" 2 (count [ [ (0, 1); (2, 3) ] ]);
-  (* open ranges clip to the document's 3 versions *)
-  Alcotest.(check int) "open from 0 = whole history" 3
-    (count [ [ (0, max_int) ] ]);
-  Alcotest.(check int) "open from 1" 2 (count [ [ (1, max_int) ] ]);
-  (* mixed bounded + open within one binding *)
-  Alcotest.(check int) "mixed [(0,1) ∪ [2,∞))" 2
-    (count [ [ (0, 1); (2, max_int) ] ]);
-  (* several bindings sum independently *)
-  Alcotest.(check int) "sum across bindings" 4
-    (count [ [ (0, 2) ]; [ (1, max_int) ] ]);
-  (* a range past the end contributes nothing after clipping *)
-  Alcotest.(check int) "past-the-end clipped away" 1
-    (count [ [ (2, 3); (7, max_int) ] ])
-
 let test_eid_printing () =
   let eid = Eid.make ~doc:3 ~xid:(Txq_vxml.Xid.of_int 7) in
   Alcotest.(check string) "eid" "d3#7" (Eid.to_string eid);
@@ -955,18 +909,6 @@ let test_similarity_bounds () =
   Alcotest.(check (float 0.0001)) "disjoint" 0.0 (Equality.similarity a b);
   let s = Equality.similarity a (v "<r><name>Roma</name></r>") in
   Alcotest.(check bool) "partial in (0,1)" true (s > 0.0 && s < 1.0)
-
-let test_aggregates () =
-  let db, _ = fig1_db () in
-  let prices = Pattern.of_path_exn "/guide/restaurant/price" in
-  let teids = Scan.to_teids db (Scan.tpattern_scan db prices (ts "26/01/2001")) in
-  Alcotest.(check (float 0.001)) "sum at 26/01" 28.0 (Aggregate.sum db teids);
-  Alcotest.(check (option (float 0.001))) "avg" (Some 14.0) (Aggregate.avg db teids);
-  Alcotest.(check (option (pair (float 0.001) (float 0.001)))) "min/max"
-    (Some (13.0, 15.0))
-    (Aggregate.min_max db teids);
-  let now_teids = Scan.to_teids db (Scan.pattern_scan db prices) in
-  Alcotest.(check (float 0.001)) "current sum" 31.0 (Aggregate.sum db now_teids)
 
 (* --- property: snapshot scan ≡ brute force over reconstructed snapshot ----------- *)
 
@@ -1257,10 +1199,6 @@ let () =
         ] );
       ( "aggregate",
         [
-          Alcotest.test_case "count/sum/avg" `Quick test_aggregates;
-          Alcotest.test_case "count_versions" `Quick test_count_versions;
-          Alcotest.test_case "count_versions oracle (open ranges)" `Quick
-            test_count_versions_oracle;
           Alcotest.test_case "eid printing" `Quick test_eid_printing;
           Alcotest.test_case "similarity bounds" `Quick test_similarity_bounds;
         ] );

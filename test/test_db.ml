@@ -765,50 +765,15 @@ let prop_fti_agrees_with_bruteforce =
           && ignore id = ())
         (List.mapi (fun i r -> (i, r)) all_versions))
 
-(* --- document time (Section 3.1) --------------------------------------------- *)
-
-let test_document_time_extraction () =
-  let config =
-    { Config.default with Config.document_time_path = Some "//meta/published" }
+(* A fresh store allocates exactly the root pages of the indexes it
+   maintains: the CreTime B+-tree's when configured, nothing else. *)
+let test_fresh_store_pages () =
+  let pages config =
+    Txq_store.Disk.page_count (Db.disk (Db.create ~config ()))
   in
-  let db = Db.create ~config () in
-  let article published body =
-    parse
-      (Printf.sprintf
-         "<article><meta><published>%s</published></meta><body>%s</body></article>"
-         published body)
-  in
-  let id =
-    Db.insert_document db ~url:"news" ~ts:(ts "05/06/2001")
-      (article "01/06/2001" "first")
-  in
-  ignore
-    (Db.update_document db ~url:"news" ~ts:(ts "09/06/2001")
-       (article "08/06/2001" "revised"));
-  Alcotest.(check (option string)) "v0 doc time" (Some "01/06/2001")
-    (Option.map Timestamp.to_string (Db.document_time db id 0));
-  Alcotest.(check (option string)) "v1 doc time" (Some "08/06/2001")
-    (Option.map Timestamp.to_string (Db.document_time db id 1));
-  (* range query over the document-time index *)
-  let hits =
-    Db.find_by_document_time db ~t1:(ts "01/06/2001") ~t2:(ts "05/06/2001")
-  in
-  Alcotest.(check (list (pair int int))) "published in the first window"
-    [(id, 0)]
-    (List.map (fun (_, d, v) -> (d, v)) hits);
-  (* a document without the element contributes nothing *)
-  ignore
-    (Db.insert_document db ~url:"other" ~ts:(ts "10/06/2001")
-       (parse "<article><body>untimed</body></article>"));
-  Alcotest.(check int) "untimed docs are not indexed" 2
-    (List.length
-       (Db.find_by_document_time db ~t1:Timestamp.minus_infinity
-          ~t2:Timestamp.plus_infinity))
-
-let test_document_time_disabled_by_default () =
-  let db, id = fig1_db () in
-  Alcotest.(check (option string)) "no doc time without config" None
-    (Option.map Timestamp.to_string (Db.document_time db id 0))
+  Alcotest.(check int) "CreTime root only" 1 (pages Config.default);
+  Alcotest.(check int) "no index, no page" 0
+    (pages { Config.default with Config.cretime_index = false })
 
 (* --- integrity -------------------------------------------------------------- *)
 
@@ -894,45 +859,6 @@ let test_reserved_names_rejected () =
     (fun () ->
       ignore (Db.insert_document db ~url:"bad2" (parse "<a _tx=\"1\"/>")))
 
-(* Regression: the per-second document-time sequence must refuse (count and
-   skip) the 2^20th row for one instant instead of masking the sequence into
-   an earlier key and silently replacing an unrelated row. *)
-let test_dtime_overflow_boundary () =
-  let config =
-    { Config.default with Config.document_time_path = Some "//meta/published" }
-  in
-  let db = Db.create ~config () in
-  let article published body =
-    parse
-      (Printf.sprintf
-         "<article><meta><published>%s</published></meta><body>%s</body></article>"
-         published body)
-  in
-  let published = "26/01/2001" in
-  let seconds = Timestamp.to_seconds (ts published) in
-  let skipped () =
-    Option.value ~default:0
-      (Txq_obs.Metrics.counter_value "db.dtime.overflow_skipped")
-  in
-  let before = skipped () in
-  (* pre-load the counter so the next row takes the last in-range slot *)
-  Db.set_dtime_count_for_tests db ~seconds ((1 lsl 20) - 1);
-  ignore
-    (Db.insert_document db ~url:"dtime/last-slot" ~ts:(ts "01/02/2001")
-       (article published "fits"));
-  Alcotest.(check int) "last slot is not an overflow" 0 (skipped () - before);
-  ignore
-    (Db.insert_document db ~url:"dtime/one-too-many" ~ts:(ts "02/02/2001")
-       (article published "skipped"));
-  Alcotest.(check int) "row past the cap is counted" 1 (skipped () - before);
-  (* the boundary row survives in the index; the overflowing one is absent
-     rather than having replaced it *)
-  let hits =
-    Db.find_by_document_time db ~t1:(ts published)
-      ~t2:(Timestamp.of_seconds (seconds + 1))
-  in
-  Alcotest.(check int) "index holds the boundary row only" 1 (List.length hits)
-
 (* Regression: releasing the same snapshot twice must not decrement another
    snapshot's pin (the second release is a no-op). *)
 let test_release_idempotent () =
@@ -994,15 +920,8 @@ let () =
           Alcotest.test_case "delta fti" `Quick test_delta_fti_records_changes;
           QCheck_alcotest.to_alcotest prop_fti_agrees_with_bruteforce;
           QCheck_alcotest.to_alcotest prop_cretime_matches_model;
-        ] );
-      ( "document_time",
-        [
-          Alcotest.test_case "extraction and range query" `Quick
-            test_document_time_extraction;
-          Alcotest.test_case "off by default" `Quick
-            test_document_time_disabled_by_default;
-          Alcotest.test_case "per-second overflow boundary" `Quick
-            test_dtime_overflow_boundary;
+          Alcotest.test_case "fresh store allocates index roots only" `Quick
+            test_fresh_store_pages;
         ] );
       ( "snapshots",
         [

@@ -249,11 +249,8 @@ let fingerprint ~ts_probes db =
          | Some t -> Timestamp.to_string t);
       add "  base %d\n" (Docstore.first_version d);
       for v = Docstore.first_version d to Docstore.version_count d - 1 do
-        add "  v%d @%s dt=%s %s\n" v
+        add "  v%d @%s %s\n" v
           (Timestamp.to_string (Docstore.ts_of_version d v))
-          (match Docstore.doc_time_of_version d v with
-           | None -> "-"
-           | Some t -> Timestamp.to_string t)
           (Print.to_string (Vnode.to_xml (Db.reconstruct db id v)))
       done;
       List.iter
@@ -479,111 +476,6 @@ let test_segment_cold_rebuild () =
   Alcotest.(check string) "recovered state identical"
     (fingerprint ~ts_probes db) (fingerprint ~ts_probes rdb)
 
-(* Recovery also restores the document-time index (Section 3.1). *)
-let test_document_time_recovery () =
-  let config =
-    { Config.default with
-      document_time_path = Some "//meta/published"; durability = `Journal }
-  in
-  let article published body =
-    parse
-      (Printf.sprintf
-         "<article><meta><published>%s</published></meta><body>%s</body></article>"
-         published body)
-  in
-  let db = Db.create ~config () in
-  ignore
-    (Db.insert_document db ~url:"n1" ~ts:(ts "05/06/2001")
-       (article "01/06/2001" "first"));
-  ignore
-    (Db.insert_document db ~url:"n2" ~ts:(ts "06/06/2001")
-       (article "20/05/2001" "second"));
-  ignore
-    (Db.update_document db ~url:"n1" ~ts:(ts "09/06/2001")
-       (article "08/06/2001" "revised"));
-  let show db =
-    List.map
-      (fun (dt, doc, v) ->
-        Printf.sprintf "%s doc%d v%d" (Timestamp.to_string dt) doc v)
-      (Db.find_by_document_time db ~t1:Timestamp.minus_infinity
-         ~t2:Timestamp.plus_infinity)
-  in
-  let rdb = Db.recover (Db.disk db) config in
-  Alcotest.(check (list string)) "document-time index rebuilt" (show db) (show rdb);
-  Alcotest.(check (option string)) "per-version document time"
-    (Some "08/06/2001")
-    (Option.map Timestamp.to_string (Db.document_time rdb 0 1))
-
-(* Recovery records document time in the replay step and replays a vacuum
-   through the live chain step, so a recovered store holds the live rows:
-   a vacuum tombstones rows, later commits share a document-time second
-   with live and tombstoned rows, and the listings and per-version
-   document times agree — also after one more commit on each side. *)
-let test_document_time_across_vacuum () =
-  let config =
-    { Config.default with
-      document_time_path = Some "//meta/published"; durability = `Journal }
-  in
-  let article published body =
-    parse
-      (Printf.sprintf
-         "<article><meta><published>%s</published></meta><body>%s</body></article>"
-         published body)
-  in
-  let db = Db.create ~config () in
-  let commit db url day published body =
-    let ts = ts (Printf.sprintf "%02d/06/2001" day) in
-    let xml = article published body in
-    match Db.find_live db url with
-    | None -> ignore (Db.insert_document db ~url ~ts xml)
-    | Some _ -> ignore (Db.update_document db ~url ~ts xml)
-  in
-  commit db "n1" 1 "01/05/2001" "a";
-  commit db "n1" 2 "02/05/2001" "b";
-  commit db "n2" 3 "02/05/2001" "c";
-  commit db "n1" 4 "03/05/2001" "d";
-  let report =
-    Db.vacuum
-      ~retention:{ Config.no_retention with Config.keep_versions = Some 1 }
-      db
-  in
-  Alcotest.(check int) "vacuum tombstones n1's two oldest rows" 2
-    report.Db.vr_dtime_pruned;
-  commit db "n2" 5 "02/05/2001" "e";
-  commit db "n1" 6 "02/05/2001" "f";
-  let show db =
-    List.map
-      (fun (dt, doc, v) ->
-        Printf.sprintf "%s doc%d v%d" (Timestamp.to_string dt) doc v)
-      (Db.find_by_document_time db ~t1:Timestamp.minus_infinity
-         ~t2:Timestamp.plus_infinity)
-  in
-  let doc_times db =
-    List.concat_map
-      (fun id ->
-        let d = Db.doc db id in
-        List.init
-          (Docstore.version_count d - Docstore.first_version d)
-          (fun i ->
-            let v = Docstore.first_version d + i in
-            Printf.sprintf "doc%d v%d %s" id v
-              (match Db.document_time db id v with
-               | Some dt -> Timestamp.to_string dt
-               | None -> "-")))
-      (Db.doc_ids db)
-  in
-  let rdb = Db.recover (Db.disk db) config in
-  Alcotest.(check (list string)) "document-time listing" (show db) (show rdb);
-  Alcotest.(check (list string)) "per-version document time" (doc_times db)
-    (doc_times rdb);
-  commit db "n2" 7 "02/05/2001" "g";
-  commit rdb "n2" 7 "02/05/2001" "g";
-  Alcotest.(check (list string)) "listing after one more commit" (show db)
-    (show rdb);
-  Alcotest.(check int) "the shared second lists every retained row" 4
-    (List.length
-       (List.filter (String.starts_with ~prefix:"02/05/2001") (show rdb)))
-
 (* A journal tail that decodes as garbage (page digests intact, payload
    logically corrupt) must not abort recovery: replay stops at the longest
    decodable prefix — every record from the first bad one on is dropped,
@@ -769,10 +661,6 @@ let () =
           Alcotest.test_case "clean restart is exact" `Quick test_clean_restart;
           Alcotest.test_case "fti segments rebuilt cold" `Quick
             test_segment_cold_rebuild;
-          Alcotest.test_case "document-time index" `Quick
-            test_document_time_recovery;
-          Alcotest.test_case "document time across a vacuum" `Quick
-            test_document_time_across_vacuum;
           Alcotest.test_case "corrupt journal tail truncates replay" `Quick
             test_corrupt_tail_recovery;
           Alcotest.test_case "truncated tail: commit, then recover again"

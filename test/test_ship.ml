@@ -84,7 +84,7 @@ let patterns =
     ]
 
 (* Everything equivalence cares about: every surviving version of every
-   document rendered to XML, deletion marks, document times, DocHistory
+   document rendered to XML, deletion marks, DocHistory
    over the whole timeline, and TPatternScan (all-versions plus a snapshot
    probe at every operation instant). *)
 let fingerprint ?(ts_probes = List.init 20 op_ts) db =
@@ -100,11 +100,8 @@ let fingerprint ?(ts_probes = List.init 20 op_ts) db =
          | Some t -> Timestamp.to_string t)
         (Docstore.first_version d);
       for v = Docstore.first_version d to Docstore.version_count d - 1 do
-        add "  v%d @%s dt=%s %s\n" v
+        add "  v%d @%s %s\n" v
           (Timestamp.to_string (Docstore.ts_of_version d v))
-          (match Docstore.doc_time_of_version d v with
-           | None -> "-"
-           | Some t -> Timestamp.to_string t)
           (Print.to_string (Vnode.to_xml (Db.reconstruct db id v)))
       done;
       List.iter
@@ -133,20 +130,13 @@ let fingerprint ?(ts_probes = List.init 20 op_ts) db =
 
 (* --- helpers ------------------------------------------------------------- *)
 
-let stream_of_list l =
-  let rem = ref l in
-  fun () ->
-    match !rem with
-    | [] -> None
-    | x :: tl ->
-      rem := tl;
-      Some x
+let apply_all r batch = List.iter (Db.Replay.apply r) batch
 
 (* Pull until the replica sits at the primary's durable watermark. *)
 let rec catch_up primary r =
   let batch = Db.ship primary ~from:(Db.Replay.applied r) () in
   if batch <> [] then begin
-    ignore (Db.apply_stream r (stream_of_list batch) : int);
+    apply_all r batch;
     catch_up primary r
   end
 
@@ -260,10 +250,10 @@ let test_apply_overlap_and_gap () =
   let primary = loaded_primary () in
   let r = Db.Replay.create ~config:(Db.config primary) () in
   let all = Db.ship primary ~from:0 ~limit:1_000 () in
-  ignore (Db.apply_stream r (stream_of_list all) : int);
+  apply_all r all;
   let fp = fingerprint (Db.Replay.db r) in
   (* replaying the whole stream again is a silent no-op *)
-  ignore (Db.apply_stream r (stream_of_list all) : int);
+  apply_all r all;
   Alcotest.(check string) "overlap is idempotent" fp
     (fingerprint (Db.Replay.db r));
   let r2 = Db.Replay.create ~config:(Db.config primary) () in
@@ -304,7 +294,7 @@ let test_replay_checks () =
   refuse "insert at a live URL"
     (Journal_record.Insert
        { r_doc = 1 + List.fold_left max 0 (Db.doc_ids rdb); r_url = "c";
-         r_ts = Timestamp.to_seconds (op_ts 30); r_doc_time = None;
+         r_ts = Timestamp.to_seconds (op_ts 30);
          r_current = { Journal_record.br_pages = [ 0 ]; br_length = String.length v0 };
          r_snapshot = None })
     [ v0 ]
@@ -350,7 +340,7 @@ let test_kill_at_every_boundary () =
   let drop k l = List.filteri (fun i _ -> i >= k) l in
   for k = 0 to n do
     let r = Db.Replay.create ~config:durable () in
-    ignore (Db.apply_stream r (stream_of_list (take k all)) : int);
+    apply_all r (take k all);
     (* the kill: all that survives is the replica's disk *)
     let rdb = Db.recover (Db.disk (Db.Replay.db r)) durable in
     Alcotest.(check string)
@@ -360,7 +350,7 @@ let test_kill_at_every_boundary () =
     Alcotest.(check int)
       (Printf.sprintf "killed at %d: resume position" k)
       k (Db.Replay.applied r2);
-    ignore (Db.apply_stream r2 (stream_of_list (drop k all)) : int);
+    apply_all r2 (drop k all);
     Alcotest.(check string)
       (Printf.sprintf "killed at %d: resumed replica converges" k)
       rfps.(n)
@@ -496,7 +486,7 @@ let test_kill_across_vacuum () =
     (fingerprint primary) rfps.(n);
   for k = 0 to n do
     let r = Db.Replay.create ~config:durable () in
-    ignore (Db.apply_stream r (stream_of_list (take_n k all)) : int);
+    apply_all r (take_n k all);
     let rdb = Db.recover (Db.disk (Db.Replay.db r)) durable in
     let what = Printf.sprintf "killed at %d (vacuum is record %d)" k vacuum_at in
     Alcotest.(check string) (what ^ ": recovered = prefix") rfps.(k)
@@ -506,7 +496,7 @@ let test_kill_across_vacuum () =
      | Error errs -> Alcotest.failf "%s: verify: %s" what (String.concat "; " errs));
     check_no_leaks what rdb;
     let r2 = Db.Replay.of_db rdb in
-    ignore (Db.apply_stream r2 (stream_of_list (drop_n k all)) : int);
+    apply_all r2 (drop_n k all);
     Alcotest.(check string) (what ^ ": resumed replica converges") rfps.(n)
       (fingerprint (Db.Replay.db r2))
   done
@@ -515,16 +505,12 @@ let test_kill_across_vacuum () =
    replay maintains them record by record, recovery rebuilds them from the
    finished chains, and the FTI indexes each commit from its delta against
    trees the diff, [Xidmap] application and the rebuild build each their
-   own way.  Four stores must agree on the document-time index, on the raw
-   CreTime rows of every element of every retained version and on every
-   FTI posting: the primary, its recovery, a caught-up replica, and the
+   own way.  Four stores must agree on the raw CreTime rows of every
+   element of every retained version and on every FTI posting: the primary, its recovery, a caught-up replica, and the
    replica's recovery.  The workload vacuums half-way and moves an
    element. *)
 let test_recover_equals_replay_indexes () =
-  let config =
-    Config.durable
-      { Config.default with document_time_path = Some "//meta/published" }
-  in
+  let config = Config.durable Config.default in
   let article published items =
     parse
       (Printf.sprintf
@@ -579,10 +565,6 @@ let test_recover_equals_replay_indexes () =
     let buf = Buffer.create 1024 in
     let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
     let ts_opt = function None -> "-" | Some t -> Timestamp.to_string t in
-    List.iter
-      (fun (dt, doc, v) -> add "dtime %s doc%d v%d\n" (Timestamp.to_string dt) doc v)
-      (Db.find_by_document_time db ~t1:Timestamp.minus_infinity
-         ~t2:Timestamp.plus_infinity);
     let idx = Option.get (Db.cretime db) in
     List.iter
       (fun id ->

@@ -81,12 +81,10 @@ let test_keep_versions_squash () =
    Document "d" (3 versions) is deleted, then "s" gets 8 versions whose
    bodies grow past one page, so some deltas span two; keep-last-3
    squashes "s" alone (5 versions), then a horizon at "d"'s deletion drops
-   "d" alone (3 versions).  Every version carries a document time, so each
-   dropped version tombstones one row.  Snapshots (every 2nd version) add
-   the pages of those below the new base. *)
+   "d" alone (3 versions).  Snapshots (every 2nd version) add the pages of
+   those below the new base. *)
 let test_exact_accounting () =
   let check label config ~squash_pages ~drop_pages =
-    let config = { config with Config.document_time_path = Some "//published" } in
     let article v =
       parse
         (Printf.sprintf
@@ -102,15 +100,15 @@ let test_exact_accounting () =
     Db.delete_document db ~url:"d" ~ts:(op_ts 3) ();
     List.iter (fun v -> commit "s" (4 + v) v) (List.init 8 Fun.id);
     let counts what expected r =
-      Alcotest.(check (triple int int int))
-        (Printf.sprintf "%s, %s: pages, versions, dtime rows" label what)
+      Alcotest.(check (pair int int))
+        (Printf.sprintf "%s, %s: pages, versions" label what)
         expected
-        (r.Db.vr_pages_freed, r.Db.vr_versions_dropped, r.Db.vr_dtime_pruned)
+        (r.Db.vr_pages_freed, r.Db.vr_versions_dropped)
     in
     let squash = Db.vacuum ~retention:(keep_last 3) db in
-    counts "squash" (squash_pages, 5, 5) squash;
+    counts "squash" (squash_pages, 5) squash;
     let drop = Db.vacuum ~retention:(horizon_only (op_ts 3)) db in
-    counts "drop" (drop_pages, 3, 3) drop;
+    counts "drop" (drop_pages, 3) drop;
     Alcotest.(check int) (label ^ ": one doc each") 2
       (squash.Db.vr_docs_squashed + drop.Db.vr_docs_dropped)
   in
@@ -185,35 +183,6 @@ let test_cretime_truncated_epoch () =
         (Some (Timestamp.to_string (Docstore.ts_of_version d b)))
         (Option.map Timestamp.to_string (Lifetime.cre_time db ~strategy teid)))
     [ `Traverse; `Index ]
-
-let test_document_time_pruned () =
-  let config =
-    { Config.default with document_time_path = Some "//meta/published" }
-  in
-  let article published body =
-    parse
-      (Printf.sprintf
-         "<article><meta><published>%s</published></meta><body>%s</body></article>"
-         published body)
-  in
-  let db = Db.create ~config () in
-  ignore
-    (Db.insert_document db ~url:"n" ~ts:(op_ts 0) (article "01/05/2001" "a"));
-  ignore
-    (Db.update_document db ~url:"n" ~ts:(op_ts 1) (article "02/05/2001" "b"));
-  ignore
-    (Db.update_document db ~url:"n" ~ts:(op_ts 2) (article "03/05/2001" "c"));
-  let report = Db.vacuum ~retention:(keep_last 1) db in
-  Alcotest.(check int) "dtime rows tombstoned" 2 report.Db.vr_dtime_pruned;
-  let remaining =
-    List.map
-      (fun (dt, doc, v) -> (Timestamp.to_string dt, doc, v))
-      (Db.find_by_document_time db ~t1:Timestamp.minus_infinity
-         ~t2:Timestamp.plus_infinity)
-  in
-  Alcotest.(check (list (triple string int int)))
-    "only the retained version's document time remains"
-    [ ("03/05/2001", 0, 2) ] remaining
 
 (* --- the operator differential ------------------------------------------ *)
 
@@ -684,8 +653,6 @@ let () =
             test_current_always_survives;
           Alcotest.test_case "CreTime reports the truncated epoch honestly"
             `Quick test_cretime_truncated_epoch;
-          Alcotest.test_case "document-time rows pruned" `Quick
-            test_document_time_pruned;
           Alcotest.test_case "exact squash and drop accounting" `Quick
             test_exact_accounting;
         ] );
