@@ -920,6 +920,9 @@ let () =
           Alcotest.test_case "delta fti" `Quick test_delta_fti_records_changes;
           QCheck_alcotest.to_alcotest prop_fti_agrees_with_bruteforce;
           QCheck_alcotest.to_alcotest prop_cretime_matches_model;
+        ] );
+      ( "storage_pages",
+        [
           Alcotest.test_case "fresh store allocates index roots only" `Quick
             test_fresh_store_pages;
         ] );
