@@ -131,7 +131,101 @@ let rec decode_xml node =
     let* children = children text_xids [] e.children in
     Ok (Vnode.Elem { xid; tag = e.tag; attrs; children })
 
-let encode node = Txq_xml.Print.to_string (encode_xml node)
+(* --- the stored bytes, printed straight from the tree ----------------- *)
+
+(* [add_encoded] prints the bytes of [Print.to_string (encode_xml node)]
+   without building that tree: XIDs are formatted digit by digit into the
+   buffer, the [_tx] list is written by a first pass over the children, and
+   texts and attribute values go through the printer's escaper.  The
+   functions take the buffer as an argument rather than closing over it,
+   so the walk allocates nothing but the buffer's own growth. *)
+
+let rec add_digits buf n =
+  if n >= 10 then add_digits buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))
+
+let add_int_attr buf name n =
+  Buffer.add_char buf ' ';
+  Buffer.add_string buf name;
+  Buffer.add_string buf "=\"";
+  if n < 0 then Buffer.add_string buf (string_of_int n) else add_digits buf n;
+  Buffer.add_char buf '"'
+
+let add_xid buf xid = add_int_attr buf reserved_xid_attr (Xid.to_int xid)
+
+(* The rule of [encode_xml]'s [build]: a text child is printed raw unless
+   it is empty or follows a raw text. *)
+let is_raw ~prev_raw content = not (prev_raw || String.equal content "")
+
+let rec add_text_xids buf ~prev_raw ~first = function
+  | [] -> if not first then Buffer.add_char buf '"'
+  | Vnode.Text { xid; content } :: rest when is_raw ~prev_raw content ->
+    Buffer.add_string buf (if first then " _tx=\"" else " ");
+    add_digits buf (Xid.to_int xid);
+    add_text_xids buf ~prev_raw:true ~first:false rest
+  | _ :: rest -> add_text_xids buf ~prev_raw:false ~first rest
+
+let rec add_attrs buf = function
+  | [] -> ()
+  | (name, value) :: rest ->
+    Txq_xml.Print.add_attr buf name value;
+    add_attrs buf rest
+
+let rec add_encoded buf = function
+  | Vnode.Text { xid; content } ->
+    Buffer.add_string buf "<_text";
+    add_xid buf xid;
+    if String.equal content "" then Buffer.add_string buf "/>"
+    else begin
+      Buffer.add_char buf '>';
+      Txq_xml.Print.add_escaped buf ~quot:false content;
+      Buffer.add_string buf "</_text>"
+    end
+  | Vnode.Elem e ->
+    Buffer.add_char buf '<';
+    Buffer.add_string buf e.tag;
+    add_xid buf e.xid;
+    add_text_xids buf ~prev_raw:false ~first:true e.children;
+    add_attrs buf e.attrs;
+    match e.children with
+    | [] -> Buffer.add_string buf "/>"
+    | children ->
+      Buffer.add_char buf '>';
+      add_children buf ~prev_raw:false children;
+      Buffer.add_string buf "</";
+      Buffer.add_string buf e.tag;
+      Buffer.add_char buf '>'
+
+and add_children buf ~prev_raw = function
+  | [] -> ()
+  | Vnode.Text { content; _ } :: rest when is_raw ~prev_raw content ->
+    Txq_xml.Print.add_escaped buf ~quot:false content;
+    add_children buf ~prev_raw:true rest
+  | child :: rest ->
+    add_encoded buf child;
+    add_children buf ~prev_raw:false rest
+
+(* One output buffer kept between calls, so an encode does not regrow a
+   buffer from a few KB and leave every size it passed through to the major
+   heap: the final string is its only allocation.  A caller takes the buffer
+   with an atomic exchange and gives it back when done; a concurrent caller,
+   from another domain or thread, finds it taken and uses a fresh one.  A
+   buffer that held more than [max_kept] bytes is not kept. *)
+let spare = Atomic.make None
+let max_kept = 1 lsl 19
+
+let to_string_with write x =
+  let buf =
+    match Atomic.exchange spare None with
+    | Some buf -> Buffer.clear buf; buf
+    | None -> Buffer.create 4096
+  in
+  write buf x;
+  let s = Buffer.contents buf in
+  if Buffer.length buf <= max_kept then Atomic.set spare (Some buf);
+  s
+
+let encode node = to_string_with add_encoded node
 
 let decode s =
   match Txq_xml.Parse.parse ~keep_whitespace:true s with

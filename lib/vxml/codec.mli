@@ -19,13 +19,33 @@ val check_plain : Txq_xml.Xml.t -> (unit, string) result
 (** Fails if the document uses a reserved tag or attribute name. *)
 
 val encode_xml : Vnode.t -> Txq_xml.Xml.t
-(** The annotated plain-XML form. *)
+(** The annotated plain-XML form, as a tree: what a query value needs
+    (DIFF's result embeds trees through {!Delta.to_xml}), and the
+    reference {!encode}'s bytes are tested against. *)
 
 val decode_xml : Txq_xml.Xml.t -> (Vnode.t, string) result
 (** Inverse of {!encode_xml}.  Fails on missing or malformed annotations. *)
 
 val encode : Vnode.t -> string
-(** [encode] = serialize ∘ {!encode_xml}; the persisted blob format. *)
+(** The persisted blob format.  Byte for byte equal to
+    [Print.to_string (encode_xml node)], but printed straight from the tree
+    in one pass into one buffer, with no {!Txq_xml.Xml.t} built; the
+    commit step encodes every new current version through it. *)
+
+val add_encoded : Buffer.t -> Vnode.t -> unit
+(** Appends {!encode}'s bytes to the buffer; the delta writer prints its
+    embedded trees through it. *)
+
+val to_string_with : (Buffer.t -> 'a -> unit) -> 'a -> string
+(** [to_string_with write x] runs [write] into an output buffer kept
+    between calls and returns what it wrote; {!encode} is
+    [to_string_with add_encoded].  Safe from several domains and threads:
+    a call that finds the kept buffer in use writes into a fresh one. *)
+
+val add_int_attr : Buffer.t -> string -> int -> unit
+(** [add_int_attr buf name n] appends [ name="n"], the integer formatted
+    in place, as {!Txq_xml.Print.to_string} prints an attribute whose
+    value is [string_of_int n]. *)
 
 val decode : string -> (Vnode.t, string) result
 

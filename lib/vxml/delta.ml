@@ -342,7 +342,87 @@ let of_xml node =
     Ok { from_version; to_version; ops }
   | _ -> Error "delta: root element must be <delta>"
 
-let encode t = Txq_xml.Print.to_string (to_xml t)
+(* --- the stored bytes, printed straight from the ops ------------------ *)
+
+(* The bytes of [Print.to_string (to_xml t)], written op by op into one
+   buffer; embedded trees go through the codec's writer. *)
+
+let add_xid_attr buf name xid = Codec.add_int_attr buf name (Xid.to_int xid)
+
+let add_after buf name = function
+  | None -> ()
+  | Some a -> add_xid_attr buf name a
+
+(* [<label>text</label>]; an empty text still prints both tags, as the
+   one-text-child element of [to_xml] does. *)
+let add_text_elem buf label text =
+  Buffer.add_char buf '<';
+  Buffer.add_string buf label;
+  Buffer.add_char buf '>';
+  Txq_xml.Print.add_escaped buf ~quot:false text;
+  Buffer.add_string buf "</";
+  Buffer.add_string buf label;
+  Buffer.add_char buf '>'
+
+let add_tree_op buf tag parent after tree =
+  Buffer.add_char buf '<';
+  Buffer.add_string buf tag;
+  add_xid_attr buf "parent" parent;
+  add_after buf "after" after;
+  Buffer.add_char buf '>';
+  Codec.add_encoded buf tree;
+  Buffer.add_string buf "</";
+  Buffer.add_string buf tag;
+  Buffer.add_char buf '>'
+
+let add_op buf = function
+  | Insert { parent; after; tree } -> add_tree_op buf "insert" parent after tree
+  | Delete { parent; after; tree } -> add_tree_op buf "delete" parent after tree
+  | Update { xid; old_text; new_text } ->
+    Buffer.add_string buf "<update";
+    add_xid_attr buf "xid" xid;
+    Buffer.add_char buf '>';
+    add_text_elem buf "old" old_text;
+    add_text_elem buf "new" new_text;
+    Buffer.add_string buf "</update>"
+  | Rename { xid; old_tag; new_tag } ->
+    Buffer.add_string buf "<rename";
+    add_xid_attr buf "xid" xid;
+    Txq_xml.Print.add_attr buf "old" old_tag;
+    Txq_xml.Print.add_attr buf "new" new_tag;
+    Buffer.add_string buf "/>"
+  | Set_attr { xid; name; old_value; new_value } ->
+    Buffer.add_string buf "<setattr";
+    add_xid_attr buf "xid" xid;
+    Txq_xml.Print.add_attr buf "name" name;
+    (match (old_value, new_value) with
+     | None, None -> Buffer.add_string buf "/>"
+     | _ ->
+       Buffer.add_char buf '>';
+       Option.iter (add_text_elem buf "old") old_value;
+       Option.iter (add_text_elem buf "new") new_value;
+       Buffer.add_string buf "</setattr>")
+  | Move { xid; old_parent; old_after; new_parent; new_after } ->
+    Buffer.add_string buf "<move";
+    add_xid_attr buf "xid" xid;
+    add_xid_attr buf "oldparent" old_parent;
+    add_after buf "oldafter" old_after;
+    add_xid_attr buf "newparent" new_parent;
+    add_after buf "newafter" new_after;
+    Buffer.add_string buf "/>"
+
+let add_delta buf t =
+  Buffer.add_string buf "<delta";
+  Codec.add_int_attr buf "from" t.from_version;
+  Codec.add_int_attr buf "to" t.to_version;
+  match t.ops with
+  | [] -> Buffer.add_string buf "/>"
+  | ops ->
+    Buffer.add_char buf '>';
+    List.iter (add_op buf) ops;
+    Buffer.add_string buf "</delta>"
+
+let encode t = Codec.to_string_with add_delta t
 
 let decode s =
   match Txq_xml.Parse.parse ~keep_whitespace:true s with

@@ -92,10 +92,16 @@ val deleted_xids : t -> Xid.t list
 (** XIDs that cease to exist going forward. *)
 
 val to_xml : t -> Txq_xml.Xml.t
+(** The delta document as a tree: DIFF's query value, and the reference
+    {!encode}'s bytes are tested against. *)
+
 val of_xml : Txq_xml.Xml.t -> (t, string) result
 
 val encode : t -> string
-(** Serialized delta document; what the blob store persists. *)
+(** Serialized delta document; what the blob store persists.  Byte for
+    byte equal to [Print.to_string (to_xml t)], but printed straight from
+    the ops (embedded trees through {!Codec.add_encoded}) into one buffer,
+    with no {!Txq_xml.Xml.t} built. *)
 
 val decode : string -> (t, string) result
 val decode_exn : string -> t

@@ -15,22 +15,24 @@ and add_entity buf ~quot s start i entity =
   Buffer.add_string buf entity;
   escape_from buf ~quot s (i + 1) (i + 1)
 
-let escape buf ~quot s = escape_from buf ~quot s 0 0
+let add_escaped buf ~quot s = escape_from buf ~quot s 0 0
+
+let add_attr buf name value =
+  Buffer.add_char buf ' ';
+  Buffer.add_string buf name;
+  Buffer.add_string buf "=\"";
+  add_escaped buf ~quot:true value;
+  Buffer.add_char buf '"'
 
 let add_attrs buf attrs =
   List.iter
-    (fun { Xml.attr_name; attr_value } ->
-      Buffer.add_char buf ' ';
-      Buffer.add_string buf attr_name;
-      Buffer.add_string buf "=\"";
-      escape buf ~quot:true attr_value;
-      Buffer.add_char buf '"')
+    (fun { Xml.attr_name; attr_value } -> add_attr buf attr_name attr_value)
     attrs
 
 let to_string node =
   let buf = Buffer.create 256 in
   let rec go = function
-    | Xml.Text s -> escape buf ~quot:false s
+    | Xml.Text s -> add_escaped buf ~quot:false s
     | Xml.Element e ->
       Buffer.add_char buf '<';
       Buffer.add_string buf e.tag;
@@ -53,7 +55,7 @@ let to_pretty node =
   let rec go level = function
     | Xml.Text s ->
       indent level;
-      escape buf ~quot:false s;
+      add_escaped buf ~quot:false s;
       Buffer.add_char buf '\n'
     | Xml.Element e -> (
       indent level;
@@ -64,7 +66,7 @@ let to_pretty node =
       | [] -> Buffer.add_string buf "/>\n"
       | [Xml.Text s] ->
         Buffer.add_char buf '>';
-        escape buf ~quot:false s;
+        add_escaped buf ~quot:false s;
         Buffer.add_string buf "</";
         Buffer.add_string buf e.tag;
         Buffer.add_string buf ">\n"

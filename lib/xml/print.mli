@@ -17,3 +17,13 @@ val pp : Format.formatter -> Xml.t -> unit
 
 val document : Xml.t -> string
 (** Compact serialization prefixed by an XML declaration. *)
+
+val add_escaped : Buffer.t -> quot:bool -> string -> unit
+(** [add_escaped buf ~quot s] appends [s] with [<], [>] and [&] escaped,
+    and also the double quote when [quot] (attribute values): the escaping
+    {!to_string} applies, for writers that print XML without building an
+    {!Xml.t}. *)
+
+val add_attr : Buffer.t -> string -> string -> unit
+(** [add_attr buf name value] appends [ name="value"], the value escaped
+    by {!add_escaped} with [~quot:true]. *)

@@ -329,6 +329,138 @@ let prop_delta_codec_identity =
     (QCheck.make ~print:Delta.encode Txq_test_support.Gen_xml.gen_delta)
     (fun d -> Delta.decode (Delta.encode d) = Ok d)
 
+(* --- Writer: the stored bytes, printed straight from the tree ----------- *)
+
+(* [Codec.encode] and [Delta.encode] print without building an [Xml.t];
+   the tree forms, printed, are the reference for every byte. *)
+let tree_bytes_agree v =
+  String.equal (Codec.encode v) (Print.to_string (Codec.encode_xml v))
+
+let delta_bytes_agree d =
+  String.equal (Delta.encode d) (Print.to_string (Delta.to_xml d))
+
+let check_tree_bytes name expected v =
+  Alcotest.(check string) (name ^ " (reference)")
+    (Print.to_string (Codec.encode_xml v)) (Codec.encode v);
+  Alcotest.(check string) name expected (Codec.encode v)
+
+let test_writer_cases () =
+  let x = Xid.of_int in
+  let text i content = Vnode.Text { xid = x i; content } in
+  let elem ?(attrs = []) i tag children =
+    Vnode.Elem { xid = x i; tag; attrs; children }
+  in
+  check_tree_bytes "bare empty text root" "<_text _xid=\"0\"/>" (text 0 "");
+  check_tree_bytes "bare text root" "<_text _xid=\"7\">a&lt;b</_text>"
+    (text 7 "a<b");
+  check_tree_bytes "xid 0" "<a _xid=\"0\" _tx=\"10\">t</a>"
+    (elem 0 "a" [ text 10 "t" ]);
+  check_tree_bytes "empty text child" "<a _xid=\"1\"><_text _xid=\"2\"/></a>"
+    (elem 1 "a" [ text 2 "" ]);
+  check_tree_bytes "two adjacent raw texts"
+    "<a _xid=\"1\" _tx=\"2\">x<_text _xid=\"3\">y</_text></a>"
+    (elem 1 "a" [ text 2 "x"; text 3 "y" ]);
+  check_tree_bytes "empty text, then a raw text"
+    "<a _xid=\"1\" _tx=\"3\"><_text _xid=\"2\"/>y</a>"
+    (elem 1 "a" [ text 2 ""; text 3 "y" ]);
+  check_tree_bytes "raw texts around an element"
+    "<a _xid=\"1\" _tx=\"2 4\">x<b _xid=\"3\"/>y</a>"
+    (elem 1 "a" [ text 2 "x"; elem 3 "b" []; text 4 "y" ]);
+  check_tree_bytes "markup and non-ASCII bytes"
+    "<a _xid=\"1\" _tx=\"2\" k=\"&lt;&gt;&amp;&quot;'\xc3\xa9\">\
+     &lt;&gt;&amp;\"'\xc3\xa9</a>"
+    (elem 1 "a" ~attrs:[ ("k", "<>&\"'\xc3\xa9") ] [ text 2 "<>&\"'\xc3\xa9" ]);
+  let tree = elem 5 "r" ~attrs:[ ("k", "\"") ] [ text 6 "&"; text 7 "" ] in
+  List.iter
+    (fun (name, d) ->
+      Alcotest.(check string) name (Print.to_string (Delta.to_xml d))
+        (Delta.encode d))
+    [
+      ("no ops", Delta.make ~from_version:0 ~to_version:0 []);
+      ( "every op",
+        Delta.make ~from_version:3 ~to_version:4
+          [
+            Delta.Insert { parent = x 0; after = None; tree };
+            Delta.Delete { parent = x 9; after = Some (x 0); tree = text 8 "" };
+            Delta.Update { xid = x 2; old_text = ""; new_text = "<\"&'\xc3\xa9>" };
+            Delta.Rename { xid = x 3; old_tag = "a"; new_tag = "b" };
+            Delta.Set_attr { xid = x 4; name = "k"; old_value = None; new_value = None };
+            Delta.Set_attr
+              { xid = x 4; name = "k"; old_value = Some ""; new_value = Some "\"&" };
+            Delta.Move
+              { xid = x 5; old_parent = x 1; old_after = None; new_parent = x 2;
+                new_after = Some (x 0) };
+          ] );
+    ]
+
+(* The kept output buffer: a call made while another holds it (nested
+   here, concurrent from a second domain below) writes into its own. *)
+let test_writer_buffer_shared () =
+  let v = vnode_of_string "<r k=\"&quot;\"><s>a&amp;b</s>t</r>" in
+  let e = Print.to_string (Codec.encode_xml v) in
+  let nested =
+    Codec.to_string_with
+      (fun buf v ->
+        Buffer.add_string buf (Codec.encode v);
+        Codec.add_encoded buf v)
+      v
+  in
+  Alcotest.(check string) "nested call" (e ^ e) nested;
+  Alcotest.(check string) "after the nested call" e (Codec.encode v);
+  let big =
+    vnode_of_string
+      ("<g>"
+      ^ String.concat ""
+          (List.init 200 (fun i -> Printf.sprintf "<x n=\"%d\">t%d</x>" i i))
+      ^ "</g>")
+  in
+  let big_e = Print.to_string (Codec.encode_xml big) in
+  let loop tree want () =
+    let ok = ref true in
+    for _ = 1 to 300 do
+      if not (String.equal (Codec.encode tree) want) then ok := false
+    done;
+    !ok
+  in
+  let other = Domain.spawn (loop big big_e) in
+  let here = loop v e () in
+  Alcotest.(check bool) "concurrent encodes" true (here && Domain.join other)
+
+let prop_writer_trees =
+  let module Gen_xml = Txq_test_support.Gen_xml in
+  QCheck.Test.make ~count:300 ~name:"encode = print (encode_xml) (random docs)"
+    (QCheck.make ~print:Print.to_string
+       (QCheck.Gen.oneof [Gen_xml.gen_doc; Gen_xml.gen_raw_doc]))
+    (fun doc -> tree_bytes_agree (Vnode.of_xml (Xid.Gen.create ()) doc))
+
+let prop_writer_deltas =
+  QCheck.Test.make ~count:300 ~name:"encode = print (to_xml) (generated ops)"
+    (QCheck.make ~print:Delta.encode Txq_test_support.Gen_xml.gen_delta)
+    delta_bytes_agree
+
+(* Every version of a diffed history, and every delta between them. *)
+let history_bytes_agree (doc0, versions) =
+  let gen = Xid.Gen.create () in
+  let v0 = Vnode.of_xml gen doc0 in
+  tree_bytes_agree v0
+  && snd
+       (List.fold_left
+          (fun (prev, ok) doc ->
+            let delta, next = Diff.diff ~gen ~old_tree:prev ~new_tree:doc in
+            (next, ok && tree_bytes_agree next && delta_bytes_agree delta))
+          (v0, true) versions)
+
+let prop_writer_histories =
+  QCheck.Test.make ~count:200 ~name:"encode = print (tree form) (random histories)"
+    (Txq_test_support.Gen_xml.arb_history ~max_versions:6)
+    history_bytes_agree
+
+let prop_writer_transplants =
+  QCheck.Test.make ~count:200
+    ~name:"encode = print (tree form) (moved and copied subtrees)"
+    (Txq_test_support.Gen_xml.arb_transplant_history ~max_versions:5)
+    history_bytes_agree
+
 let test_delta_tracked_xids () =
   let tree = vnode_of_string "<r><s/></r>" in
   let d =
@@ -707,6 +839,15 @@ let () =
           Alcotest.test_case "xml roundtrip" `Quick test_delta_xml_roundtrip;
           Alcotest.test_case "tracked xids" `Quick test_delta_tracked_xids;
           QCheck_alcotest.to_alcotest prop_delta_codec_identity;
+        ] );
+      ( "writer",
+        [
+          Alcotest.test_case "fixed cases" `Quick test_writer_cases;
+          Alcotest.test_case "kept buffer shared" `Quick test_writer_buffer_shared;
+          QCheck_alcotest.to_alcotest prop_writer_trees;
+          QCheck_alcotest.to_alcotest prop_writer_deltas;
+          QCheck_alcotest.to_alcotest prop_writer_histories;
+          QCheck_alcotest.to_alcotest prop_writer_transplants;
         ] );
       ( "diff",
         [
