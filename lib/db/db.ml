@@ -1045,8 +1045,14 @@ let apply_record t src record =
       | Shipped contents ->
         let delta_bytes = List.hd contents in
         let delta = decode "delta" Delta.decode delta_bytes in
+        (* The working form is local: a delta that does not fit (a stream
+           from another primary) is refused before any state changes. *)
         let map = Txq_vxml.Xidmap.of_vnode (Docstore.current d) in
-        Delta.apply_forward map delta;
+        (match Delta.apply_forward map delta with
+         | () -> ()
+         | exception Invalid_argument msg ->
+           fail "delta does not fit document %d's current version: %s"
+             r.r_doc msg);
         let tree = Txq_vxml.Xidmap.to_vnode map in
         Docstore.mark_used d (Delta.inserted_xids delta);
         Docstore.mark_used d (Delta.deleted_xids delta);

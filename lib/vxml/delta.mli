@@ -49,10 +49,6 @@ val approx_bytes : t -> int
 
 val invert : t -> t
 
-val apply_op : Xidmap.t -> op -> unit
-(** Applies one operation; the diff's script generator builds its working
-    copy with this. *)
-
 val apply_forward : Xidmap.t -> t -> unit
 (** Raises [Invalid_argument] if the delta does not fit the document (wrong
     base version content). *)

@@ -1,8 +1,19 @@
-(** Mutable, XID-addressed form of one document version.
+(** XID-addressed working form of one document version, for delta
+    application: lookup by XID, parent pointers, and child-list surgery.
+    Convert with {!of_vnode} / {!to_vnode}.
 
-    Delta application and diff-script generation need efficient node lookup
-    by XID, parent pointers, and in-place child-list surgery; this module is
-    that working form.  Convert with {!of_vnode} / {!to_vnode}. *)
+    The form is copy-on-touch.  {!of_vnode} indexes the given tree in
+    place: per node, a slot of an open-addressed table holding the node's
+    own [Vnode.t] (shared, not copied) and its parent's XID.  The table has
+    fewer than three slots per live node, however sparse the XIDs.  A
+    mutator builds a new [Vnode.t] for the one node it changes and marks
+    that node's ancestors dirty; {!to_vnode} and {!subtree} return clean
+    subtrees physically shared with the input and rebuild only the dirty
+    spine, whose new nodes become the map's clean entries.  Indexing costs
+    a walk of the tree and two arrays; applying a delta and emitting the
+    result cost what the delta touches and the paths above it, so a walk
+    that emits every version pays per version only for what changed since
+    the previous emit. *)
 
 type t
 

@@ -261,7 +261,7 @@ let phase_script m ~gen ~old_tree ~new_root =
   let work = Xidmap.of_vnode old_tree in
   let ops = ref [] in
   let emit op =
-    Delta.apply_op work op;
+    Delta.apply_forward work (Delta.make ~from_version:0 ~to_version:1 [ op ]);
     ops := op :: !ops
   in
   (* has_match.(idx): the new subtree contains at least one matched node. *)

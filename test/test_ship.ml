@@ -299,6 +299,36 @@ let test_replay_checks () =
          r_snapshot = None })
     [ v0 ]
 
+(* A commit shipped from another primary, whose document at the same URL
+   holds other XIDs, is refused as a replay error naming the record, and
+   the replica is left as it was. *)
+let test_wrong_primary () =
+  let a = Db.create ~config:durable () and b = Db.create ~config:durable () in
+  ignore (Db.insert_document a ~url:"u" ~ts:(op_ts 0) (parse "<a/>"));
+  ignore
+    (Db.insert_document b ~url:"u" ~ts:(op_ts 0) (parse "<a><b>x</b><c>y</c></a>"));
+  ignore
+    (Db.update_document b ~url:"u" ~ts:(op_ts 1) (parse "<a><b>x</b><c>z</c></a>"));
+  let r = Db.Replay.create ~config:durable () in
+  apply_all r (Db.ship a ~from:0 ());
+  let rdb = Db.Replay.db r in
+  let before = fingerprint rdb in
+  (match Db.ship b ~from:1 () with
+   | [ commit ] -> (
+     match Db.Replay.apply r commit with
+     | () -> Alcotest.fail "a foreign delta replayed"
+     | exception Db.Replay_error msg ->
+       let says s =
+         let n = String.length s in
+         let rec go i = i + n <= String.length msg && (String.sub msg i n = s || go (i + 1)) in
+         go 0
+       in
+       Alcotest.(check bool) ("names the record: " ^ msg) true
+         (says "shipped record" && says "does not fit"))
+   | l -> Alcotest.failf "expected one commit shipment, got %d" (List.length l));
+  Alcotest.(check int) "nothing applied" 1 (Db.Replay.applied r);
+  Alcotest.(check string) "state unchanged" before (fingerprint rdb)
+
 (* Promotion: a detached replica is writable and its clock continues
    strictly after everything replicated. *)
 let test_detach_promotes () =
@@ -697,6 +727,8 @@ let () =
             test_apply_overlap_and_gap;
           Alcotest.test_case "replay meets the live checks" `Quick
             test_replay_checks;
+          Alcotest.test_case "a foreign delta is a replay error" `Quick
+            test_wrong_primary;
           Alcotest.test_case "detach promotes" `Quick test_detach_promotes;
         ] );
       ( "kill points",

@@ -519,7 +519,9 @@ let faithful old_v delta =
           | Xidmap.Text _ -> false)
         | Delta.Insert _ -> true
       in
-      ok && (Delta.apply_op work op; true))
+      ok
+      && (Delta.apply_forward work (Delta.make ~from_version:0 ~to_version:1 [ op ]);
+          true))
     delta.Delta.ops
 
 let check_diff ?max_ops old_s new_s =
@@ -801,6 +803,403 @@ let prop_diff_serialized_chain =
       List.iter (fun s -> Delta.apply_backward work (Delta.decode_exn s)) deltas;
       Vnode.equal_with_xids (Xidmap.to_vnode work) v0)
 
+(* --- copy-on-touch Xidmap against the hash-table oracle ------------------ *)
+
+module Xo = Txq_test_support.Xidmap_oracle
+
+(* An inserted tree whose own XIDs repeat is refused, and the map is left
+   as it was: <b> and <c> would otherwise share one slot. *)
+let test_xidmap_repeated_insert () =
+  let x = Xid.of_int in
+  let r = Vnode.Elem { xid = x 1; tag = "r"; attrs = []; children = [] } in
+  let leaf xid tag = Vnode.Elem { xid = x xid; tag; attrs = []; children = [] } in
+  let tree =
+    Vnode.Elem { xid = x 5; tag = "a"; attrs = []; children = [ leaf 7 "b"; leaf 7 "c" ] }
+  in
+  let m = Xidmap.of_vnode r in
+  Alcotest.check_raises "repeated xid"
+    (Invalid_argument "Xidmap.insert_tree: xid 7 repeats in the inserted tree")
+    (fun () -> Xidmap.insert_tree m ~parent:(x 1) ~after:None tree);
+  Alcotest.(check int) "size unchanged" 1 (Xidmap.size m);
+  Alcotest.(check bool) "a not mapped" false (Xidmap.mem m (x 5));
+  Alcotest.(check bool) "tree unchanged" true
+    (Vnode.equal_with_xids r (Xidmap.to_vnode m))
+
+(* Untouched subtrees come back physically shared, and an emit after a
+   later change rebuilds only the path to it. *)
+let test_xidmap_shares_untouched () =
+  let v = vnode_of_string "<a><b><c>x</c></b><d><e>y</e></d></a>" in
+  let child i t = List.nth (Vnode.children t) i in
+  let m = Xidmap.of_vnode v in
+  Alcotest.(check bool) "no change: the input itself" true (Xidmap.to_vnode m == v);
+  Xidmap.update_text m (Xid.of_int 7) "z";
+  let out = Xidmap.to_vnode m in
+  Alcotest.(check bool) "untouched <b> shared" true (child 0 out == child 0 v);
+  Alcotest.(check bool) "<d> above the change rebuilt" false (child 1 out == child 1 v);
+  Xidmap.rename m (Xid.of_int 3) "f";
+  let out' = Xidmap.to_vnode m in
+  Alcotest.(check bool) "previous emit's <d> shared" true (child 1 out' == child 1 out);
+  Alcotest.check xml_testable "content" (parse "<a><b><f>x</f></b><d><e>z</e></d></a>")
+    (Vnode.to_xml out')
+
+(* The mutators, which both forms share. *)
+module type MUTATORS = sig
+  type t
+
+  val insert_tree : t -> parent:Xid.t -> after:Xid.t option -> Vnode.t -> unit
+  val delete_subtree : t -> Xid.t -> Vnode.t
+  val move : t -> Xid.t -> parent:Xid.t -> after:Xid.t option -> unit
+  val update_text : t -> Xid.t -> string -> unit
+  val rename : t -> Xid.t -> string -> unit
+  val set_attr : t -> Xid.t -> name:string -> value:string option -> unit
+end
+
+(* One mutator call, as both forms take it. *)
+type call =
+  | Insert_tree of Xid.t * Xid.t option * Vnode.t
+  | Delete_subtree of Xid.t
+  | Move of Xid.t * Xid.t * Xid.t option
+  | Update_text of Xid.t * string
+  | Rename of Xid.t * string
+  | Set_attr of Xid.t * string * string option
+
+let call_of_op = function
+  | Delta.Insert { parent; after; tree } -> Insert_tree (parent, after, tree)
+  | Delta.Delete { tree; _ } -> Delete_subtree (Vnode.xid tree)
+  | Delta.Update { xid; new_text; _ } -> Update_text (xid, new_text)
+  | Delta.Rename { xid; new_tag; _ } -> Rename (xid, new_tag)
+  | Delta.Set_attr { xid; name; new_value; _ } -> Set_attr (xid, name, new_value)
+  | Delta.Move { xid; new_parent; new_after; _ } -> Move (xid, new_parent, new_after)
+
+let perform (type m) (module M : MUTATORS with type t = m) (map : m) =
+  function
+  | Insert_tree (parent, after, tree) -> M.insert_tree map ~parent ~after tree
+  | Delete_subtree xid -> ignore (M.delete_subtree map xid)
+  | Move (xid, parent, after) -> M.move map xid ~parent ~after
+  | Update_text (xid, text) -> M.update_text map xid text
+  | Rename (xid, tag) -> M.rename map xid tag
+  | Set_attr (xid, name, value) -> M.set_attr map xid ~name ~value
+
+let xmap = (module Xidmap : MUTATORS with type t = Xidmap.t)
+let omap = (module Xo : MUTATORS with type t = Xo.t)
+
+(* Calls that must raise, drawn against the oracle's current state: XID
+   collisions (with the map and within the inserted tree), unknown XIDs,
+   the root detached or deleted, cycles, self-anchors, anchors that are
+   not children, children under text, content edits of the wrong kind. *)
+let bad_call o ~fresh st =
+  let tree = Xo.to_vnode o in
+  let all = Array.of_list (Vnode.xids tree) in
+  let pick () = all.(Random.State.int st (Array.length all)) in
+  let root = Xo.root o in
+  let elements, texts =
+    List.partition
+      (fun x -> match Xo.content o x with Xo.Element _ -> true | Xo.Text _ -> false)
+      (Array.to_list all)
+  in
+  let some l = List.nth l (Random.State.int st (List.length l)) in
+  let leaf xid = Vnode.Elem { xid; tag = "n"; attrs = []; children = [] } in
+  let unknown = Xid.of_int (fresh + 1000) in
+  let descendant x =
+    match Xo.subtree o x with
+    | Vnode.Elem _ as t -> some (Vnode.xids t)
+    | Vnode.Text _ -> x
+  in
+  let not_child p =
+    List.find_opt (fun x -> not (List.mem x (Xo.children o p))) (Array.to_list all)
+  in
+  match Random.State.int st 14 with
+  | 0 -> Insert_tree (some elements, None, Xo.subtree o (pick ()))
+  | 1 ->
+    Insert_tree
+      ( some elements, None,
+        Vnode.Elem
+          { xid = Xid.of_int fresh; tag = "a"; attrs = [];
+            children = [ leaf (Xid.of_int (fresh + 1)); leaf (Xid.of_int (fresh + 1)) ] } )
+  | 2 when texts <> [] -> Insert_tree (some texts, None, leaf (Xid.of_int fresh))
+  | 3 -> (
+    let p = some elements in
+    match not_child p with
+    | Some a -> Insert_tree (p, Some a, leaf (Xid.of_int fresh))
+    | None -> Delete_subtree root)
+  | 4 -> Delete_subtree root
+  | 5 -> Delete_subtree unknown
+  | 6 -> Move (root, some elements, None)
+  | 7 ->
+    let x = pick () in
+    if Xid.equal x root then Move (x, root, None) else Move (x, descendant x, None)
+  | 8 -> let x = pick () in Move (x, some elements, Some x)
+  | 9 when texts <> [] -> Move (pick (), some texts, None)
+  | 10 -> (
+    let p = some elements in
+    match not_child p with
+    | None -> Move (unknown, p, None)
+    | Some a -> (
+      (* a node the move would otherwise accept *)
+      let movable x =
+        not (Xid.equal x root || Xid.equal x a)
+        && Vnode.find (Xo.subtree o x) p = None
+      in
+      match List.find_opt movable (Array.to_list all) with
+      | Some x -> Move (x, p, Some a)
+      | None -> Move (unknown, p, None)))
+  | 11 -> Update_text (some elements, "t")
+  | 12 when texts <> [] ->
+    if Random.State.bool st then Rename (some texts, "r") else Set_attr (some texts, "k", Some "v")
+  | _ -> Rename (unknown, "r")
+
+(* Every query both forms answer, over every XID of the oracle's tree and
+   the extra ones named. *)
+let agree m o extra =
+  let fail fmt = QCheck.Test.fail_reportf fmt in
+  if Xidmap.size m <> Xo.size o then fail "size %d, oracle %d" (Xidmap.size m) (Xo.size o);
+  List.iter
+    (fun x ->
+      let i = Xid.to_int x in
+      if Xidmap.mem m x <> Xo.mem o x then fail "mem %d differs" i;
+      if Xo.mem o x then begin
+        if Xidmap.parent m x <> Xo.parent o x then fail "parent of %d differs" i;
+        if Xidmap.children m x <> Xo.children o x then fail "children of %d differ" i;
+        if Xidmap.left_sibling m x <> Xo.left_sibling o x then
+          fail "left sibling of %d differs" i;
+        if Xidmap.content m x <> Xo.content o x then fail "content of %d differs" i
+      end)
+    (Vnode.xids (Xo.to_vnode o) @ extra)
+
+let named_by = function
+  | Delta.Insert { parent; after; tree } | Delta.Delete { parent; after; tree } ->
+    (parent :: Option.to_list after) @ Vnode.xids tree
+  | Delta.Update { xid; _ } | Delta.Rename { xid; _ } | Delta.Set_attr { xid; _ } -> [ xid ]
+  | Delta.Move { xid; old_parent; old_after; new_parent; new_after } ->
+    (xid :: old_parent :: new_parent :: Option.to_list old_after)
+    @ Option.to_list new_after
+
+let history_steps (doc0, versions) =
+  let gen = Xid.Gen.create () in
+  let v0 = Vnode.of_xml gen doc0 in
+  let _, steps =
+    List.fold_left
+      (fun (prev, acc) doc ->
+        let delta, next = Diff.diff ~gen ~old_tree:prev ~new_tree:doc in
+        (next, (prev, delta, next) :: acc))
+      (v0, []) versions
+  in
+  (List.rev steps, Xid.Gen.used gen + 1)
+
+(* Both forms, op by op, every delta forward from its old version and
+   backward from its new one; after each op a must-raise call, half the
+   time, and an emit, half the time, decided by [seed]. *)
+let forms_agree (seed, history) =
+  let st = Random.State.make [| seed |] in
+  let steps, fresh = history_steps history in
+  let fail fmt = QCheck.Test.fail_reportf fmt in
+  let run input ops expected =
+    let m = Xidmap.of_vnode input and o = Xo.of_vnode input in
+    List.iter
+      (fun op ->
+        let call = call_of_op op in
+        (match perform xmap m call, perform omap o call with
+         | (), () -> ()
+         | exception e -> fail "op raised: %s" (Printexc.to_string e));
+        agree m o (named_by op);
+        if Random.State.bool st then begin
+          let bad = bad_call o ~fresh st in
+          let before = Xo.to_vnode o in
+          let outcome f = match f () with () -> None | exception Invalid_argument s -> Some s in
+          let mine = outcome (fun () -> perform xmap m bad)
+          and theirs = outcome (fun () -> perform omap o bad) in
+          if mine <> theirs || mine = None then
+            fail "must-raise call: %s, oracle %s"
+              (Option.value mine ~default:"no raise")
+              (Option.value theirs ~default:"no raise");
+          if not (Vnode.equal_with_xids before (Xo.to_vnode o)) then
+            fail "oracle changed by a raising call";
+          agree m o [ Xid.of_int fresh; Xid.of_int (fresh + 1) ]
+        end;
+        if Random.State.bool st
+           && not (Vnode.equal_with_xids (Xidmap.to_vnode m) (Xo.to_vnode o))
+        then fail "to_vnode differs")
+      ops;
+    if not (Vnode.equal_with_xids (Xidmap.to_vnode m) expected) then
+      fail "the delta's result differs"
+  in
+  List.iter
+    (fun (prev, delta, next) ->
+      run prev delta.Delta.ops next;
+      run next (Delta.invert delta).Delta.ops prev)
+    steps;
+  true
+
+let arb_seeded arb = QCheck.pair QCheck.small_nat arb
+
+(* A call drawn against the oracle's current state, valid or not: fresh
+   trees inserted anywhere, any node deleted or moved anywhere, content
+   edited.  Unlike a diff's script, which edits a moved node's descendants
+   only after moving it, these move nodes whose descendants already
+   changed. *)
+let random_call o ~fresh st =
+  let all = Array.of_list (Vnode.xids (Xo.to_vnode o)) in
+  let pick () = all.(Random.State.int st (Array.length all)) in
+  let anchor p =
+    match Xo.children o p with
+    | _ when Random.State.int st 8 = 0 -> Some (pick ())
+    | [] -> None
+    | cs ->
+      let k = Random.State.int st (List.length cs + 1) in
+      if k = 0 then None else Some (List.nth cs (k - 1))
+  in
+  let x = pick () in
+  match Random.State.int st 7 with
+  | 0 ->
+    let p = pick () in
+    let leaf = Vnode.Text { xid = Xid.of_int (fresh + 1); content = "n" } in
+    Insert_tree
+      (p, anchor p, Vnode.Elem { xid = Xid.of_int fresh; tag = "n"; attrs = []; children = [ leaf ] })
+  | 1 -> Delete_subtree x
+  | 2 | 3 -> let p = pick () in Move (x, p, anchor p)
+  | 4 -> Update_text (x, "u" ^ string_of_int fresh)
+  | 5 -> Rename (x, "r" ^ string_of_int fresh)
+  | _ ->
+    Set_attr (x, "k", if Random.State.bool st then Some (string_of_int fresh) else None)
+
+let prop_forms_random_calls =
+  QCheck.Test.make ~count:300 ~name:"copy-on-touch = oracle call by call (random calls)"
+    (QCheck.pair QCheck.small_nat Txq_test_support.Gen_xml.arb_doc)
+    (fun (seed, doc) ->
+      let st = Random.State.make [| seed |] in
+      let gen = Xid.Gen.create () in
+      let v = Vnode.of_xml gen doc in
+      let m = Xidmap.of_vnode v and o = Xo.of_vnode v in
+      let fresh = ref (Xid.Gen.used gen + 1) in
+      for _ = 1 to 40 do
+        let call = random_call o ~fresh:!fresh st in
+        fresh := !fresh + 2;
+        let outcome form map =
+          match perform form map call with
+          | () -> None
+          | exception Invalid_argument s -> Some s
+        in
+        let mine = outcome xmap m and theirs = outcome omap o in
+        if mine <> theirs then
+          QCheck.Test.fail_reportf "call outcome: %s, oracle %s"
+            (Option.value mine ~default:"ok")
+            (Option.value theirs ~default:"ok");
+        agree m o [];
+        if Random.State.int st 4 = 0
+           && not (Vnode.equal_with_xids (Xidmap.to_vnode m) (Xo.to_vnode o))
+        then QCheck.Test.fail_reportf "to_vnode differs"
+      done;
+      Vnode.equal_with_xids (Xidmap.to_vnode m) (Xo.to_vnode o))
+
+
+let prop_forms_histories =
+  QCheck.Test.make ~count:150 ~name:"copy-on-touch = oracle op by op (random histories)"
+    (arb_seeded (Txq_test_support.Gen_xml.arb_history ~max_versions:6))
+    forms_agree
+
+let prop_forms_transplants =
+  QCheck.Test.make ~count:150
+    ~name:"copy-on-touch = oracle op by op (moved and copied subtrees)"
+    (arb_seeded (Txq_test_support.Gen_xml.arb_transplant_history ~max_versions:5))
+    forms_agree
+
+(* Applying a delta either way shares, with the input, every subtree of
+   the result that holds no node an op names. *)
+let shares_untouched (doc0, versions) =
+  let steps, _ = history_steps (doc0, versions) in
+  let check input delta =
+    let named = Hashtbl.create 16 in
+    List.iter
+      (fun op -> List.iter (fun x -> Hashtbl.replace named x ()) (named_by op))
+      delta.Delta.ops;
+    let by_xid = Hashtbl.create 64 in
+    let rec index v =
+      Hashtbl.replace by_xid (Vnode.xid v) v;
+      List.iter index (Vnode.children v)
+    in
+    index input;
+    let m = Xidmap.of_vnode input in
+    Delta.apply_forward m delta;
+    (* whether [v] holds a named node; an unnamed one must be shared *)
+    let rec touched v =
+      let below = List.fold_left (fun acc c -> touched c || acc) false (Vnode.children v) in
+      let t = below || Hashtbl.mem named (Vnode.xid v) in
+      let shared =
+        match Hashtbl.find_opt by_xid (Vnode.xid v) with
+        | Some u -> u == v
+        | None -> false
+      in
+      if not (t || shared) then
+        QCheck.Test.fail_reportf "untouched subtree %d copied" (Xid.to_int (Vnode.xid v));
+      t
+    in
+    ignore (touched (Xidmap.to_vnode m))
+  in
+  List.iter
+    (fun (prev, delta, next) ->
+      check prev delta;
+      check next (Delta.invert delta))
+    steps;
+  true
+
+let prop_shares_histories =
+  QCheck.Test.make ~count:150 ~name:"untouched subtrees shared (random histories)"
+    (Txq_test_support.Gen_xml.arb_history ~max_versions:6)
+    shares_untouched
+
+let prop_shares_transplants =
+  QCheck.Test.make ~count:150
+    ~name:"untouched subtrees shared (moved and copied subtrees)"
+    (Txq_test_support.Gen_xml.arb_transplant_history ~max_versions:5)
+    shares_untouched
+
+(* A 20-delta history mixing local edits with moved and copied subtrees. *)
+let arb_walk =
+  let module G = Txq_test_support.Gen_xml in
+  QCheck.make
+    ~print:(fun (d, vs) -> String.concat "\n---\n" (List.map Print.to_string (d :: vs)))
+    QCheck.Gen.(
+      G.gen_doc >>= fun doc st ->
+      let rec build acc prev k =
+        if k = 0 then List.rev acc
+        else
+          let next = G.mutate ~rounds:(int_range 1 2 st) prev st in
+          let next = if bool st then G.transplant next st else next in
+          build (next :: acc) next (k - 1)
+      in
+      (doc, build [] doc 20))
+
+(* One map walked through the whole chain, emitting after every delta, as
+   a range reconstruction does: each emit equals the version the diff
+   built, forward from the first version and backward from the last. *)
+let prop_repeated_emits =
+  QCheck.Test.make ~count:60 ~name:"emits along a 20-delta walk = fresh versions"
+    arb_walk
+    (fun history ->
+      let steps, _ = history_steps history in
+      let fail fmt = QCheck.Test.fail_reportf fmt in
+      (match steps with
+       | [] -> ()
+       | (v0, _, _) :: _ ->
+         let fwd = Xidmap.of_vnode v0 in
+         List.iteri
+           (fun i (_, delta, next) ->
+             Delta.apply_forward fwd delta;
+             if not (Vnode.equal_with_xids (Xidmap.to_vnode fwd) next) then
+               fail "forward emit %d differs" (i + 1))
+           steps);
+      (match List.rev steps with
+       | [] -> ()
+       | (_, _, vlast) :: _ as rev ->
+         let bwd = Xidmap.of_vnode vlast in
+         List.iteri
+           (fun i (prev, delta, _) ->
+             Delta.apply_backward bwd delta;
+             if not (Vnode.equal_with_xids (Xidmap.to_vnode bwd) prev) then
+               fail "backward emit %d differs" (i + 1))
+           rev);
+      true)
+
 let () =
   Alcotest.run "vxml"
     [
@@ -826,6 +1225,16 @@ let () =
           Alcotest.test_case "guards" `Quick test_xidmap_guards;
           Alcotest.test_case "text and attrs" `Quick test_xidmap_text_and_attrs;
           QCheck_alcotest.to_alcotest prop_xidmap_random_surgery;
+          Alcotest.test_case "repeated xids in an inserted tree" `Quick
+            test_xidmap_repeated_insert;
+          Alcotest.test_case "untouched subtrees shared" `Quick
+            test_xidmap_shares_untouched;
+          QCheck_alcotest.to_alcotest prop_forms_histories;
+          QCheck_alcotest.to_alcotest prop_forms_transplants;
+          QCheck_alcotest.to_alcotest prop_forms_random_calls;
+          QCheck_alcotest.to_alcotest prop_shares_histories;
+          QCheck_alcotest.to_alcotest prop_shares_transplants;
+          QCheck_alcotest.to_alcotest prop_repeated_emits;
         ] );
       ( "codec",
         [
